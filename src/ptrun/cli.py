@@ -1,9 +1,9 @@
 """Command-line interface: run, replay, bench, verify-trace.
 
-Exit codes: 0 success / full match, 2 usage or divergence, 3 run_invalid,
-4 budget_exceeded. Provider credentials are read from the environment
-variable named in the provider config (default PTRUN_API_KEY) and never
-appear in traces or results.
+Exit codes: 0 success / full match, 2 usage, divergence or a malformed
+trace, 3 run_invalid, 4 budget_exceeded. Provider credentials are read from
+the environment variable named in the provider config (default
+PTRUN_API_KEY) and never appear in traces or results.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .bench import (EmptySuiteError, format_table, load_scriptbook, load_suite,
 from .core import Metadata, Task
 from .pipeline import ReplayReport, RunConfig, ToolEnvironment, replay_trace, run_ptr
 from .semantic import HttpProviderModel, ScriptedModel
+from .trace import TraceSchemaError
 
 EXIT_OK = 0
 EXIT_DIVERGENCE = 2
@@ -82,12 +83,24 @@ def _print_replay(report: ReplayReport) -> int:
     return EXIT_OK if report.matched else EXIT_DIVERGENCE
 
 
+def _replay_file(path: str) -> ReplayReport | None:
+    """Replay a trace file; a malformed one gets a one-line error and None."""
+    try:
+        return replay_trace(path)
+    except TraceSchemaError as exc:
+        print(f"error: malformed trace {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_replay(args) -> int:
-    return _print_replay(replay_trace(args.trace))
+    report = _replay_file(args.trace)
+    return EXIT_DIVERGENCE if report is None else _print_replay(report)
 
 
 def cmd_verify_trace(args) -> int:
-    report = replay_trace(args.trace)
+    report = _replay_file(args.trace)
+    if report is None:
+        return EXIT_DIVERGENCE
     if report.matched:
         print(f"trace verified: {report.sections_checked} sections match")
         return EXIT_OK

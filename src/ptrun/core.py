@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 from . import ruledsl
 
-STATE_ROOTS = ("result", "trace", "failure", "branch", "env")
 ERROR_CLASSES = ("timeout", "not_found", "empty_result", "rate_limited", "invalid_params")
 SEMANTIC_TYPES = ("string", "number", "boolean")
 
@@ -374,6 +373,24 @@ class BranchRule:
 
 
 @dataclass(frozen=True)
+class CompiledBranchRule:
+    rule_index: int  # position in the profile's branch_rules list
+    predicate: object
+    modifier: ruledsl.ModifierAst
+    target_step: int
+
+
+def compile_branch_rule(rule_index: int, rule: BranchRule) -> CompiledBranchRule:
+    """Parse one branch rule's predicate and modifier; raises DslParseError."""
+    return CompiledBranchRule(
+        rule_index=rule_index,
+        predicate=ruledsl.parse_predicate(rule.predicate),
+        modifier=ruledsl.parse_modifier(rule.modifier),
+        target_step=rule.target_step,
+    )
+
+
+@dataclass(frozen=True)
 class Profile:
     """Planner output: workflow plus epistemic and control descriptors."""
 
@@ -462,8 +479,13 @@ class Violation:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
+    """Verdict of check_admissibility. An admissible report also carries the
+    profile's branch rules as parsed by the check, so a run parses each rule
+    once; an inadmissible one carries none."""
+
     admissible: bool
     violations: tuple[Violation, ...] = ()
+    branch_rules: tuple[CompiledBranchRule, ...] = ()
 
     def to_dict(self) -> dict:
         return {"admissible": self.admissible, "violations": [v.to_dict() for v in self.violations]}
@@ -505,7 +527,7 @@ def check_admissibility(profile: Profile, metadata: Metadata) -> AdmissibilityRe
     or deferred (auto marker on an auto-resolvable slot, placeholder referencing
     a strictly earlier step's store key); and, per profile: branch rules parse
     and bind to existing steps with schema-known slots, replan conditions parse
-    as state predicates.
+    as state predicates. An admissible report carries the parsed branch rules.
     """
     violations: list[Violation] = []
     keys = store_keys(profile.workflow)
@@ -545,6 +567,7 @@ def check_admissibility(profile: Profile, metadata: Metadata) -> AdmissibilityRe
             if descr.required and slot not in step.params:
                 violations.append(Violation(index, "missing_required_param", f"slot {slot!r} is required"))
 
+    compiled: list[CompiledBranchRule] = []
     for i, rule in enumerate(profile.branch_rules, start=1):
         target_spec = None
         if not 1 <= rule.target_step <= len(profile.workflow):
@@ -552,13 +575,13 @@ def check_admissibility(profile: Profile, metadata: Metadata) -> AdmissibilityRe
         else:
             target_spec = metadata.tool(profile.workflow.steps[rule.target_step - 1].tool_id)
         try:
-            ruledsl.parse_predicate(rule.predicate)
-            modifier = ruledsl.parse_modifier(rule.modifier)
+            branch = compile_branch_rule(i - 1, rule)
         except ruledsl.DslParseError as exc:
             violations.append(Violation(rule.target_step, "unevaluable_branch_rule", f"branch rule {i}: {exc}"))
             continue
+        compiled.append(branch)
         if target_spec is not None:
-            for assignment in modifier.assignments:
+            for assignment in branch.modifier.assignments:
                 if assignment.slot not in target_spec.param_schema:
                     violations.append(Violation(
                         rule.target_step, "bad_modifier_slot",
@@ -570,4 +593,6 @@ def check_admissibility(profile: Profile, metadata: Metadata) -> AdmissibilityRe
         except ruledsl.DslParseError as exc:
             violations.append(Violation(None, "unevaluable_replan_condition", f"replan condition {i}: {exc}"))
 
-    return AdmissibilityReport(admissible=not violations, violations=tuple(violations))
+    if violations:
+        return AdmissibilityReport(admissible=False, violations=tuple(violations))
+    return AdmissibilityReport(admissible=True, branch_rules=tuple(compiled))

@@ -14,7 +14,8 @@ import time
 from dataclasses import dataclass, field
 
 from . import ruledsl
-from .core import AutoParam, Metadata, PlaceholderParam, Profile, Workflow, store_keys
+from .core import (AutoParam, CompiledBranchRule, Metadata, PlaceholderParam, Profile, Workflow,
+                   compile_branch_rule, store_keys)
 from .router import RouteMode
 from .tools import ToolOutcome, ToolRegistry
 
@@ -22,7 +23,9 @@ from .tools import ToolOutcome, ToolRegistry
 # leave deterministic completion possible with degraded evidence.
 HARD_ERROR_CLASSES = ("unresolved_auto", "missing_placeholder", "unknown_tool",
                       "invalid_params", "modifier_error")
-SOFT_ERROR_CLASSES = ("timeout", "not_found", "empty_result", "rate_limited")
+
+# State roots that address an append-only log by 0-based entry index.
+_LOG_ROOTS = {"trace": "trace", "failure": "failure_log", "branch": "branch_log"}
 
 
 class _StepAbort(Exception):
@@ -120,17 +123,24 @@ class ExecutionState:
         return any(event.key == key and event.outcome == "failure" for event in self.trace)
 
     def resolve_path(self, parts: tuple[str, ...]) -> tuple[bool, object]:
+        """Look a state path up in the value ``to_dict()`` would give.
+
+        A ``trace``, ``failure`` or ``branch`` path indexes its log and
+        serializes only the addressed entry, so a lookup does not grow with
+        the run; only a bare log root yields (and builds) the whole log.
+        """
         root, rest = parts[0], parts[1:]
         if root == "result":
             node: object = self.result_store
         elif root == "env":
             node = self.env
-        elif root == "trace":
-            node = [event.to_dict() for event in self.trace]
-        elif root == "failure":
-            node = [entry.to_dict() for entry in self.failure_log]
-        elif root == "branch":
-            node = [entry.to_dict() for entry in self.branch_log]
+        elif root in _LOG_ROOTS:
+            log = getattr(self, _LOG_ROOTS[root])
+            if not rest:
+                return (True, [entry.to_dict() for entry in log])
+            if not rest[0].isdigit() or int(rest[0]) >= len(log):
+                return (False, None)
+            node, rest = log[int(rest[0])].to_dict(), rest[1:]
         else:
             return (False, None)
         for segment in rest:
@@ -172,23 +182,21 @@ class ExecutionConfig:
 
 
 @dataclass(frozen=True)
-class CompiledBranchRule:
-    rule_index: int  # position in the profile's branch_rules list
-    predicate: object
-    modifier: ruledsl.ModifierAst
-    target_step: int
-
-
-@dataclass(frozen=True)
 class RuleBundle:
     """Parsed rules a run executes with: auto, recovery, and branch rules."""
 
     auto_rules: dict[str, ruledsl.AutoRule] = field(default_factory=dict)
     recovery_rules: tuple[tuple[str, ruledsl.ModifierAst], ...] = ()
     branch_rules: tuple[CompiledBranchRule, ...] = ()
+    _by_step: dict[int, tuple[CompiledBranchRule, ...]] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
-    def branch_rules_for(self, step_index: int) -> list[CompiledBranchRule]:
-        return [rule for rule in self.branch_rules if rule.target_step == step_index]
+    def __post_init__(self):
+        for rule in self.branch_rules:
+            self._by_step[rule.target_step] = self._by_step.get(rule.target_step, ()) + (rule,)
+
+    def branch_rules_for(self, step_index: int) -> tuple[CompiledBranchRule, ...]:
+        return self._by_step.get(step_index, ())
 
     def first_recovery_for(self, error_class: str) -> ruledsl.ModifierAst | None:
         for matcher, modifier in self.recovery_rules:
@@ -199,6 +207,13 @@ class RuleBundle:
 
 def compile_rules(metadata: Metadata, profile: Profile) -> RuleBundle:
     """Parse every rule source once; call only after admissibility passed."""
+    return bundle_rules(metadata, tuple(compile_branch_rule(i, rule)
+                                        for i, rule in enumerate(profile.branch_rules)))
+
+
+def bundle_rules(metadata: Metadata, branch_rules: tuple[CompiledBranchRule, ...]) -> RuleBundle:
+    """Parse the metadata's auto and recovery rules and bundle them with branch
+    rules already compiled, as check_admissibility hands them to a run."""
     autos = {
         rule.id: ruledsl.AutoRule(id=rule.id, expr=ruledsl.parse_auto_expr(rule.expr))
         for rule in metadata.constraints.auto_rules
@@ -207,16 +222,7 @@ def compile_rules(metadata: Metadata, profile: Profile) -> RuleBundle:
         (rule.error_class, ruledsl.parse_modifier(rule.modifier))
         for rule in metadata.constraints.recovery_rules
     )
-    branches = tuple(
-        CompiledBranchRule(
-            rule_index=i,
-            predicate=ruledsl.parse_predicate(rule.predicate),
-            modifier=ruledsl.parse_modifier(rule.modifier),
-            target_step=rule.target_step,
-        )
-        for i, rule in enumerate(profile.branch_rules)
-    )
-    return RuleBundle(auto_rules=autos, recovery_rules=recoveries, branch_rules=branches)
+    return RuleBundle(auto_rules=autos, recovery_rules=recoveries, branch_rules=branch_rules)
 
 
 def resolve_step(params: dict, auto_rules: dict[str, ruledsl.AutoRule], state: ExecutionState) -> dict:
@@ -241,7 +247,7 @@ def resolve_step(params: dict, auto_rules: dict[str, ruledsl.AutoRule], state: E
     return resolved
 
 
-def branch_step(params: dict, rules: list[CompiledBranchRule], mode: RouteMode,
+def branch_step(params: dict, rules: tuple[CompiledBranchRule, ...], mode: RouteMode,
                 state: ExecutionState) -> tuple[dict, list[BranchFiring]]:
     """Apply every firing branch rule in listed order; identity in pure mode.
 

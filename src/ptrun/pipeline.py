@@ -12,9 +12,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
-from .core import (AdmissibilityReport, Metadata, Profile, Task, check_admissibility,
-                   validate_metadata)
-from .executor import ExecutionConfig, compile_rules, initial_state, run_workflow
+from .core import (AdmissibilityReport, CompiledBranchRule, Metadata, Profile, Task,
+                   check_admissibility, validate_metadata)
+from .executor import ExecutionConfig, bundle_rules, compile_rules, initial_state, run_workflow
 from .router import RiskWeights, RouteMode, RouteThresholds, decide_route
 from .semantic import (BudgetExceededError, BudgetLedger, ModelRequest, PriceEntry,
                        ProfileParseError, build_profile_prompt, build_profile_retry_prompt,
@@ -178,8 +178,12 @@ def _admissibility_diagnostic(report: AdmissibilityReport) -> str:
 
 
 def _obtain_profile(task: Task, metadata: Metadata, cfg: RunConfig, model,
-                    ledger: BudgetLedger, writer: TraceWriter) -> tuple[Profile, str, int]:
-    """Profile stage: one call, then at most one corrective retry before abort."""
+                    ledger: BudgetLedger, writer: TraceWriter
+                    ) -> tuple[Profile, tuple[CompiledBranchRule, ...], str, int]:
+    """Profile stage: one call, then at most one corrective retry before abort.
+
+    Returns the profile with the branch rules admissibility compiled for it.
+    """
     prompt = build_profile_prompt(task, metadata)
     response = _model_call(model, "profile", prompt, cfg, ledger, writer)
     attempts = 1
@@ -195,7 +199,7 @@ def _obtain_profile(task: Task, metadata: Metadata, cfg: RunConfig, model,
             diagnostic = _admissibility_diagnostic(report)
             profile = None
     if profile is not None:
-        return profile, response.text, attempts
+        return profile, report.branch_rules, response.text, attempts
 
     retry_prompt = build_profile_retry_prompt(prompt, diagnostic)
     response = _model_call(model, "profile", retry_prompt, cfg, ledger, writer)
@@ -207,7 +211,7 @@ def _obtain_profile(task: Task, metadata: Metadata, cfg: RunConfig, model,
     report = check_admissibility(profile, metadata)
     if not report.admissible:
         raise RunInvalidError(_admissibility_diagnostic(report))
-    return profile, response.text, attempts
+    return profile, report.branch_rules, response.text, attempts
 
 
 def _with_flag(z, flag: str):
@@ -278,8 +282,8 @@ def _run(task: Task, metadata: Metadata, cfg: RunConfig, model, registry: ToolRe
     started = time.perf_counter()
     ledger.count_stage("profile")
     try:
-        profile, raw_profile, attempts = _obtain_profile(task, metadata, cfg, model,
-                                                         ledger, writer)
+        profile, branch_rules, raw_profile, attempts = _obtain_profile(
+            task, metadata, cfg, model, ledger, writer)
     except BudgetExceededError as exc:
         timing["profile"] = time.perf_counter() - started
         return _abort_report(writer, "budget_exceeded", str(exc), ledger, timing)
@@ -305,7 +309,7 @@ def _run(task: Task, metadata: Metadata, cfg: RunConfig, model, registry: ToolRe
 
     # EXECUTE + VERIFY (deterministic)
     started = time.perf_counter()
-    rules = compile_rules(metadata, profile)
+    rules = bundle_rules(metadata, branch_rules)
     state = initial_state(task.context)
     run_workflow(profile.workflow, exec_config, registry, state, rules)
     timing["execute"] = time.perf_counter() - started
@@ -353,7 +357,7 @@ def _run(task: Task, metadata: Metadata, cfg: RunConfig, model, registry: ToolRe
         else:
             writer.write({"type": "repair", "accepted": True, "raw": response.text,
                           "parsed": patched.to_dict()})
-            repair_rules = compile_rules(metadata, patched)
+            repair_rules = bundle_rules(metadata, report.branch_rules)
             repair_state = initial_state(task.context)
             run_workflow(patched.workflow, exec_config, registry, repair_state, repair_rules)
             _write_steps(writer, repair_state, "repair")
@@ -434,8 +438,13 @@ def _diverge(section: str, index: int | None, recorded, recomputed) -> dict:
 def replay_trace(source, environment: ToolEnvironment | None = None) -> ReplayReport:
     """Recompute every deterministic stage from the recorded profile(s) and
     compare structurally against the recorded events; wall-clock fields are
-    ignored. Reports the first divergence or a full match."""
+    ignored. Reports the first divergence or a full match. Every run_ptr
+    trace ends in a report record, so one that does not is a divergence in
+    section ``incomplete``."""
     records = read_trace(source)
+    if records[-1].get("type") != "report":
+        return ReplayReport(False, _diverge("incomplete", len(records) - 1,
+                                            records[-1].get("type"), "report"), 0)
     header = records[0]
     task = Task.from_dict(header["task"])
     metadata = Metadata.from_dict(header["metadata"])

@@ -19,6 +19,7 @@ comparison is code-point-wise.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 STATE_ROOTS = ("result", "trace", "failure", "branch", "env")
@@ -91,7 +92,10 @@ def _tokenize(source: str) -> list[_Token]:
                 while j < n and source[j].isdigit():
                     j += 1
             text = source[i:j]
-            tokens.append(_Token("number", text, float(text), i))
+            number = float(text)
+            if not math.isfinite(number):
+                raise DslParseError("number literal is too large", _byte_offset(source, i))
+            tokens.append(_Token("number", text, number, i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -649,10 +653,15 @@ def eval_expr(node: object, params: dict, state) -> object:
             return left + right
         if _is_number(left) and _is_number(right):
             if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            return left * right
+                value = left + right
+            elif node.op == "-":
+                value = left - right
+            else:
+                value = left * right
+            # Traces are strict JSON, which has no infinity or NaN.
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ModifierEvalError(f"operator {node.op!r} gives a number that is not finite")
+            return value
         raise ModifierEvalError(
             f"operator {node.op!r} cannot combine {type(left).__name__} and {type(right).__name__}")
     raise TypeError(f"not an expression node: {node!r}")

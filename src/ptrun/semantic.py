@@ -399,9 +399,17 @@ def build_reason_prompt(task: Task, metadata: Metadata, state, z) -> str:
 # --- response parsing --------------------------------------------------------------
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def extract_first_json_object(text: str) -> dict:
-    """First JSON object in the text, tolerating surrounding prose and fences."""
-    decoder = json.JSONDecoder()
+    """First JSON object in the text, tolerating surrounding prose and fences.
+
+    NaN and Infinity are refused: a trace, which records the parsed profile,
+    is strict JSON.
+    """
+    decoder = json.JSONDecoder(parse_constant=_reject_constant)
     for start, ch in enumerate(text):
         if ch != "{":
             continue

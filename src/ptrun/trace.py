@@ -23,7 +23,7 @@ class TraceSchemaError(ValueError):
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def digest(obj) -> str:
@@ -41,7 +41,7 @@ class TraceWriter:
     def write(self, record: dict) -> None:
         self.records.append(record)
         if self._fh:
-            self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+            self._fh.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
             self._fh.flush()
 
     def close(self) -> None:
@@ -51,11 +51,26 @@ class TraceWriter:
 
 
 def read_trace(source: str | Path | list[dict]) -> list[dict]:
+    """Records of a trace file (or an in-memory record list), header checked.
+
+    Raises TraceSchemaError for a line that is not a JSON object, naming its
+    1-based line number, and for a missing or unsupported header.
+    """
     if isinstance(source, list):
         records = source
     else:
+        records = []
         with open(source, encoding="utf-8") as fh:
-            records = [json.loads(line) for line in fh if line.strip()]
+            for number, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise TraceSchemaError(f"line {number} is not valid JSON: {exc}") from None
+                if not isinstance(record, dict):
+                    raise TraceSchemaError(f"line {number} is not a JSON object")
+                records.append(record)
     if not records:
         raise TraceSchemaError("trace is empty")
     header = records[0]

@@ -103,6 +103,40 @@ class TestReplayAndVerify:
         tampered.write_text("\n".join(lines) + "\n")
         assert run_cli("verify-trace", "--trace", str(tampered)) == EXIT_DIVERGENCE
 
+    @pytest.mark.parametrize("command", ["replay", "verify-trace"])
+    def test_corrupt_last_line_exits_2(self, command, demo_args, tmp_path, capsys):
+        self.produce_trace(demo_args)
+        text = open(demo_args["trace"], encoding="utf-8").read()
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text(text[:-40])
+        capsys.readouterr()
+        assert run_cli(command, "--trace", str(cut)) == EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed trace") and err.count("\n") == 1
+        assert f"line {text.count(chr(10))} is not valid JSON" in err
+
+    @pytest.mark.parametrize("command", ["replay", "verify-trace"])
+    def test_bad_schema_version_exits_2(self, command, demo_args, tmp_path, capsys):
+        self.produce_trace(demo_args)
+        lines = open(demo_args["trace"], encoding="utf-8").read().splitlines()
+        header = json.loads(lines[0])
+        header["schema_version"] = 999
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert run_cli(command, "--trace", str(bad)) == EXIT_DIVERGENCE
+        assert "unsupported trace schema version 999" in capsys.readouterr().err
+
+    def test_truncated_trace_fails_verification(self, demo_args, tmp_path, capsys):
+        self.produce_trace(demo_args)
+        lines = open(demo_args["trace"], encoding="utf-8").read().splitlines()
+        assert [json.loads(line)["type"] for line in lines[-2:]] == ["reason", "report"]
+        truncated = tmp_path / "truncated.jsonl"
+        truncated.write_text("\n".join(lines[:-2]) + "\n")
+        capsys.readouterr()
+        assert run_cli("verify-trace", "--trace", str(truncated)) == EXIT_DIVERGENCE
+        assert "trace diverged at incomplete" in capsys.readouterr().out
+
 
 class TestBenchCommand:
     def test_bench_end_to_end(self, tmp_path, capsys):

@@ -1,6 +1,8 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptrun.core import (AutoParam, AutoRuleSpec, BranchRule, Metadata, PlaceholderParam,
                         Profile, RecoverySpec, RuleSet, Workflow, WorkflowStep)
@@ -10,6 +12,8 @@ from ptrun.router import RouteMode
 from ptrun.tools import KnowledgeBase, builtin_registry
 from ptrun.trace import strip_volatile
 from ptrun import ruledsl
+
+import helpers_scenarios
 
 KB = KnowledgeBase([
     {"title": "Alan Turing", "body": "Alan Turing was a mathematician who introduced the "
@@ -266,3 +270,102 @@ class TestProperties:
         state = run(self.fuzz_workflows()[2])
         for event in state.trace:
             json.dumps(event.to_dict())
+
+
+# Root of a state path -> the key of to_dict() it reads.
+STATE_FIELDS = {"result": "result_store", "trace": "trace", "failure": "failure_log",
+                "branch": "branch_log", "env": "env"}
+FIRING_PREDICATES = ("exists(trace.0)", 'trace.0.outcome == "success"', "exists(failure.0)",
+                     "env.flag == 1", "exists(branch.0)")
+MODIFIERS = {"kb_search": "set limit = 2", "kb_lookup": 'set title = "Paris"',
+             "calc": 'set expression = "1 + 1"'}
+
+
+def reference_lookup(state, parts):
+    """The oracle: walk the path through the whole of state.to_dict()."""
+    if parts[0] not in STATE_FIELDS:
+        return (False, None)
+    node = state.to_dict()[STATE_FIELDS[parts[0]]]
+    for segment in parts[1:]:
+        if isinstance(node, dict) and segment in node:
+            node = node[segment]
+        elif isinstance(node, list) and segment.isdigit() and int(segment) < len(node):
+            node = node[int(segment)]
+        else:
+            return (False, None)
+    return (True, node)
+
+
+def scenario_state(rng):
+    """A guarded run with fault scripts, recovery retries and firing branch rules."""
+    length = rng.randint(2, 9)
+    steps = helpers_scenarios.gen_workflow_steps(rng, length)
+    rules = []
+    for target in sorted(rng.sample(range(2, length + 1), rng.randint(1, length - 1))):
+        rules.append({"predicate": rng.choice(FIRING_PREDICATES),
+                      "modifier": MODIFIERS[steps[target - 1]["tool_id"]],
+                      "target_step": target})
+    profile = Profile.from_dict({"workflow": {"steps": steps}, "branch_rules": rules})
+    metadata = metadata_with_rules(recovery=[RecoverySpec(error_class="any", modifier="")])
+    return run(profile.workflow, mode=RouteMode.GUARDED, n_rec=rng.randint(0, 2),
+               fault_scripts=helpers_scenarios.gen_fault_scripts(rng),
+               rules=compile_rules(metadata, profile), env={"flag": 1, "tags": ["a", "b"]})
+
+
+class TestStatePaths:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_lookup_equals_reference_walk(self, seed, data):
+        state = scenario_state(random.Random(seed))
+        root = data.draw(st.sampled_from(sorted(STATE_FIELDS) + ["bogus"]))
+        parts = [root]
+        node = state.to_dict().get(STATE_FIELDS.get(root))
+        while len(parts) < 8 and data.draw(st.booleans()):
+            # Mostly follow the real structure, so deep fields are reached;
+            # otherwise step out of range or off the structure.
+            choices = [st.integers(0, 12).map(str),
+                       st.sampled_from(("outcome", "ok", "x", "01", "-1", ""))]
+            if isinstance(node, dict) and node:
+                choices += [st.sampled_from(sorted(node))] * 3
+            if isinstance(node, list) and node:
+                choices += [st.integers(0, len(node) - 1).map(str)] * 3
+            segment = data.draw(st.one_of(choices))
+            parts.append(segment)
+            if isinstance(node, dict):
+                node = node.get(segment)
+            elif isinstance(node, list) and segment.isdigit() and int(segment) < len(node):
+                node = node[int(segment)]
+            else:
+                node = None
+        parts = tuple(parts)
+        assert state.resolve_path(parts) == reference_lookup(state, parts)
+
+    def test_named_paths(self):
+        metadata = metadata_with_rules(recovery=[RecoverySpec(error_class="timeout",
+                                                              modifier="")])
+        profile = Profile(
+            workflow=workflow_of(("kb_search", {"query": "paris", "limit": 1}),
+                                 ("kb_search", {"query": "turing", "limit": 1}),
+                                 ("kb_lookup", {"title": "Paris"}),
+                                 ("kb_lookup", {"title": "Nowhere"})),
+            branch_rules=(BranchRule(predicate="exists(trace.0)", modifier="set limit = 2",
+                                     target_step=2),),
+        )
+        state = run(profile.workflow, mode=RouteMode.GUARDED,
+                    fault_scripts={"kb_lookup": ["ok", "timeout", "ok"]},
+                    rules=compile_rules(metadata, profile))
+        paths = ["trace", "failure", "branch", "trace.3.attempts.0.outcome.ok",
+                 "trace.3.attempts.1.outcome.error_class", "trace.1.branched_params.limit",
+                 "failure.0.classified", "branch.0.after.limit", "trace.4", "failure.9",
+                 "branch.1", "trace.outcome", "trace.0.attempts.7"]
+        found = {path: state.resolve_path(tuple(path.split("."))) for path in paths}
+        for path, value in found.items():
+            assert value == reference_lookup(state, tuple(path.split(".")))
+        assert found["trace.3.attempts.0.outcome.ok"] == (True, False)
+        assert found["trace.1.branched_params.limit"] == (True, 2)
+        assert found["branch.0.after.limit"] == (True, 2)
+        assert found["trace"] == (True, [event.to_dict() for event in state.trace])
+        for path in ("trace.4", "failure.9", "branch.1", "trace.outcome", "trace.0.attempts.7"):
+            assert found[path] == (False, None)
+        assert ruledsl.eval_predicate(ruledsl.parse_predicate("exists(trace)"), state)
+        assert not ruledsl.eval_predicate(ruledsl.parse_predicate("exists(trace.4)"), state)

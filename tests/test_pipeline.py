@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ptrun import ruledsl
 from ptrun.bench import bench_metadata
 from ptrun.core import Task
 from ptrun.pipeline import (REPAIR_APPLIED_FLAG, REPAIR_REJECTED_FLAG, RunConfig,
@@ -144,6 +145,37 @@ class TestRepair:
         run_ptr(task(), bench_metadata(), RunConfig(), model, environment(), trace_path=path)
         repair_record = next(r for r in read_trace(path) if r["type"] == "repair")
         assert repair_record["accepted"] is True
+
+
+class TestParseOnce:
+    def test_each_branch_rule_is_parsed_once_per_run(self, monkeypatch):
+        calls = {"parse_predicate": 0, "parse_modifier": 0}
+        for name in calls:
+            original = getattr(ruledsl, name)
+
+            def counting(source, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(source)
+
+            monkeypatch.setattr(ruledsl, name, counting)
+        failing = dict(FAILING_PROFILE, branch_rules=[
+            {"predicate": "failed(kb_lookup_1)", "modifier": 'set title = "Missing Three"',
+             "target_step": 2},
+            {"predicate": "exists(trace.0)", "modifier": "", "target_step": 2},
+            {"predicate": 'failure.0.classified == "hard"', "modifier": "", "target_step": 1},
+        ])
+        patch = dict(GOOD_PATCH, branch_rules=[
+            {"predicate": "exists(branch.0)", "modifier": 'set title = "Paris"',
+             "target_step": 1},
+            {"predicate": "env.audience == \"test\"", "modifier": "", "target_step": 1},
+        ])
+        model = scripted(profile_entry(failing),
+                         {"role": "repair", "text": json.dumps(patch)}, REASON)
+        report = run_ptr(task(), bench_metadata(), RunConfig(), model, environment())
+        assert report.model_calls == 3
+        assert REPAIR_APPLIED_FLAG in report.verification["flags"]
+        rules = len(failing["branch_rules"]) + len(patch["branch_rules"])
+        assert calls == {"parse_predicate": rules, "parse_modifier": rules}
 
 
 class TestApplyRepair:
@@ -303,6 +335,37 @@ class TestReplay:
         with pytest.raises(TraceSchemaError):
             replay_trace(records)
 
+    def test_corrupt_line_is_schema_error_naming_line(self, tmp_path):
+        _, _, path = self.run_and_replay(profile_entry(CLEAN_PROFILE), REASON,
+                                         tmp_path=tmp_path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(lines)[:-40])
+        with pytest.raises(TraceSchemaError, match=f"line {len(lines)} "):
+            replay_trace(path)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(lines[:3]) + "[1, 2]\n")
+        with pytest.raises(TraceSchemaError, match="line 4 is not a JSON object"):
+            replay_trace(path)
+
+    @pytest.mark.parametrize("entries", [
+        (profile_entry(CLEAN_PROFILE), REASON),
+        (profile_entry(FAILING_PROFILE), {"role": "repair", "text": json.dumps(GOOD_PATCH)},
+         REASON),
+        ({"role": "profile", "text": "garbage"}, {"role": "profile", "text": "garbage"}),
+    ], ids=["clean", "repaired", "aborted"])
+    def test_every_cut_trace_is_incomplete(self, entries, tmp_path):
+        _, replay, path = self.run_and_replay(*entries, tmp_path=tmp_path)
+        assert replay.matched
+        records = read_trace(path)
+        assert records[-1]["type"] == "report"
+        for cut in range(1, len(records)):
+            replay = replay_trace(records[:cut])
+            assert not replay.matched
+            assert replay.divergence["section"] == "incomplete"
+            assert replay.divergence["recorded"] == records[cut - 1]["type"]
+
     def test_aborted_run_replay_is_trivially_matched(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         model = scripted({"role": "profile", "text": "garbage"},
@@ -310,6 +373,26 @@ class TestReplay:
         run_ptr(task(), bench_metadata(), RunConfig(), model, environment(), trace_path=path)
         replay = replay_trace(path)
         assert replay.matched and replay.sections_checked == 0
+
+
+class TestStrictJson:
+    def test_overflowing_calc_keeps_the_trace_strict_json(self, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        profile = {"workflow": {"steps": [
+            {"tool_id": "calc", "params": {"expression": " * ".join(["99999999999"] * 40)}}]}}
+        report = run_ptr(task(), bench_metadata(), RunConfig(), scripted(
+            profile_entry(profile), {"role": "repair", "text": json.dumps(GOOD_PATCH)}, REASON),
+            environment(), trace_path=path)
+        assert report.outcome == "ok"
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        with open(path, encoding="utf-8") as fh:
+            records = [json.loads(line, parse_constant=reject) for line in fh]
+        step = next(r for r in records if r["type"] == "step")
+        assert step["event"]["error_class"] == "invalid_params"
+        assert replay_trace(path).matched
 
 
 class TestBounds:

@@ -141,6 +141,15 @@ class TestModifiers:
         ast = r.parse_modifier('set query = query + " extra"')
         assert r.apply_modifier(ast, {"query": "base"}, state_with())["query"] == "base extra"
 
+    def test_non_finite_arithmetic_raises(self):
+        ast = r.parse_modifier("set limit = limit * " + " * ".join(["99999999999"] * 30))
+        with pytest.raises(r.ModifierEvalError, match="not finite"):
+            r.apply_modifier(ast, {"limit": 2}, state_with())
+
+    def test_too_large_literal_is_parse_error(self):
+        with pytest.raises(r.DslParseError, match="too large"):
+            r.parse_modifier("set limit = " + "9" * 400)
+
     def test_mixed_type_arithmetic_raises(self):
         ast = r.parse_modifier('set x = x + "a"')
         with pytest.raises(r.ModifierEvalError):

@@ -130,6 +130,13 @@ class TestResponseParsing:
         text = "{not json} then {\"a\": 1}"
         assert extract_first_json_object(text) == {"a": 1}
 
+    @pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_constant_is_parse_error(self, constant):
+        text = ('{"workflow": {"steps": [{"tool_id": "kb_search", '
+                '"params": {"query": "x", "limit": %s}}]}}' % constant)
+        with pytest.raises(ProfileParseError):
+            parse_profile_response(text)
+
     def test_serialize_parse_identity(self):
         profile = golden_profile()
         assert parse_profile_response(json.dumps(profile.to_dict())) == profile

@@ -120,6 +120,11 @@ class TestCalc:
     def test_parens_and_negatives(self):
         assert calc({"expression": "(2 + 3) * -2"}, None).value["value"] == -10
 
+    def test_non_finite_result_is_invalid_params(self):
+        overflow = calc({"expression": " * ".join(["99999999999"] * 40)}, None)
+        assert overflow.error_class == "invalid_params" and "not finite" in overflow.message
+        assert calc({"expression": "1" * 400}, None).error_class == "invalid_params"
+
 
 class TestRegistry:
     def test_register_and_invoke(self, kb):
