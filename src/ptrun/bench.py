@@ -35,6 +35,8 @@ class Suite:
 def load_suite(path: str | Path) -> Suite:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("suite must be a JSON object")
     items_raw = data.get("items", [])
     if not items_raw:
         raise EmptySuiteError(f"suite {data.get('name', path)!r} has no items")

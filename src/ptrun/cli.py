@@ -1,9 +1,10 @@
 """Command-line interface: run, replay, bench, verify-trace.
 
-Exit codes: 0 success / full match, 2 usage, divergence or a malformed
-trace, 3 run_invalid, 4 budget_exceeded. Provider credentials are read from
-the environment variable named in the provider config (default
-PTRUN_API_KEY) and never appear in traces or results.
+Exit codes: 0 success / full match, 2 usage, divergence, a malformed
+trace or an unusable input file, 3 run_invalid, 4 budget_exceeded.
+Provider credentials are read from the environment variable named in the
+provider config (default PTRUN_API_KEY) and never appear in traces or
+results.
 """
 
 from __future__ import annotations
@@ -14,14 +15,16 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .bench import (EmptySuiteError, format_table, load_scriptbook, load_suite,
-                    results_document, run_bench, scripted_model_factory, write_results)
-from .core import Metadata, Task
+from .bench import (format_table, load_suite, results_document, run_bench,
+                    scripted_model_factory, write_results)
+from .core import Metadata, Task, validate_metadata
 from .pipeline import ReplayReport, RunConfig, ToolEnvironment, replay_trace, run_ptr
 from .semantic import HttpProviderModel, ScriptedModel
+from .tools import KnowledgeBase
 from .trace import TraceSchemaError
 
 EXIT_OK = 0
+EXIT_USAGE = 2
 EXIT_DIVERGENCE = 2
 EXIT_RUN_INVALID = 3
 EXIT_BUDGET = 4
@@ -33,21 +36,48 @@ def bundled_data(name: str) -> Path:
     return Path(str(resources.files("ptrun").joinpath("data", name)))
 
 
+class InputFileError(Exception):
+    """An input file that cannot be used; the CLI prints it and exits 2."""
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def _load_json(path: str | Path):
+    """Strict JSON: NaN and Infinity are refused, as traces refuse them."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
-def _load_config(path: str) -> tuple[RunConfig, dict]:
-    raw = _load_json(path)
+def _input(label: str, path: str | Path, build=lambda raw: raw):
+    """Load one JSON input file and build from it; any failure to read,
+    parse or build becomes an InputFileError naming the file."""
+    try:
+        return build(_load_json(path))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise InputFileError(f"{label} file {path}: {exc}") from None
+
+
+def _config(raw) -> tuple[RunConfig, dict]:
+    if not isinstance(raw, dict):
+        raise ValueError("config must be a JSON object")
     return RunConfig.from_dict(raw), raw.get("providers", {})
+
+
+def _metadata(raw) -> Metadata:
+    metadata = Metadata.from_dict(raw)
+    issues = validate_metadata(metadata)
+    if issues:
+        raise ValueError(f"metadata is invalid: {[i.to_dict() for i in issues]}")
+    return metadata
 
 
 def _build_model(spec: str, cfg: RunConfig, providers: dict, role_script_ok: bool = True):
     kind, _, detail = spec.partition(":")
     if kind == "scripted" and detail:
-        entries = _load_json(detail)
-        return ScriptedModel(entries, price=cfg.price_for("scripted"))
+        return _input("script", detail,
+                      lambda entries: ScriptedModel(entries, price=cfg.price_for("scripted")))
     if kind == "provider" and detail:
         provider = providers.get(detail)
         if provider is None:
@@ -62,15 +92,18 @@ def _build_model(spec: str, cfg: RunConfig, providers: dict, role_script_ok: boo
 
 
 def _environment(kb_path: str | None, fault_scripts_path: str | None) -> ToolEnvironment:
-    kb = kb_path or bundled_data("kb.json")
-    faults = _load_json(fault_scripts_path) if fault_scripts_path else None
-    return ToolEnvironment.from_kb_path(kb, faults)
+    kb = _input("knowledge-base", kb_path or bundled_data("kb.json"), KnowledgeBase)
+    articles = tuple(kb.to_list())
+    if not fault_scripts_path:
+        return ToolEnvironment(articles=articles)
+    return _input("fault-script", fault_scripts_path,
+                  lambda faults: ToolEnvironment(articles=articles, fault_scripts=faults))
 
 
 def cmd_run(args) -> int:
-    cfg, providers = _load_config(args.config)
-    task = Task.from_dict(_load_json(args.task_file))
-    metadata = Metadata.from_dict(_load_json(args.metadata))
+    cfg, providers = _input("config", args.config, _config)
+    task = _input("task", args.task_file, Task.from_dict)
+    metadata = _input("metadata", args.metadata, _metadata)
     model = _build_model(args.model, cfg, providers)
     environment = _environment(args.kb, args.fault_scripts)
     report = run_ptr(task, metadata, cfg, model, environment, trace_path=args.trace_out)
@@ -110,16 +143,15 @@ def cmd_verify_trace(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg, providers = _load_config(args.config)
+    cfg, providers = _input("config", args.config, _config)
     try:
         suite = load_suite(args.suite)
-    except EmptySuiteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise InputFileError(f"suite file {args.suite}: {exc}") from None
     kind, _, detail = args.model.partition(":")
     scripted = kind == "scripted"
     if scripted:
-        factory = scripted_model_factory(load_scriptbook(detail))
+        factory = scripted_model_factory(_input("scriptbook", detail))
     else:
         def factory(framework: str, item_id: str):
             return _build_model(args.model, cfg, providers)
@@ -172,7 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

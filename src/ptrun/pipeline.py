@@ -19,8 +19,9 @@ from .router import RiskWeights, RouteMode, RouteThresholds, decide_route
 from .semantic import (BudgetExceededError, BudgetLedger, ModelRequest, PriceEntry,
                        ProfileParseError, build_profile_prompt, build_profile_retry_prompt,
                        build_reason_prompt, build_repair_prompt, parse_profile_response)
-from .tools import KnowledgeBase, ToolRegistry, builtin_registry
-from .trace import SCHEMA_VERSION, TraceWriter, digest, read_trace, structurally_equal, strip_volatile
+from .tools import KnowledgeBase, ToolRegistry, builtin_registry, parse_fault_script
+from .trace import (SCHEMA_VERSION, TraceSchemaError, TraceWriter, digest, read_trace,
+                    structurally_equal, strip_volatile)
 from .verifier import PenaltyCoefficients, extract_counters, verify
 
 REPAIR_REJECTED_FLAG = "repair_rejected"
@@ -73,8 +74,13 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        for key in ("risk_weights", "route_thresholds", "penalties", "price_table"):
+            if not isinstance(data.get(key, {}), dict):
+                raise ValueError(f"config {key} must be an object")
         override = data.get("mode_override")
         prices = data.get("price_table") or {"default": {}}
+        if not all(isinstance(entry, dict) for entry in prices.values()):
+            raise ValueError("config price_table entries must be objects")
         return cls(
             weights=RiskWeights.from_dict(data.get("risk_weights", RiskWeights().to_dict())),
             thresholds=RouteThresholds.from_dict(
@@ -98,10 +104,24 @@ class RunConfig:
 class ToolEnvironment:
     """Rebuildable tool setup for a run: knowledge-base articles plus optional
     per-tool fault scripts. Embedded in the trace header so replay can
-    reconstruct an identical registry."""
+    reconstruct an identical registry.
+
+    The articles are read once, when the environment is built: its one
+    read-only KnowledgeBase serves every run, and only the fault injectors
+    are built per run. Malformed articles or fault scripts raise ValueError
+    here."""
 
     articles: tuple = ()
     fault_scripts: dict = field(default_factory=dict)
+    kb: KnowledgeBase = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "kb", KnowledgeBase(self.articles))
+        if not isinstance(self.fault_scripts, dict):
+            raise ValueError("fault scripts must map tool ids to scripts")
+        for script in self.fault_scripts.values():
+            if script:
+                parse_fault_script(script)
 
     @classmethod
     def from_kb_path(cls, path, fault_scripts: dict | None = None) -> "ToolEnvironment":
@@ -109,8 +129,7 @@ class ToolEnvironment:
         return cls(articles=tuple(kb.to_list()), fault_scripts=dict(fault_scripts or {}))
 
     def build_registry(self) -> ToolRegistry:
-        kb = KnowledgeBase([dict(a) for a in self.articles])
-        return builtin_registry(kb, dict(self.fault_scripts))
+        return builtin_registry(self.kb, self.fault_scripts)
 
     def describe(self) -> dict:
         return {"kb": [dict(a) for a in self.articles],
@@ -435,21 +454,36 @@ def _diverge(section: str, index: int | None, recorded, recomputed) -> dict:
     }
 
 
+def _read_header(header: dict, environment: ToolEnvironment | None
+                 ) -> tuple[Task, Metadata, RunConfig, ToolEnvironment]:
+    """The run inputs a trace header embeds; TraceSchemaError when one is
+    missing or malformed (a malformed embedded KB included)."""
+    for key in ("task", "metadata", "config", "environment"):
+        if not isinstance(header.get(key), dict):
+            raise TraceSchemaError(f"trace header has no {key} object")
+    try:
+        task = Task.from_dict(header["task"])
+        metadata = Metadata.from_dict(header["metadata"])
+        cfg = RunConfig.from_dict(header["config"])
+        env = environment or ToolEnvironment.from_description(header["environment"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TraceSchemaError(f"trace header is malformed: {exc}") from None
+    return task, metadata, cfg, env
+
+
 def replay_trace(source, environment: ToolEnvironment | None = None) -> ReplayReport:
     """Recompute every deterministic stage from the recorded profile(s) and
     compare structurally against the recorded events; wall-clock fields are
     ignored. Reports the first divergence or a full match. Every run_ptr
     trace ends in a report record, so one that does not is a divergence in
-    section ``incomplete``."""
+    section ``incomplete``. Raises TraceSchemaError for a malformed trace,
+    including a header whose task, metadata, config or environment is
+    missing or malformed."""
     records = read_trace(source)
     if records[-1].get("type") != "report":
         return ReplayReport(False, _diverge("incomplete", len(records) - 1,
                                             records[-1].get("type"), "report"), 0)
-    header = records[0]
-    task = Task.from_dict(header["task"])
-    metadata = Metadata.from_dict(header["metadata"])
-    cfg = RunConfig.from_dict(header["config"])
-    env = environment or ToolEnvironment.from_description(header["environment"])
+    task, metadata, cfg, env = _read_header(records[0], environment)
     registry = env.build_registry()
 
     def section(kind: str, phase: str | None = None) -> list[dict]:

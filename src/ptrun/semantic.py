@@ -184,10 +184,15 @@ class ScriptedModel:
     """Deterministic test double: canned responses consumed strictly in order."""
 
     def __init__(self, script: list[ScriptEntry] | list[dict], price: PriceEntry | None = None):
+        if not isinstance(script, (list, tuple)):
+            raise ValueError("script must be a list of {role, text} entries")
         self.script = [
             entry if isinstance(entry, ScriptEntry) else ScriptEntry(role=entry["role"], text=entry["text"])
             for entry in script
         ]
+        for entry in self.script:
+            if not (isinstance(entry.role, str) and isinstance(entry.text, str)):
+                raise ValueError(f"script entry {entry!r}: role and text must be strings")
         self.price = price or PriceEntry()
         self.position = 0
         self.calls = 0

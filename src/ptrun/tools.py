@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
+from types import MappingProxyType
+from typing import NamedTuple
 
 from . import ruledsl
 from .core import SlotSpec, ToolSpec
@@ -48,29 +52,39 @@ class ToolOutcome:
         return {"ok": False, "error_class": self.error_class, "message": self.message}
 
 
-@dataclass(frozen=True)
-class Article:
+class Article(NamedTuple):
     title: str
     body: str
     links: tuple[str, ...] = ()
 
 
 class KnowledgeBase:
-    """Read-only titled-article store with case-insensitive exact lookup."""
+    """Read-only titled-article store with case-insensitive exact lookup.
+
+    Built once and shared by every run that searches it. Besides the articles
+    it keeps the sorted titles and one search text: each article's
+    lower-cased ``"title body"``, in title order, joined with newlines, plus
+    the offsets where the articles start in it.
+    """
 
     def __init__(self, articles: list[dict]):
-        self.articles: dict[str, Article] = {}
+        if not isinstance(articles, (list, tuple)):
+            raise ValueError("knowledge base must be a list of articles")
+        table: dict[str, Article] = {}
         self._by_folded: dict[str, str] = {}
-        for raw in articles:
-            article = Article(
-                title=raw["title"],
-                body=raw.get("body", ""),
-                links=tuple(raw.get("links", ())),
-            )
-            if article.title in self.articles:
-                raise ValueError(f"duplicate article title {article.title!r}")
-            self.articles[article.title] = article
+        for index, raw in enumerate(articles):
+            article = _article(index, raw)
+            if article.title in table:
+                raise ValueError(f"article {index}: duplicate title {article.title!r}")
+            table[article.title] = article
             self._by_folded[article.title.casefold()] = article.title
+        self.articles = MappingProxyType(table)
+        self._titles = tuple(sorted(table))
+        texts = [f"{title} {table[title].body}".lower() for title in self._titles]
+        self._text = "\n".join(texts)
+        # article i spans [starts[i], starts[i + 1] - 1); the last entry is
+        # len(self._text) + 1
+        self._starts = list(accumulate((len(text) + 1 for text in texts), initial=0))
 
     @classmethod
     def load(cls, path: str | Path) -> "KnowledgeBase":
@@ -78,17 +92,59 @@ class KnowledgeBase:
             return cls(json.load(fh))
 
     def titles(self) -> list[str]:
-        return sorted(self.articles)
+        return list(self._titles)
 
     def get(self, title: str) -> Article | None:
         exact = self._by_folded.get(title.casefold())
         return self.articles[exact] if exact else None
 
+    def rank(self, query_tokens: set[str]) -> list[str]:
+        """Titles of the articles sharing a token with the query, ordered by
+        (-overlap, title), where overlap counts the distinct query tokens
+        among the article's tokens.
+
+        An article's tokens are substrings of its search text, so a
+        ``str.find`` pass per query token finds every article with overlap
+        > 0; only those candidates are tokenized and scored.
+        """
+        text, starts = self._text, self._starts
+        candidates = set()
+        for token in query_tokens:
+            position = text.find(token)
+            while position >= 0:
+                index = bisect_right(starts, position) - 1
+                candidates.add(index)
+                position = text.find(token, starts[index + 1])
+        scored = []
+        for index in candidates:
+            tokens = _TOKEN_RE.findall(text, starts[index], starts[index + 1] - 1)
+            overlap = len(query_tokens & set(tokens))
+            if overlap > 0:
+                scored.append((-overlap, self._titles[index]))
+        scored.sort()
+        return [title for _, title in scored]
+
     def to_list(self) -> list[dict]:
         return [
             {"title": a.title, "body": a.body, "links": list(a.links)}
-            for a in (self.articles[t] for t in self.titles())
+            for a in (self.articles[t] for t in self._titles)
         ]
+
+
+def _article(index: int, raw) -> Article:
+    """One KB entry, checked; a malformed one is a ValueError naming its index."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"article {index} is not an object")
+    title = raw.get("title")
+    if not isinstance(title, str):
+        raise ValueError(f"article {index}: title must be a string")
+    body = raw.get("body", "")
+    if not isinstance(body, str):
+        raise ValueError(f"article {index}: body must be a string")
+    links = raw.get("links", ())
+    if not isinstance(links, (list, tuple)) or not all(isinstance(link, str) for link in links):
+        raise ValueError(f"article {index}: links must be a list of strings")
+    return Article(title, body, tuple(links))
 
 
 def tokenize(text: str) -> list[str]:
@@ -169,17 +225,9 @@ def make_kb_search(kb: KnowledgeBase):
         if isinstance(limit, bool) or not isinstance(limit, (int, float)) or limit < 1 or limit != int(limit):
             return ToolOutcome.failure("invalid_params", "limit must be an integer >= 1")
         limit = int(limit)
-        query_tokens = set(tokenize(query))
-        scored = []
-        for title in kb.titles():
-            article = kb.articles[title]
-            overlap = len(query_tokens & set(tokenize(f"{article.title} {article.body}")))
-            if overlap > 0:
-                scored.append((-overlap, title))
-        if not scored:
+        titles = kb.rank(set(tokenize(query)))[:limit]
+        if not titles:
             return ToolOutcome.failure("empty_result", f"no article shares a token with {query!r}")
-        scored.sort()
-        titles = [title for _, title in scored[:limit]]
         return ToolOutcome.success({"count": len(titles), "top_title": titles[0], "titles": titles})
 
     return kb_search
@@ -218,24 +266,32 @@ def calc(params: dict, state) -> ToolOutcome:
     return ToolOutcome.success({"value": value})
 
 
-def make_fault_injector(inner, script: list):
-    """Wrap a transition with a finite outcome script, then delegate to it.
+def parse_fault_script(script) -> list[tuple[str, str | None]]:
+    """(error class or "ok", message) per entry of a fault script.
 
     Script entries: "ok" delegates one call to the inner transition; an error
     class string (or {"fail": class, "message": text}) produces that failure.
+    Raises ValueError for a script that is not a non-empty list of entries.
     """
-    if not script:
-        raise ValueError("fault script must be non-empty")
+    if not isinstance(script, (list, tuple)) or not script:
+        raise ValueError("fault script must be a non-empty list")
     normalized = []
     for entry in script:
         if entry == "ok":
             normalized.append(("ok", None))
         elif isinstance(entry, str):
             normalized.append((entry, f"injected {entry}"))
-        elif isinstance(entry, dict) and "fail" in entry:
+        elif isinstance(entry, dict) and isinstance(entry.get("fail"), str):
             normalized.append((entry["fail"], entry.get("message", f"injected {entry['fail']}")))
         else:
             raise ValueError(f"bad fault script entry: {entry!r}")
+    return normalized
+
+
+def make_fault_injector(inner, script: list):
+    """Wrap a transition with a finite outcome script (see parse_fault_script),
+    then delegate to it."""
+    normalized = parse_fault_script(script)
     calls = {"n": 0}
 
     def wrapped(params: dict, state) -> ToolOutcome:
@@ -253,8 +309,9 @@ def make_fault_injector(inner, script: list):
 def builtin_registry(kb: KnowledgeBase, fault_scripts: dict[str, list] | None = None) -> ToolRegistry:
     """Registry with the three built-ins, optionally fault-wrapped per tool id.
 
-    A registry with fault wrappers is stateful across calls and therefore
-    belongs to exactly one run; build a fresh one per run.
+    The KB is read-only and may be shared by many registries. A registry with
+    fault wrappers is stateful across calls and therefore belongs to exactly
+    one run; build a fresh one per run.
     """
     fault_scripts = fault_scripts or {}
     registry = ToolRegistry()

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ptrun.cli import (EXIT_BUDGET, EXIT_DIVERGENCE, EXIT_OK, EXIT_RUN_INVALID,
+from ptrun.cli import (EXIT_BUDGET, EXIT_DIVERGENCE, EXIT_OK, EXIT_RUN_INVALID, EXIT_USAGE,
                        bundled_data, main)
 
 
@@ -176,3 +176,127 @@ class TestBenchCommand:
                        "--model", f"scripted:{bundled_data('scripts.json')}")
         assert code == EXIT_DIVERGENCE
         assert "error" in capsys.readouterr().err
+
+
+def run_args(demo_args, **overrides):
+    args = {"--task-file": demo_args["task"], "--metadata": demo_args["metadata"],
+            "--config": demo_args["config"], "--model": f"scripted:{demo_args['script']}",
+            "--trace-out": demo_args["trace"]}
+    args.update(overrides)
+    return ["run"] + [part for pair in args.items() for part in pair]
+
+
+def bench_args(**overrides):
+    args = {"--suite": str(bundled_data("suite.json")),
+            "--config": str(bundled_data("config.json")),
+            "--model": f"scripted:{bundled_data('scripts.json')}"}
+    args.update(overrides)
+    return ["bench"] + [part for pair in args.items() for part in pair]
+
+
+BAD_KB_FILES = {
+    "duplicate-title": json.dumps([{"title": "A", "body": ""}, {"title": "A", "body": ""}]),
+    "truncated": json.dumps([{"title": "A", "body": "text"}])[:-5],
+    "not-a-list": json.dumps({"title": "A", "body": ""}),
+    "untitled-article": json.dumps([{"body": "no title"}]),
+    "non-finite": '[{"title": "A", "body": "", "score": NaN}]',
+}
+
+
+def assert_one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for fragment in fragments:
+        assert fragment in err
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("case", sorted(BAD_KB_FILES))
+    def test_run_with_unusable_kb_exits_2(self, case, demo_args, tmp_path, capsys):
+        kb = tmp_path / "kb.json"
+        kb.write_text(BAD_KB_FILES[case])
+        assert run_cli(*run_args(demo_args, **{"--kb": str(kb)})) == EXIT_USAGE
+        assert_one_error_line(capsys, "knowledge-base file", str(kb))
+
+    @pytest.mark.parametrize("case", ["duplicate-title", "truncated"])
+    def test_bench_with_unusable_kb_exits_2(self, case, tmp_path, capsys):
+        kb = tmp_path / "kb.json"
+        kb.write_text(BAD_KB_FILES[case])
+        assert run_cli(*bench_args(**{"--kb": str(kb)})) == EXIT_USAGE
+        assert_one_error_line(capsys, "knowledge-base file")
+
+    @pytest.mark.parametrize("content", [json.dumps([1]), json.dumps({"items": [{}]}), "{"])
+    def test_bench_with_malformed_suite_exits_2(self, content, tmp_path, capsys):
+        suite = tmp_path / "suite.json"
+        suite.write_text(content)
+        assert run_cli(*bench_args(**{"--suite": str(suite)})) == EXIT_USAGE
+        assert_one_error_line(capsys, f"suite file {suite}")
+
+    def test_missing_kb_file_exits_2(self, demo_args, tmp_path, capsys):
+        missing = str(tmp_path / "absent.json")
+        assert run_cli(*run_args(demo_args, **{"--kb": missing})) == EXIT_USAGE
+        assert_one_error_line(capsys, "knowledge-base file", missing)
+
+    def test_infinity_in_task_context_exits_2(self, demo_args, tmp_path, capsys):
+        task = json.loads(open(demo_args["task"], encoding="utf-8").read())
+        task_path = tmp_path / "task.json"
+        task_path.write_text(json.dumps(task)[:-1] + ', "context": {"x": Infinity}}')
+        assert run_cli(*run_args(demo_args, **{"--task-file": str(task_path)})) == EXIT_USAGE
+        assert_one_error_line(capsys, "task file", "Infinity")
+
+    @pytest.mark.parametrize("flag, label, content", [
+        ("--task-file", "task", json.dumps({"objective": 7})),
+        ("--task-file", "task", "{"),
+        ("--metadata", "metadata", json.dumps({"tool_catalog": "kb_search"})),
+        ("--metadata", "metadata", json.dumps({"constraints": {
+            "auto_rules": [{"id": "a", "expr": "result."}]}})),
+        ("--config", "config", json.dumps([1, 2])),
+        ("--config", "config", json.dumps({"route_thresholds": {"lower": 0.1}})),
+        ("--config", "config", json.dumps({"risk_weights": 5})),
+        ("--config", "config", json.dumps({"price_table": {"default": []}})),
+        ("--model", "script", json.dumps([{"role": "profile"}])),
+        ("--model", "script", json.dumps([{"role": "profile", "text": 5}])),
+        ("--fault-scripts", "fault-script", json.dumps({"kb_search": [{"message": "x"}]})),
+        ("--fault-scripts", "fault-script", json.dumps(["timeout"])),
+    ])
+    def test_malformed_run_input_exits_2(self, flag, label, content, demo_args, tmp_path,
+                                         capsys):
+        path = tmp_path / "input.json"
+        path.write_text(content)
+        value = f"scripted:{path}" if flag == "--model" else str(path)
+        assert run_cli(*run_args(demo_args, **{flag: value})) == EXIT_USAGE
+        assert_one_error_line(capsys, f"{label} file {path}")
+
+    @pytest.mark.parametrize("flag", ["--task-file", "--metadata", "--config"])
+    def test_missing_run_input_exits_2(self, flag, demo_args, tmp_path, capsys):
+        missing = str(tmp_path / "absent.json")
+        assert run_cli(*run_args(demo_args, **{flag: missing})) == EXIT_USAGE
+        assert_one_error_line(capsys, missing)
+
+
+class TestMalformedTraceHeader:
+    def rewrite_header(self, demo_args, tmp_path, edit):
+        TestReplayAndVerify().produce_trace(demo_args)
+        lines = open(demo_args["trace"], encoding="utf-8").read().splitlines()
+        header = json.loads(lines[0])
+        edit(header)
+        bad = tmp_path / "bad-header.jsonl"
+        bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        return str(bad)
+
+    @pytest.mark.parametrize("command", ["replay", "verify-trace"])
+    def test_header_without_task_exits_2(self, command, demo_args, tmp_path, capsys):
+        bad = self.rewrite_header(demo_args, tmp_path, lambda header: header.pop("task"))
+        capsys.readouterr()
+        assert run_cli(command, "--trace", bad) == EXIT_DIVERGENCE
+        assert_one_error_line(capsys, "malformed trace", "no task object")
+
+    @pytest.mark.parametrize("command", ["replay", "verify-trace"])
+    def test_untitled_embedded_article_exits_2(self, command, demo_args, tmp_path, capsys):
+        def drop_title(header):
+            del header["environment"]["kb"][0]["title"]
+
+        bad = self.rewrite_header(demo_args, tmp_path, drop_title)
+        capsys.readouterr()
+        assert run_cli(command, "--trace", bad) == EXIT_DIVERGENCE
+        assert_one_error_line(capsys, "malformed trace", "article 0: title must be a string")

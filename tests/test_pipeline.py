@@ -9,7 +9,7 @@ from ptrun.pipeline import (REPAIR_APPLIED_FLAG, REPAIR_REJECTED_FLAG, RunConfig
                             ToolEnvironment, apply_repair, replay_trace, run_ptr)
 from ptrun.router import RouteMode
 from ptrun.semantic import PriceEntry, ScriptedModel
-from ptrun.trace import TraceSchemaError, read_trace
+from ptrun.trace import TraceSchemaError, read_trace, strip_volatile
 
 KB = [
     {"title": "Alan Turing", "body": "Alan Turing introduced the Turing machine and worked "
@@ -365,6 +365,52 @@ class TestReplay:
             assert not replay.matched
             assert replay.divergence["section"] == "incomplete"
             assert replay.divergence["recorded"] == records[cut - 1]["type"]
+
+    def test_shared_environment_keeps_fault_injectors_per_run(self, tmp_path):
+        # one environment, hence one KB, serves both runs; each run's fault
+        # script starts from its first entry, so the traces are the same
+        search_patch = {"workflow": {"steps": [
+            {"tool_id": "kb_search", "params": {"query": "turing machine", "limit": 2}}]}}
+        env = environment({"kb_search": ["timeout", "ok"], "kb_lookup": ["not_found"]})
+        traces = []
+        for name in ("first", "second"):
+            path = str(tmp_path / f"{name}.jsonl")
+            model = scripted(profile_entry(CLEAN_PROFILE),
+                             {"role": "repair", "text": json.dumps(search_patch)}, REASON)
+            report = run_ptr(task(), bench_metadata(), RunConfig(), model, env, trace_path=path)
+            assert report.repaired is True
+            assert replay_trace(path).matched
+            traces.append(strip_volatile(read_trace(path)))
+        assert traces[0] == traces[1]
+        first_step = next(r for r in traces[0] if r["type"] == "step")
+        assert first_step["event"]["error_class"] == "timeout"
+
+    @pytest.mark.parametrize("key", ["task", "metadata", "config", "environment"])
+    def test_header_without_input_is_schema_error(self, key, tmp_path):
+        _, _, path = self.run_and_replay(profile_entry(CLEAN_PROFILE), REASON,
+                                         tmp_path=tmp_path)
+        records = read_trace(path)
+        del records[0][key]
+        with pytest.raises(TraceSchemaError, match=f"trace header has no {key} object"):
+            replay_trace(records)
+
+    @pytest.mark.parametrize("key, value", [
+        ("task", {"objective": 3}),
+        ("metadata", {"tool_catalog": [{"id": ""}]}),
+        ("config", {"route_thresholds": {"lower": 0.5}}),
+        ("config", {"repair_threshold": 2.0}),
+        ("config", {"penalties": [1]}),
+        ("environment", {"kb": [{"body": "no title"}]}),
+        ("environment", {"kb": [], "fault_scripts": {"kb_search": [7]}}),
+        ("environment", {"kb": 5}),
+    ])
+    def test_malformed_header_input_is_schema_error(self, key, value, tmp_path):
+        _, _, path = self.run_and_replay(profile_entry(CLEAN_PROFILE), REASON,
+                                         tmp_path=tmp_path)
+        records = read_trace(path)
+        records[0][key] = value
+        with pytest.raises(TraceSchemaError, match="trace header is malformed"):
+            replay_trace(records)
 
     def test_aborted_run_replay_is_trivially_matched(self, tmp_path):
         path = str(tmp_path / "run.jsonl")

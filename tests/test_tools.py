@@ -2,9 +2,10 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ptrun.core import SlotSpec, ToolSpec
-from ptrun.tools import (DuplicateToolError, KnowledgeBase, ToolOutcome, ToolRegistry,
+from ptrun.tools import (Article, DuplicateToolError, KnowledgeBase, ToolOutcome, ToolRegistry,
                          builtin_registry, calc, make_fault_injector, make_kb_lookup,
                          make_kb_search, tokenize)
 
@@ -82,6 +83,115 @@ class TestKbSearch:
     def test_unknown_slot_rejected(self, kb):
         outcome = make_kb_search(kb)({"query": "x", "bogus": 1}, None)
         assert outcome.error_class == "invalid_params"
+
+
+def scan_search(kb, query, limit):
+    """Reference kb_search: tokenize every article on every call (the oracle
+    for the substring-filtered search)."""
+    query_tokens = set(tokenize(query))
+    scored = []
+    for title in kb.titles():
+        article = kb.articles[title]
+        overlap = len(query_tokens & set(tokenize(f"{article.title} {article.body}")))
+        if overlap > 0:
+            scored.append((-overlap, title))
+    if not scored:
+        return ToolOutcome.failure("empty_result", f"no article shares a token with {query!r}")
+    scored.sort()
+    titles = [title for _, title in scored[:limit]]
+    return ToolOutcome.success({"count": len(titles), "top_title": titles[0], "titles": titles})
+
+
+# Small alphabet so tokens collide and nest; "İ" lower-cases to two code
+# points, "ß" and "é" are letters outside [a-z0-9], the rest split tokens.
+TEXT_ALPHABET = "ab1pinİßé .,-!\n"
+texts = st.text(alphabet=TEXT_ALPHABET, max_size=24)
+
+
+@st.composite
+def kb_and_query(draw):
+    titles = draw(st.lists(st.text(alphabet=TEXT_ALPHABET, max_size=10),
+                           min_size=1, max_size=8, unique=True))
+    articles = [{"title": title, "body": draw(texts), "links": []} for title in titles]
+    pool = sorted({token for a in articles for token in tokenize(f"{a['title']} {a['body']}")})
+    # substrings of article tokens, so "pin1" meets "pin12" and title tokens
+    pieces = sorted({token[i:j] for token in pool
+                     for i in range(len(token)) for j in range(i + 1, len(token) + 1)})
+    words = draw(st.lists(st.sampled_from(pieces), max_size=4)) if pieces else []
+    query = " ".join(words + [draw(texts)])
+    limit = draw(st.integers(min_value=1, max_value=9))
+    return articles, query, limit
+
+
+class TestKbSearchMatchesScan:
+    @settings(max_examples=400, deadline=None)
+    @given(kb_and_query())
+    def test_same_outcome_as_linear_scan(self, case):
+        articles, query, limit = case
+        assume(query.strip())
+        kb = KnowledgeBase(articles)
+        outcome = make_kb_search(kb)({"query": query, "limit": limit}, None)
+        assert outcome.to_dict() == scan_search(kb, query, limit).to_dict()
+
+    @pytest.mark.parametrize("query, limit", [
+        ("pin1", 3), ("pin12", 3), ("pin", 3), ("entry", 1), ("entry pin1", 2),
+        ("istanbul", 3), ("zeta", 3), ("strasse", 3), ("nothing here", 3), ("1", 5)])
+    def test_named_cases(self, query, limit):
+        kb = KnowledgeBase([
+            {"title": "Entry 12", "body": "pin12 and xpin1y", "links": []},
+            {"title": "Entry 1", "body": "pin1, pin1.", "links": []},
+            {"title": "İİİİstanbul", "body": "", "links": []},
+            {"title": "Straße", "body": "", "links": []},
+            {"title": "Zeta", "body": "!!", "links": []},
+        ])
+        outcome = make_kb_search(kb)({"query": query, "limit": limit}, None)
+        assert outcome.to_dict() == scan_search(kb, query, limit).to_dict()
+
+    def test_substring_of_a_longer_token_is_not_a_hit(self):
+        kb = KnowledgeBase([{"title": "Long", "body": "pin12 xpin1", "links": []},
+                            {"title": "Short", "body": "pin1.", "links": []}])
+        outcome = make_kb_search(kb)({"query": "pin1"}, None)
+        assert outcome.value["titles"] == ["Short"]
+
+    def test_hit_after_length_changing_lowercase(self):
+        # "İ".lower() is two code points, so offsets come from the lowered text
+        kb = KnowledgeBase([{"title": "A" + "İ" * 50, "body": "", "links": []},
+                            {"title": "B", "body": "target", "links": []},
+                            {"title": "C", "body": "", "links": []},
+                            {"title": "D", "body": "", "links": []}])
+        assert make_kb_search(kb)({"query": "target"}, None).value["titles"] == ["B"]
+
+    def test_empty_kb_is_empty_result(self):
+        outcome = make_kb_search(KnowledgeBase([]))({"query": "anything"}, None)
+        assert outcome.error_class == "empty_result"
+
+    def test_one_article_kb(self):
+        kb = KnowledgeBase([{"title": "Only", "body": "", "links": []}])
+        search = make_kb_search(kb)
+        assert search({"query": "only", "limit": 4}, None).value["titles"] == ["Only"]
+        assert search({"query": "onl"}, None).error_class == "empty_result"
+
+
+class TestKnowledgeBaseInput:
+    def test_articles_are_read_only(self, kb):
+        with pytest.raises(TypeError):
+            kb.articles["New"] = Article(title="New", body="")
+        with pytest.raises(TypeError):
+            del kb.articles["Paris"]
+
+    @pytest.mark.parametrize("articles, message", [
+        ({"title": "A"}, "knowledge base must be a list"),
+        (["A"], "article 0 is not an object"),
+        ([{"title": "A"}, {"body": "x"}], "article 1: title must be a string"),
+        ([{"title": 3}], "article 0: title must be a string"),
+        ([{"title": "A", "body": 5}], "article 0: body must be a string"),
+        ([{"title": "A", "links": "B"}], "article 0: links must be a list of strings"),
+        ([{"title": "A", "links": ["B", 1]}], "article 0: links must be a list of strings"),
+        ([{"title": "A"}, {"title": "A"}], "article 1: duplicate title 'A'"),
+    ])
+    def test_malformed_entries_are_value_errors(self, articles, message):
+        with pytest.raises(ValueError, match=message):
+            KnowledgeBase(articles)
 
 
 class TestKbLookup:
