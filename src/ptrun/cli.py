@@ -135,7 +135,7 @@ def cmd_verify_trace(args) -> int:
     if report is None:
         return EXIT_DIVERGENCE
     if report.matched:
-        print(f"trace verified: {report.sections_checked} sections match")
+        print(f"trace verified: {report.sections_checked} records match")
         return EXIT_OK
     divergence = report.divergence or {}
     print(f"trace diverged at {divergence.get('section')} (index {divergence.get('index')})")

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 
-from .core import (AdmissibilityReport, CompiledBranchRule, Metadata, Profile, Task,
-                   check_admissibility, validate_metadata)
-from .executor import ExecutionConfig, bundle_rules, compile_rules, initial_state, run_workflow
+from .core import (CompiledBranchRule, Metadata, Profile, Task, check_admissibility,
+                   validate_metadata)
+from .executor import (ExecutionConfig, RuleBundle, bundle_rules, compile_rules, initial_state,
+                       run_workflow)
 from .router import RiskWeights, RouteMode, RouteThresholds, decide_route
 from .semantic import (BudgetExceededError, BudgetLedger, ModelRequest, PriceEntry,
                        ProfileParseError, build_profile_prompt, build_profile_retry_prompt,
@@ -188,12 +190,27 @@ def _model_call(model, role: str, prompt: str, cfg: RunConfig, ledger: BudgetLed
     return response
 
 
-def _admissibility_diagnostic(report: AdmissibilityReport) -> str:
-    details = "; ".join(
-        f"step {v.step}: {v.kind} ({v.detail})" if v.step else f"{v.kind} ({v.detail})"
-        for v in report.violations
-    )
-    return f"profile is not admissible: {details}"
+class InadmissibleProfileError(ProfileParseError):
+    """A reply that parses as a profile the metadata does not admit."""
+
+
+def _admit(text: str, metadata: Metadata) -> tuple[Profile, tuple[CompiledBranchRule, ...]]:
+    """Parse a profile or repair reply and check its admissibility.
+
+    Returns the profile with the branch rules admissibility compiled for it.
+    Raises ProfileParseError when the text holds no profile and
+    InadmissibleProfileError, whose diagnostic lists the violations, when the
+    profile is not admissible.
+    """
+    profile = parse_profile_response(text)
+    report = check_admissibility(profile, metadata)
+    if not report.admissible:
+        details = "; ".join(
+            f"step {v.step}: {v.kind} ({v.detail})" if v.step else f"{v.kind} ({v.detail})"
+            for v in report.violations
+        )
+        raise InadmissibleProfileError(f"profile is not admissible: {details}")
+    return profile, report.branch_rules
 
 
 def _obtain_profile(task: Task, metadata: Metadata, cfg: RunConfig, model,
@@ -201,50 +218,65 @@ def _obtain_profile(task: Task, metadata: Metadata, cfg: RunConfig, model,
                     ) -> tuple[Profile, tuple[CompiledBranchRule, ...], str, int]:
     """Profile stage: one call, then at most one corrective retry before abort.
 
-    Returns the profile with the branch rules admissibility compiled for it.
+    Returns the profile, the branch rules admissibility compiled for it, the
+    admitted reply and the number of attempts.
     """
     prompt = build_profile_prompt(task, metadata)
-    response = _model_call(model, "profile", prompt, cfg, ledger, writer)
-    attempts = 1
-    diagnostic = None
-    profile = None
+    text = _model_call(model, "profile", prompt, cfg, ledger, writer).text
     try:
-        profile = parse_profile_response(response.text)
+        return (*_admit(text, metadata), text, 1)
     except ProfileParseError as exc:
-        diagnostic = exc.diagnostic
-    if profile is not None:
-        report = check_admissibility(profile, metadata)
-        if not report.admissible:
-            diagnostic = _admissibility_diagnostic(report)
-            profile = None
-    if profile is not None:
-        return profile, report.branch_rules, response.text, attempts
-
-    retry_prompt = build_profile_retry_prompt(prompt, diagnostic)
-    response = _model_call(model, "profile", retry_prompt, cfg, ledger, writer)
-    attempts = 2
+        prompt = build_profile_retry_prompt(prompt, exc.diagnostic)
+    text = _model_call(model, "profile", prompt, cfg, ledger, writer).text
     try:
-        profile = parse_profile_response(response.text)
+        return (*_admit(text, metadata), text, 2)
     except ProfileParseError as exc:
         raise RunInvalidError(exc.diagnostic) from None
-    report = check_admissibility(profile, metadata)
-    if not report.admissible:
-        raise RunInvalidError(_admissibility_diagnostic(report))
-    return profile, report.branch_rules, response.text, attempts
 
 
 def _with_flag(z, flag: str):
     return replace(z, flags=z.flags + (flag,))
 
 
-def _write_steps(writer: TraceWriter, state, phase: str) -> None:
+def _route(metadata: Metadata, profile: Profile, cfg: RunConfig, writer: TraceWriter
+           ) -> tuple[RouteMode, dict]:
+    """Route stage: writes the risk and route records; returns the mode and
+    the report's route."""
+    decision = decide_route(metadata, profile, cfg.weights, cfg.thresholds)
+    mode = cfg.mode_override or decision.mode
+    writer.write({"type": "risk", "breakdown": decision.breakdown.to_dict()})
+    writer.write({"type": "route", "mode": mode.value,
+                  "override": cfg.mode_override is not None})
+    return mode, {"mode": mode.value, "breakdown": decision.breakdown.to_dict()}
+
+
+def _execute(task: Task, metadata: Metadata, cfg: RunConfig, registry: ToolRegistry,
+             profile: Profile, rules: RuleBundle, mode: RouteMode, phase: str,
+             writer: TraceWriter, timing: dict):
+    """Execute stage of one phase (``initial`` or ``repair``): runs the
+    profile's workflow, writes its step records, verifies, and writes the
+    verification record, which in the repair phase carries the repair_applied
+    flag. Sets ``timing``'s execute and verify durations; returns the state
+    and the verification object."""
+    started = time.perf_counter()
+    exec_config = ExecutionConfig(recovery_retries=cfg.recovery_retries,
+                                  thin_output_threshold=cfg.thin_output_threshold, mode=mode)
+    state = initial_state(task.context)
+    run_workflow(profile.workflow, exec_config, registry, state, rules)
+    timing["execute"] = time.perf_counter() - started
     for event in state.trace:
         writer.write({"type": "step", "phase": phase, "event": event.to_dict()})
 
-
-def _write_verification(writer: TraceWriter, z, counters, phase: str) -> None:
+    started = time.perf_counter()
+    z = verify(state, metadata, profile, cfg.penalties, cfg.repair_threshold,
+               cfg.thin_output_threshold, route_mode=mode)
+    if phase == "repair":
+        z = _with_flag(z, REPAIR_APPLIED_FLAG)
+    counters = extract_counters(state, cfg.thin_output_threshold)
+    timing["verify"] = time.perf_counter() - started
     writer.write({"type": "verification", "phase": phase,
                   "object": z.to_dict(), "counters": counters.to_dict()})
+    return state, z
 
 
 def run_ptr(task: Task, metadata: Metadata, cfg: RunConfig, model,
@@ -313,33 +345,12 @@ def _run(task: Task, metadata: Metadata, cfg: RunConfig, model, registry: ToolRe
     writer.write({"type": "profile", "raw": raw_profile,
                   "parsed": profile.to_dict(), "attempts": attempts})
 
-    # ROUTE (deterministic)
+    # ROUTE, EXECUTE + VERIFY (deterministic)
     started = time.perf_counter()
-    decision = decide_route(metadata, profile, cfg.weights, cfg.thresholds)
-    mode = cfg.mode_override or decision.mode
+    mode, route_dict = _route(metadata, profile, cfg, writer)
     timing["route"] = time.perf_counter() - started
-    writer.write({"type": "risk", "breakdown": decision.breakdown.to_dict()})
-    writer.write({"type": "route", "mode": mode.value,
-                  "override": cfg.mode_override is not None})
-    route_dict = {"mode": mode.value, "breakdown": decision.breakdown.to_dict()}
-
-    exec_config = ExecutionConfig(recovery_retries=cfg.recovery_retries,
-                                  thin_output_threshold=cfg.thin_output_threshold, mode=mode)
-
-    # EXECUTE + VERIFY (deterministic)
-    started = time.perf_counter()
-    rules = bundle_rules(metadata, branch_rules)
-    state = initial_state(task.context)
-    run_workflow(profile.workflow, exec_config, registry, state, rules)
-    timing["execute"] = time.perf_counter() - started
-    _write_steps(writer, state, "initial")
-
-    started = time.perf_counter()
-    z = verify(state, metadata, profile, cfg.penalties, cfg.repair_threshold,
-               cfg.thin_output_threshold, route_mode=mode)
-    counters = extract_counters(state, cfg.thin_output_threshold)
-    timing["verify"] = time.perf_counter() - started
-    _write_verification(writer, z, counters, "initial")
+    state, z = _execute(task, metadata, cfg, registry, profile,
+                        bundle_rules(metadata, branch_rules), mode, "initial", writer, timing)
 
     # REPAIR (optional; at most one semantic call, never more). `repaired`
     # records that the stage was invoked, so it tracks the 2-vs-3-call split
@@ -358,35 +369,23 @@ def _run(task: Task, metadata: Metadata, cfg: RunConfig, model, registry: ToolRe
             timing["repair"] = time.perf_counter() - started
             return _abort_report(writer, "budget_exceeded", str(exc), ledger, timing,
                                  repaired=True, route=route_dict)
-        patched = None
-        reject_reason = None
+        rejection = None
         try:
-            patched = parse_profile_response(response.text)
+            patched, repair_rules = _admit(response.text, metadata)
+        except InadmissibleProfileError as exc:
+            rejection = exc.diagnostic
         except ProfileParseError as exc:
-            reject_reason = f"parse_error: {exc.diagnostic}"
-        if patched is not None:
-            report = check_admissibility(patched, metadata)
-            if not report.admissible:
-                reject_reason = _admissibility_diagnostic(report)
-                patched = None
-        if patched is None:
-            writer.write({"type": "repair", "accepted": False, "reason": reject_reason})
+            rejection = f"parse_error: {exc.diagnostic}"
+        if rejection is not None:
+            writer.write({"type": "repair", "accepted": False, "reason": rejection})
             final_z = _with_flag(z, REPAIR_REJECTED_FLAG)
-            timing["repair"] = time.perf_counter() - started
         else:
             writer.write({"type": "repair", "accepted": True, "raw": response.text,
                           "parsed": patched.to_dict()})
-            repair_rules = bundle_rules(metadata, report.branch_rules)
-            repair_state = initial_state(task.context)
-            run_workflow(patched.workflow, exec_config, registry, repair_state, repair_rules)
-            _write_steps(writer, repair_state, "repair")
-            z2 = verify(repair_state, metadata, patched, cfg.penalties, cfg.repair_threshold,
-                        cfg.thin_output_threshold, route_mode=mode)
-            z2 = _with_flag(z2, REPAIR_APPLIED_FLAG)
-            counters2 = extract_counters(repair_state, cfg.thin_output_threshold)
-            _write_verification(writer, z2, counters2, "repair")
-            final_state, final_z = repair_state, z2
-            timing["repair"] = time.perf_counter() - started
+            final_state, final_z = _execute(task, metadata, cfg, registry, patched,
+                                            bundle_rules(metadata, repair_rules), mode,
+                                            "repair", writer, {})
+        timing["repair"] = time.perf_counter() - started
 
     # REASON (semantic call #2 or #3)
     started = time.perf_counter()
@@ -417,35 +416,24 @@ def _run(task: Task, metadata: Metadata, cfg: RunConfig, model, registry: ToolRe
     return report
 
 
-def apply_repair(task: Task, metadata: Metadata, profile: Profile, state, z, model,
-                 seed: int = 42):
-    """Standalone repair operator: one model call, parse, re-admit.
-
-    Returns (patched profile, admissibility report, response); raises
-    ProfileParseError when the patch is unparseable (no retry at this stage).
-    """
-    prompt = build_repair_prompt(task, metadata, profile, state, z)
-    response = model.complete(ModelRequest(role="repair", prompt=prompt, temperature=0.0, seed=seed))
-    patched = parse_profile_response(response.text)
-    report = check_admissibility(patched, metadata)
-    return patched, report, response
-
-
 # --- trace replay -----------------------------------------------------------------
+
+# Record types replay recomputes from the recorded profiles.
+_RECOMPUTED = ("risk", "route", "step", "verification")
 
 
 @dataclass
 class ReplayReport:
     matched: bool
     divergence: dict | None
-    sections_checked: int
+    sections_checked: int  # recomputed records compared
 
     def to_dict(self) -> dict:
         return {"matched": self.matched, "divergence": self.divergence,
                 "sections_checked": self.sections_checked}
 
 
-def _diverge(section: str, index: int | None, recorded, recomputed) -> dict:
+def _diverge(section: str, index: int, recorded, recomputed) -> dict:
     return {
         "section": section,
         "index": index,
@@ -454,8 +442,7 @@ def _diverge(section: str, index: int | None, recorded, recomputed) -> dict:
     }
 
 
-def _read_header(header: dict, environment: ToolEnvironment | None
-                 ) -> tuple[Task, Metadata, RunConfig, ToolEnvironment]:
+def _read_header(header: dict) -> tuple[Task, Metadata, RunConfig, ToolEnvironment]:
     """The run inputs a trace header embeds; TraceSchemaError when one is
     missing or malformed (a malformed embedded KB included)."""
     for key in ("task", "metadata", "config", "environment"):
@@ -465,94 +452,66 @@ def _read_header(header: dict, environment: ToolEnvironment | None
         task = Task.from_dict(header["task"])
         metadata = Metadata.from_dict(header["metadata"])
         cfg = RunConfig.from_dict(header["config"])
-        env = environment or ToolEnvironment.from_description(header["environment"])
+        env = ToolEnvironment.from_description(header["environment"])
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceSchemaError(f"trace header is malformed: {exc}") from None
     return task, metadata, cfg, env
 
 
-def replay_trace(source, environment: ToolEnvironment | None = None) -> ReplayReport:
-    """Recompute every deterministic stage from the recorded profile(s) and
-    compare structurally against the recorded events; wall-clock fields are
-    ignored. Reports the first divergence or a full match. Every run_ptr
-    trace ends in a report record, so one that does not is a divergence in
-    section ``incomplete``. Raises TraceSchemaError for a malformed trace,
-    including a header whose task, metadata, config or environment is
-    missing or malformed."""
+def _recorded_profile(record: dict, metadata: Metadata) -> tuple[Profile, RuleBundle]:
+    """The profile a profile or repair record holds, with its rules compiled;
+    TraceSchemaError when the record holds no usable profile."""
+    try:
+        profile = Profile.from_dict(record.get("parsed"))
+        return profile, compile_rules(metadata, profile)
+    except (TypeError, ValueError) as exc:
+        raise TraceSchemaError(f"{record['type']} record is malformed: {exc}") from None
+
+
+def _section(record: dict) -> str:
+    phase = record.get("phase")
+    return record["type"] if phase is None else f"{record['type']}[{phase}]"
+
+
+def _compare(recorded: list[dict], recomputed: list[dict]) -> ReplayReport:
+    """Compare two record lists in order. The first pair that differs, or the
+    first record one list has beyond the other's end, is the divergence: it
+    is named by that record's section and its index inside the section."""
+    for position, (rec, new) in enumerate(zip_longest(recorded, recomputed)):
+        if rec is None or new is None or not structurally_equal(rec, new):
+            side = recorded if new is None else recomputed
+            section = _section(side[position])
+            index = sum(_section(r) == section for r in side[:position])
+            return ReplayReport(False, _diverge(section, index, rec, new), position + 1)
+    return ReplayReport(matched=True, divergence=None, sections_checked=len(recorded))
+
+
+def replay_trace(source) -> ReplayReport:
+    """Recompute the deterministic segment from the recorded profile(s) and
+    compare its risk, route, step and verification records with the
+    recorded ones; wall-clock fields are ignored. Reports the first
+    divergence or a full match. Every run_ptr trace ends in a report record,
+    so one that does not is a divergence in section ``incomplete``. Raises
+    TraceSchemaError for a malformed trace, including a header whose task,
+    metadata, config or environment is missing or malformed and a profile or
+    repair record that holds no usable profile."""
     records = read_trace(source)
     if records[-1].get("type") != "report":
         return ReplayReport(False, _diverge("incomplete", len(records) - 1,
                                             records[-1].get("type"), "report"), 0)
-    task, metadata, cfg, env = _read_header(records[0], environment)
-    registry = env.build_registry()
-
-    def section(kind: str, phase: str | None = None) -> list[dict]:
-        return [r for r in records if r.get("type") == kind
-                and (phase is None or r.get("phase") == phase)]
-
-    checked = 0
-    profile_records = section("profile")
-    if not profile_records:
-        # Run aborted before any deterministic stage; nothing to recompute.
-        return ReplayReport(matched=True, divergence=None, sections_checked=0)
-    profile = Profile.from_dict(profile_records[0]["parsed"])
-
-    decision = decide_route(metadata, profile, cfg.weights, cfg.thresholds)
-    mode = cfg.mode_override or decision.mode
-    risk_records = section("risk")
-    if risk_records:
-        checked += 1
-        if risk_records[0]["breakdown"] != decision.breakdown.to_dict():
-            return ReplayReport(False, _diverge("risk", None, risk_records[0]["breakdown"],
-                                                decision.breakdown.to_dict()), checked)
-    route_records = section("route")
-    if route_records:
-        checked += 1
-        if route_records[0]["mode"] != mode.value:
-            return ReplayReport(False, _diverge("route", None, route_records[0]["mode"],
-                                                mode.value), checked)
-
-    exec_config = ExecutionConfig(recovery_retries=cfg.recovery_retries,
-                                  thin_output_threshold=cfg.thin_output_threshold, mode=mode)
-
-    def replay_execution(active_profile: Profile, phase: str, flag: str | None):
-        nonlocal checked
-        rules = compile_rules(metadata, active_profile)
-        state = initial_state(task.context)
-        run_workflow(active_profile.workflow, exec_config, registry, state, rules)
-        recorded_steps = section("step", phase)
-        recomputed = [event.to_dict() for event in state.trace]
-        if len(recorded_steps) != len(recomputed):
-            return None, _diverge(f"step[{phase}]", None,
-                                  len(recorded_steps), len(recomputed))
-        for i, (rec, new) in enumerate(zip(recorded_steps, recomputed)):
-            checked += 1
-            if not structurally_equal(rec["event"], new):
-                return None, _diverge(f"step[{phase}]", i, rec["event"], new)
-        z = verify(state, metadata, active_profile, cfg.penalties, cfg.repair_threshold,
-                   cfg.thin_output_threshold, route_mode=mode)
-        if flag:
-            z = _with_flag(z, flag)
-        counters = extract_counters(state, cfg.thin_output_threshold)
-        ver_records = section("verification", phase)
-        if ver_records:
-            checked += 1
-            recomputed_ver = {"object": z.to_dict(), "counters": counters.to_dict()}
-            recorded_ver = {"object": ver_records[0]["object"],
-                            "counters": ver_records[0]["counters"]}
-            if recorded_ver != recomputed_ver:
-                return None, _diverge(f"verification[{phase}]", None, recorded_ver, recomputed_ver)
-        return state, None
-
-    _, divergence = replay_execution(profile, "initial", None)
-    if divergence:
-        return ReplayReport(False, divergence, checked)
-
-    repair_records = section("repair")
-    if repair_records and repair_records[0].get("accepted"):
-        patched = Profile.from_dict(repair_records[0]["parsed"])
-        _, divergence = replay_execution(patched, "repair", REPAIR_APPLIED_FLAG)
-        if divergence:
-            return ReplayReport(False, divergence, checked)
-
-    return ReplayReport(matched=True, divergence=None, sections_checked=checked)
+    task, metadata, cfg, env = _read_header(records[0])
+    recomputed = TraceWriter()
+    profile_record = next((r for r in records if r.get("type") == "profile"), None)
+    # A run aborted in the profile stage has no deterministic stage to recompute.
+    if profile_record is not None:
+        registry = env.build_registry()
+        profile, rules = _recorded_profile(profile_record, metadata)
+        mode, _ = _route(metadata, profile, cfg, recomputed)
+        _, z = _execute(task, metadata, cfg, registry, profile, rules, mode, "initial",
+                        recomputed, {})
+        repair = next((r for r in records if r.get("type") == "repair"), None)
+        if z.repair_recommended and repair is not None and repair.get("accepted") is True:
+            patched, rules = _recorded_profile(repair, metadata)
+            _execute(task, metadata, cfg, registry, patched, rules, mode, "repair",
+                     recomputed, {})
+    return _compare([r for r in records if r.get("type") in _RECOMPUTED], recomputed.records)

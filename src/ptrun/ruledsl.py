@@ -26,8 +26,14 @@ STATE_ROOTS = ("result", "trace", "failure", "branch", "env")
 
 _KEYWORDS = ("and", "or", "not", "exists", "failed", "empty", "set", "true", "false")
 _SYMBOLS = ("==", "!=", "<=", ">=", "??", "<", ">", "(", ")", ".", "=", "+", "-", "*", ";")
+_DIGITS = frozenset("0123456789")
 
 MAX_EXACT_INT = float(2**53)
+
+# Bound on the nesting depth of a rule: every open parenthesis, every `not`
+# and every link of an and/or/+/-/* chain counts. It keeps parsing, printing
+# and evaluation well inside Python's recursion limit.
+MAX_DEPTH = 64
 
 
 class DslError(ValueError):
@@ -67,7 +73,7 @@ class _Token:
 
 
 def _byte_offset(source: str, pos: int) -> int:
-    return len(source[:pos].encode("utf-8"))
+    return len(source[:pos].encode("utf-8", "surrogatepass"))
 
 
 def _tokenize(source: str) -> list[_Token]:
@@ -83,13 +89,13 @@ def _tokenize(source: str) -> list[_Token]:
             tokens.append(_Token("string", text, value, i))
             i = end
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and source[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "-" and i + 1 < n and source[i + 1] in _DIGITS):
             j = i + 1
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
-            if j + 1 < n and source[j] == "." and source[j + 1].isdigit():
+            if j + 1 < n and source[j] == "." and source[j + 1] in _DIGITS:
                 j += 2
-                while j < n and source[j].isdigit():
+                while j < n and source[j] in _DIGITS:
                     j += 1
             text = source[i:j]
             number = float(text)
@@ -100,7 +106,7 @@ def _tokenize(source: str) -> list[_Token]:
             continue
         if ch.isalpha() or ch == "_":
             j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
+            while j < n and (source[j].isalpha() or source[j] in _DIGITS or source[j] == "_"):
                 j += 1
             text = source[i:j]
             kind = "keyword" if text in _KEYWORDS else "ident"
@@ -258,6 +264,7 @@ class _Parser:
         self.tokens = _tokenize(source)
         self.index = 0
         self.allow_refs = allow_refs
+        self.depth = 0
 
     @property
     def current(self) -> _Token:
@@ -276,6 +283,13 @@ class _Parser:
             _byte_offset(self.source, token.pos),
             frozenset(expected),
         )
+
+    def nest(self) -> None:
+        """Enter one nesting level at the current token."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise DslParseError(f"rule nests deeper than {MAX_DEPTH} levels",
+                                _byte_offset(self.source, self.current.pos))
 
     def expect_symbol(self, sym: str) -> _Token:
         if self.current.kind == "symbol" and self.current.text == sym:
@@ -330,29 +344,40 @@ class _Parser:
     # predicate := or_expr
     def parse_predicate(self) -> PredicateAst:
         node = self.parse_and()
+        start = self.depth
         while self.at_keyword("or"):
+            self.nest()
             self.advance()
             node = Or(left=node, right=self.parse_and())
+        self.depth = start
         return node
 
     def parse_and(self) -> PredicateAst:
         node = self.parse_not()
+        start = self.depth
         while self.at_keyword("and"):
+            self.nest()
             self.advance()
             node = And(left=node, right=self.parse_not())
+        self.depth = start
         return node
 
     def parse_not(self) -> PredicateAst:
         if self.at_keyword("not"):
+            self.nest()
             self.advance()
-            return Not(operand=self.parse_not())
+            node = Not(operand=self.parse_not())
+            self.depth -= 1
+            return node
         return self.parse_atom()
 
     def parse_atom(self) -> PredicateAst:
         if self.at_symbol("("):
+            self.nest()
             self.advance()
             node = self.parse_predicate()
             self.expect_symbol(")")
+            self.depth -= 1
             return node
         if self.at_keyword("exists"):
             self.advance()
@@ -404,24 +429,32 @@ class _Parser:
     # expr := term (("+"|"-") term)* ; term := factor ("*" factor)*
     def parse_expr(self) -> object:
         node = self.parse_term()
+        start = self.depth
         while self.at_symbol("+", "-"):
+            self.nest()
             op = self.advance().text
             node = BinOp(op=op, left=node, right=self.parse_term())
+        self.depth = start
         return node
 
     def parse_term(self) -> object:
         node = self.parse_factor()
+        start = self.depth
         while self.at_symbol("*"):
+            self.nest()
             self.advance()
             node = BinOp(op="*", left=node, right=self.parse_factor())
+        self.depth = start
         return node
 
     def parse_factor(self) -> object:
         token = self.current
         if self.at_symbol("("):
+            self.nest()
             self.advance()
             node = self.parse_expr()
             self.expect_symbol(")")
+            self.depth -= 1
             return node
         if token.kind in ("number", "string") or self.at_keyword("true", "false"):
             return Lit(value=self.parse_literal())

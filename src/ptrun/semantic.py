@@ -169,11 +169,6 @@ class BudgetLedger:
         }
 
 
-def record_and_check(ledger: BudgetLedger, role: str, response: ModelResponse) -> BudgetLedger:
-    ledger.record_and_check(role, response)
-    return ledger
-
-
 @dataclass(frozen=True)
 class ScriptEntry:
     role: str

@@ -41,7 +41,7 @@ class TraceWriter:
     def write(self, record: dict) -> None:
         self.records.append(record)
         if self._fh:
-            self._fh.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
+            self._fh.write(json.dumps(record, allow_nan=False) + "\n")
             self._fh.flush()
 
     def close(self) -> None:
@@ -92,4 +92,4 @@ def strip_volatile(obj):
 
 
 def structurally_equal(a, b) -> bool:
-    return strip_volatile(a) == strip_volatile(b)
+    return a == b or strip_volatile(a) == strip_volatile(b)

@@ -300,3 +300,20 @@ class TestMalformedTraceHeader:
         capsys.readouterr()
         assert run_cli(command, "--trace", bad) == EXIT_DIVERGENCE
         assert_one_error_line(capsys, "malformed trace", "article 0: title must be a string")
+
+
+class TestMalformedProfileRecord:
+    @pytest.mark.parametrize("edit", [
+        lambda record: record.update(parsed={"workflow": 5}),
+        lambda record: record.pop("parsed"),
+    ], ids=["workflow-not-an-object", "no-parsed"])
+    @pytest.mark.parametrize("command", ["replay", "verify-trace"])
+    def test_malformed_profile_record_exits_2(self, command, edit, demo_args, tmp_path, capsys):
+        TestReplayAndVerify().produce_trace(demo_args)
+        records = [json.loads(line) for line in open(demo_args["trace"], encoding="utf-8")]
+        edit(next(r for r in records if r["type"] == "profile"))
+        bad = tmp_path / "bad-profile.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+        assert run_cli(command, "--trace", str(bad)) == EXIT_DIVERGENCE
+        assert_one_error_line(capsys, "malformed trace", "profile record is malformed")

@@ -1,15 +1,27 @@
+import copy
+import functools
 import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import ptrun
 from ptrun import ruledsl
 from ptrun.bench import bench_metadata
-from ptrun.core import Task
+from ptrun.core import Metadata, Task
 from ptrun.pipeline import (REPAIR_APPLIED_FLAG, REPAIR_REJECTED_FLAG, RunConfig,
-                            ToolEnvironment, apply_repair, replay_trace, run_ptr)
+                            ToolEnvironment, replay_trace, run_ptr)
 from ptrun.router import RouteMode
-from ptrun.semantic import PriceEntry, ScriptedModel
-from ptrun.trace import TraceSchemaError, read_trace, strip_volatile
+from ptrun.semantic import PriceEntry, ScriptedModel, build_profile_prompt
+from ptrun.trace import VOLATILE_KEYS, TraceSchemaError, read_trace, strip_volatile
+
+from helpers_scenarios import build_model, make_scenario
 
 KB = [
     {"title": "Alan Turing", "body": "Alan Turing introduced the Turing machine and worked "
@@ -41,6 +53,10 @@ GOOD_PATCH = {
 BAD_PATCH = {
     "workflow": {"steps": [{"tool_id": "summarize", "params": {}}]},
 }
+
+
+# Record types replay recomputes and compares.
+RECOMPUTED = ("risk", "route", "step", "verification")
 
 
 def environment(fault_scripts=None):
@@ -179,32 +195,27 @@ class TestParseOnce:
 
 
 class TestApplyRepair:
-    def setup_inputs(self):
-        from ptrun.executor import ExecutionConfig, initial_state, run_workflow
-        from ptrun.verifier import PenaltyCoefficients, verify
-        from ptrun.core import Profile
-        metadata = bench_metadata()
-        profile = Profile.from_dict(FAILING_PROFILE)
-        state = initial_state()
-        run_workflow(profile.workflow, ExecutionConfig(mode=RouteMode.PURE),
-                     environment().build_registry(), state)
-        z = verify(state, metadata, profile, PenaltyCoefficients(), 0.60)
-        assert z.repair_recommended
-        return metadata, profile, state, z
+    def repair_record(self, patch, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        model = scripted(profile_entry(FAILING_PROFILE),
+                         {"role": "repair", "text": json.dumps(patch)}, REASON)
+        report = run_ptr(task(), bench_metadata(), RunConfig(), model, environment(),
+                         trace_path=path)
+        assert report.repaired is True
+        records = read_trace(path)
+        return next(r for r in records if r["type"] == "repair"), records
 
-    def test_valid_patch_admitted(self):
-        metadata, profile, state, z = self.setup_inputs()
-        model = scripted({"role": "repair", "text": json.dumps(GOOD_PATCH)})
-        patched, report, _ = apply_repair(task(), metadata, profile, state, z, model)
-        assert report.admissible
-        assert len(patched.workflow) == 1
+    def test_valid_patch_admitted(self, tmp_path):
+        record, records = self.repair_record(GOOD_PATCH, tmp_path)
+        assert record["accepted"] is True
+        assert len(record["parsed"]["workflow"]["steps"]) == 1
+        assert sum(1 for r in records if r["type"] == "step" and r["phase"] == "repair") == 1
 
-    def test_unknown_tool_patch_not_admissible(self):
-        metadata, profile, state, z = self.setup_inputs()
-        model = scripted({"role": "repair", "text": json.dumps(BAD_PATCH)})
-        _, report, _ = apply_repair(task(), metadata, profile, state, z, model)
-        assert not report.admissible
-        assert any(v.kind == "unknown_tool" for v in report.violations)
+    def test_unknown_tool_patch_not_admissible(self, tmp_path):
+        record, _ = self.repair_record(BAD_PATCH, tmp_path)
+        assert record["accepted"] is False
+        assert record["reason"] == ("profile is not admissible: step 1: unknown_tool "
+                                    "(tool 'summarize' not in catalog)")
 
 
 class TestProfileStage:
@@ -419,6 +430,198 @@ class TestReplay:
         run_ptr(task(), bench_metadata(), RunConfig(), model, environment(), trace_path=path)
         replay = replay_trace(path)
         assert replay.matched and replay.sections_checked == 0
+
+    def test_sections_checked_counts_compared_records(self, tmp_path):
+        _, replay, path = self.run_and_replay(
+            profile_entry(FAILING_PROFILE),
+            {"role": "repair", "text": json.dumps(GOOD_PATCH)}, REASON, tmp_path=tmp_path)
+        compared = [r["type"] for r in read_trace(path) if r["type"] in RECOMPUTED]
+        assert compared == ["risk", "route", "step", "step", "verification", "step",
+                            "verification"]
+        assert replay.sections_checked == len(compared)
+
+    @pytest.mark.parametrize("edit, section, index", [
+        ("flip route.override", "route", 0),
+        ("duplicate risk", "route", 0),
+        ("duplicate verification[initial]", "step[repair]", 0),
+        ("delete verification[repair]", "verification[repair]", 0),
+    ])
+    def test_record_count_and_override_edits_diverge(self, edit, section, index, tmp_path):
+        _, _, path = self.run_and_replay(
+            profile_entry(FAILING_PROFILE),
+            {"role": "repair", "text": json.dumps(GOOD_PATCH)}, REASON, tmp_path=tmp_path)
+        records = read_trace(path)
+
+        def position(kind, phase=None):
+            return next(i for i, r in enumerate(records)
+                        if r["type"] == kind and r.get("phase") == phase)
+
+        if edit == "flip route.override":
+            records[position("route")]["override"] = True
+        elif edit == "duplicate risk":
+            records.insert(position("risk"), dict(records[position("risk")]))
+        elif edit == "duplicate verification[initial]":
+            i = position("verification", "initial")
+            records.insert(i, dict(records[i]))
+        else:
+            del records[position("verification", "repair")]
+        replay = replay_trace(records)
+        assert not replay.matched
+        assert (replay.divergence["section"], replay.divergence["index"]) == (section, index)
+
+    @pytest.mark.parametrize("edit", [
+        lambda record: record.update(parsed={"workflow": 5}),
+        lambda record: record.pop("parsed"),
+        lambda record: record["parsed"].update(branch_rules=[
+            {"predicate": "exists(", "modifier": "", "target_step": 1}]),
+    ], ids=["workflow-not-an-object", "no-parsed", "unparseable-branch-rule"])
+    @pytest.mark.parametrize("kind", ["profile", "repair"])
+    def test_malformed_profile_record_is_schema_error(self, kind, edit, tmp_path):
+        _, _, path = self.run_and_replay(
+            profile_entry(FAILING_PROFILE),
+            {"role": "repair", "text": json.dumps(GOOD_PATCH)}, REASON, tmp_path=tmp_path)
+        records = read_trace(path)
+        edit(next(r for r in records if r["type"] == kind))
+        with pytest.raises(TraceSchemaError, match=f"{kind} record is malformed"):
+            replay_trace(records)
+
+
+@functools.cache
+def scenario_traces() -> tuple:
+    """Traces of seeded scenario runs, as read back from disk."""
+    rng = random.Random(7007)
+    traces = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(16):
+            scenario = make_scenario(rng)
+            path = os.path.join(tmp, f"{i}.jsonl")
+            run_ptr(scenario["task"], scenario["metadata"], scenario["cfg"],
+                    build_model(scenario), scenario["environment"], trace_path=path)
+            traces.append(read_trace(path))
+    return tuple(traces)
+
+
+def leaf_paths(node, path=()):
+    """Key paths of every non-volatile leaf; an empty container is a leaf."""
+    if isinstance(node, dict) and node:
+        for key, value in node.items():
+            if key not in VOLATILE_KEYS:
+                yield from leaf_paths(value, path + (key,))
+    elif isinstance(node, list) and node:
+        for i, value in enumerate(node):
+            yield from leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+def edited(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    return "x"
+
+
+class TestReplayTampering:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_tampered_recomputed_record_never_matches(self, data):
+        records = copy.deepcopy(data.draw(st.sampled_from(scenario_traces())))
+        positions = [i for i, r in enumerate(records) if r["type"] in RECOMPUTED]
+        i = data.draw(st.sampled_from(positions))
+        kind = data.draw(st.sampled_from(("edit", "delete", "duplicate", "swap")))
+        if kind == "edit":
+            *parents, last = data.draw(st.sampled_from(list(leaf_paths(records[i]))))
+            node = records[i]
+            for key in parents:
+                node = node[key]
+            node[last] = edited(node[last])
+        elif kind == "delete":
+            del records[i]
+        elif kind == "duplicate":
+            records.insert(i, copy.deepcopy(records[i]))
+        else:
+            j = data.draw(st.sampled_from([
+                j for j in positions
+                if strip_volatile(records[j]) != strip_volatile(records[i])]))
+            records[i], records[j] = records[j], records[i]
+        assert not replay_trace(records).matched
+
+
+class TestUntrustedRuleText:
+    @pytest.mark.parametrize("predicate", [
+        "result.x == \u00b2",
+        "result.a == \u0661\u0662",
+        "exists(trace.\u0663)",
+        "(" * 1000 + "exists(env.audience)" + ")" * 1000,
+        " and ".join(["exists(env.audience)"] * 1500),
+    ], ids=["superscript-two", "arabic-indic-number", "arabic-indic-index", "nested-parens",
+            "and-chain"])
+    def test_bad_branch_predicate_ends_in_a_recorded_outcome(self, predicate, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        profile = dict(CLEAN_PROFILE, branch_rules=[
+            {"predicate": predicate, "modifier": "", "target_step": 2}])
+        model = scripted(profile_entry(profile), profile_entry(profile))
+        report = run_ptr(task(), bench_metadata(), RunConfig(mode_override=RouteMode.GUARDED),
+                         model, environment(), trace_path=path)
+        assert report.outcome == "run_invalid"
+        abort = next(r for r in read_trace(path) if r["type"] == "abort")
+        assert "unevaluable_branch_rule" in abort["detail"]
+        assert replay_trace(path).matched
+
+    def test_long_calc_chain_is_a_recorded_step_failure(self, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        profile = {"workflow": {"steps": [
+            {"tool_id": "calc", "params": {"expression": " + ".join(["1"] * 1500)}}]}}
+        report = run_ptr(task(), bench_metadata(), RunConfig(), scripted(
+            profile_entry(profile), {"role": "repair", "text": json.dumps(GOOD_PATCH)}, REASON),
+            environment(), trace_path=path)
+        assert report.outcome == "ok"
+        step = next(r for r in read_trace(path) if r["type"] == "step")
+        assert step["event"]["error_class"] == "invalid_params"
+        assert replay_trace(path).matched
+
+
+HASH_SEED_SCRIPT = """
+import json, os, random, tempfile
+from helpers_scenarios import build_model, make_scenario
+from ptrun.pipeline import run_ptr
+from ptrun.trace import read_trace, strip_volatile
+rng = random.Random(5005)
+with tempfile.TemporaryDirectory() as tmp:
+    for i in range(20):
+        scenario = make_scenario(rng)
+        path = os.path.join(tmp, "run.jsonl")
+        run_ptr(scenario["task"], scenario["metadata"], scenario["cfg"], build_model(scenario),
+                scenario["environment"], trace_path=path)
+        for record in strip_volatile(read_trace(path)):
+            print(json.dumps(record))
+"""
+
+
+class TestTraceKeyOrder:
+    def test_header_rebuilds_the_recorded_profile_prompt(self, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        model = scripted(profile_entry(CLEAN_PROFILE), REASON)
+        run_ptr(task(), bench_metadata(), RunConfig(), model, environment(), trace_path=path)
+        header, call = read_trace(path)[:2]
+        rebuilt = build_profile_prompt(Task.from_dict(header["task"]),
+                                       Metadata.from_dict(header["metadata"]))
+        assert "- kb_search: slots: query (string" in rebuilt
+        assert rebuilt == call["prompt"]
+
+    def test_traces_do_not_depend_on_the_hash_seed(self):
+        path = os.pathsep.join([str(Path(ptrun.__file__).parents[1]), str(Path(__file__).parent),
+                                os.environ.get("PYTHONPATH", "")])
+        outputs = [
+            subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT], capture_output=True,
+                           text=True, check=True,
+                           env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)).stdout
+            for seed in ("1", "2")
+        ]
+        assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestStrictJson:

@@ -247,3 +247,59 @@ class TestCorpus:
                 with pytest.raises(r.DslParseError) as exc_info:
                     parse[kind](source)
                 assert exc_info.value.offset == entry["error_offset"], source
+
+
+class TestUntrustedText:
+    TOKENS = ("result", "trace", "env", "x", ".", "0", "12", "1.5", "-3", "==", "<", "(", ")",
+              "and", "or", "not", "exists", "failed", "set", "=", "+", "-", "*", ";", "??",
+              '"s"', '"\\u00e9"', "²", "١٢", "٣", "\ud800", "_", "é")
+
+    @given(st.one_of(st.text(alphabet=st.characters(exclude_categories=())),
+                     st.lists(st.sampled_from(TOKENS), max_size=40).map(" ".join),
+                     st.lists(st.sampled_from(TOKENS), max_size=40).map("".join)))
+    @settings(max_examples=400, deadline=None)
+    def test_any_text_parses_or_raises_dsl_parse_error(self, source):
+        for parse in (r.parse_predicate, r.parse_modifier, r.parse_auto_expr, r.parse_arith):
+            try:
+                parse(source)
+            except r.DslParseError:
+                pass
+
+    @pytest.mark.parametrize("source, offset", [
+        ("result.x == ²", len("result.x == ")),
+        ("result.a == ١٢", len("result.a == ")),
+        ("exists(trace.٣)", len("exists(trace.")),
+        ("env.x١ == 1", len("env.x")),
+    ])
+    def test_only_ascii_digits_are_digits(self, source, offset):
+        with pytest.raises(r.DslParseError) as exc_info:
+            r.parse_predicate(source)
+        assert exc_info.value.offset == offset
+
+    def test_nesting_at_the_bound_parses(self):
+        depth = r.MAX_DEPTH
+        assert r.parse_predicate("(" * depth + "exists(env.a)" + ")" * depth) == \
+            r.Exists(path=r.PathRef(("env", "a")))
+        assert r.eval_predicate(r.parse_predicate("not " * depth + "exists(env.a)"),
+                                state_with(env={"a": 1})) is True
+        assert r.eval_expr(r.parse_arith(" + ".join(["1"] * (depth + 1))), {}, None) == depth + 1
+
+    @pytest.mark.parametrize("source, parse, offset", [
+        ("(" * 1000 + "exists(env.a)" + ")" * 1000, r.parse_predicate, r.MAX_DEPTH),
+        ("not " * 1000 + "exists(env.a)", r.parse_predicate, 4 * r.MAX_DEPTH),
+        (" and ".join(["exists(env.a)"] * 1500), r.parse_predicate,
+         len("exists(env.a) and ") * r.MAX_DEPTH + len("exists(env.a)") + 1),
+        (" or ".join(["env.a == 1"] * 1500), r.parse_predicate,
+         len("env.a == 1 or ") * r.MAX_DEPTH + len("env.a == 1") + 1),
+        (" + ".join(["1"] * 1500), r.parse_arith, 4 * r.MAX_DEPTH + 2),
+        (" * ".join(["2"] * 1500), r.parse_arith, 4 * r.MAX_DEPTH + 2),
+        ("set x = " + "(" * 1000 + "1" + ")" * 1000, r.parse_modifier,
+         len("set x = ") + r.MAX_DEPTH),
+        ("(env.a == 1 and " * 40 + "env.a == 1" + ")" * 40, r.parse_predicate,
+         len("(env.a == 1 and ") * 32),
+    ], ids=["parens", "not", "and-chain", "or-chain", "plus-chain", "times-chain",
+            "modifier-parens", "mixed"])
+    def test_nesting_past_the_bound_is_a_parse_error_at_its_token(self, source, parse, offset):
+        with pytest.raises(r.DslParseError, match="nests deeper") as exc_info:
+            parse(source)
+        assert exc_info.value.offset == offset
