@@ -252,18 +252,18 @@ def _route(metadata: Metadata, profile: Profile, cfg: RunConfig, writer: TraceWr
 
 def _execute(task: Task, metadata: Metadata, cfg: RunConfig, registry: ToolRegistry,
              profile: Profile, rules: RuleBundle, mode: RouteMode, phase: str,
-             writer: TraceWriter, timing: dict):
+             writer: TraceWriter, timing: dict | None = None):
     """Execute stage of one phase (``initial`` or ``repair``): runs the
     profile's workflow, writes its step records, verifies, and writes the
     verification record, which in the repair phase carries the repair_applied
-    flag. Sets ``timing``'s execute and verify durations; returns the state
-    and the verification object."""
+    flag. Sets the execute and verify durations in ``timing`` when one is
+    given; returns the state and the verification object."""
     started = time.perf_counter()
     exec_config = ExecutionConfig(recovery_retries=cfg.recovery_retries,
                                   thin_output_threshold=cfg.thin_output_threshold, mode=mode)
     state = initial_state(task.context)
     run_workflow(profile.workflow, exec_config, registry, state, rules)
-    timing["execute"] = time.perf_counter() - started
+    execute_s = time.perf_counter() - started
     for event in state.trace:
         writer.write({"type": "step", "phase": phase, "event": event.to_dict()})
 
@@ -273,9 +273,11 @@ def _execute(task: Task, metadata: Metadata, cfg: RunConfig, registry: ToolRegis
     if phase == "repair":
         z = _with_flag(z, REPAIR_APPLIED_FLAG)
     counters = extract_counters(state, cfg.thin_output_threshold)
-    timing["verify"] = time.perf_counter() - started
+    verify_s = time.perf_counter() - started
     writer.write({"type": "verification", "phase": phase,
                   "object": z.to_dict(), "counters": counters.to_dict()})
+    if timing is not None:
+        timing.update(execute=execute_s, verify=verify_s)
     return state, z
 
 
@@ -384,7 +386,7 @@ def _run(task: Task, metadata: Metadata, cfg: RunConfig, model, registry: ToolRe
                           "parsed": patched.to_dict()})
             final_state, final_z = _execute(task, metadata, cfg, registry, patched,
                                             bundle_rules(metadata, repair_rules), mode,
-                                            "repair", writer, {})
+                                            "repair", writer)
         timing["repair"] = time.perf_counter() - started
 
     # REASON (semantic call #2 or #3)
@@ -508,10 +510,9 @@ def replay_trace(source) -> ReplayReport:
         profile, rules = _recorded_profile(profile_record, metadata)
         mode, _ = _route(metadata, profile, cfg, recomputed)
         _, z = _execute(task, metadata, cfg, registry, profile, rules, mode, "initial",
-                        recomputed, {})
+                        recomputed)
         repair = next((r for r in records if r.get("type") == "repair"), None)
         if z.repair_recommended and repair is not None and repair.get("accepted") is True:
             patched, rules = _recorded_profile(repair, metadata)
-            _execute(task, metadata, cfg, registry, patched, rules, mode, "repair",
-                     recomputed, {})
+            _execute(task, metadata, cfg, registry, patched, rules, mode, "repair", recomputed)
     return _compare([r for r in records if r.get("type") in _RECOMPUTED], recomputed.records)

@@ -30,9 +30,11 @@ _DIGITS = frozenset("0123456789")
 
 MAX_EXACT_INT = float(2**53)
 
-# Bound on the nesting depth of a rule: every open parenthesis, every `not`
-# and every link of an and/or/+/-/* chain counts. It keeps parsing, printing
-# and evaluation well inside Python's recursion limit.
+# Bound on the nesting operators in one rule: every open parenthesis, every
+# `not` and every and/or/+/-/* counts once, wherever it stands. The count
+# never drops, so it bounds the AST's height however the operators combine,
+# and keeps parsing, printing and evaluation well inside Python's recursion
+# limit.
 MAX_DEPTH = 64
 
 
@@ -285,10 +287,10 @@ class _Parser:
         )
 
     def nest(self) -> None:
-        """Enter one nesting level at the current token."""
+        """Count one nesting operator at the current token."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise DslParseError(f"rule nests deeper than {MAX_DEPTH} levels",
+            raise DslParseError(f"rule holds more than {MAX_DEPTH} nesting operators",
                                 _byte_offset(self.source, self.current.pos))
 
     def expect_symbol(self, sym: str) -> _Token:
@@ -344,31 +346,25 @@ class _Parser:
     # predicate := or_expr
     def parse_predicate(self) -> PredicateAst:
         node = self.parse_and()
-        start = self.depth
         while self.at_keyword("or"):
             self.nest()
             self.advance()
             node = Or(left=node, right=self.parse_and())
-        self.depth = start
         return node
 
     def parse_and(self) -> PredicateAst:
         node = self.parse_not()
-        start = self.depth
         while self.at_keyword("and"):
             self.nest()
             self.advance()
             node = And(left=node, right=self.parse_not())
-        self.depth = start
         return node
 
     def parse_not(self) -> PredicateAst:
         if self.at_keyword("not"):
             self.nest()
             self.advance()
-            node = Not(operand=self.parse_not())
-            self.depth -= 1
-            return node
+            return Not(operand=self.parse_not())
         return self.parse_atom()
 
     def parse_atom(self) -> PredicateAst:
@@ -377,7 +373,6 @@ class _Parser:
             self.advance()
             node = self.parse_predicate()
             self.expect_symbol(")")
-            self.depth -= 1
             return node
         if self.at_keyword("exists"):
             self.advance()
@@ -429,22 +424,18 @@ class _Parser:
     # expr := term (("+"|"-") term)* ; term := factor ("*" factor)*
     def parse_expr(self) -> object:
         node = self.parse_term()
-        start = self.depth
         while self.at_symbol("+", "-"):
             self.nest()
             op = self.advance().text
             node = BinOp(op=op, left=node, right=self.parse_term())
-        self.depth = start
         return node
 
     def parse_term(self) -> object:
         node = self.parse_factor()
-        start = self.depth
         while self.at_symbol("*"):
             self.nest()
             self.advance()
             node = BinOp(op="*", left=node, right=self.parse_factor())
-        self.depth = start
         return node
 
     def parse_factor(self) -> object:
@@ -454,7 +445,6 @@ class _Parser:
             self.advance()
             node = self.parse_expr()
             self.expect_symbol(")")
-            self.depth -= 1
             return node
         if token.kind in ("number", "string") or self.at_keyword("true", "false"):
             return Lit(value=self.parse_literal())

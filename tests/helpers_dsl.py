@@ -81,3 +81,13 @@ def gen_auto(rng: random.Random) -> r.AutoExpr:
         return r.AutoExpr(path=gen_path(rng), default=r.Lit(value=gen_literal(rng)),
                           has_default=True)
     return r.AutoExpr(path=gen_path(rng))
+
+
+def left_nested(atom: str, op: str, levels: int = 64) -> str:
+    """`(… (a op a) op a op a …) op a …`: each level wraps the last in parentheses
+    and adds one more link. Nesting never passes `levels`, but the left spine
+    of the AST grows with the sum of the chain lengths (2080 at 64 levels)."""
+    source = f"{atom} {op} {atom}"
+    for links in range(2, levels + 1):
+        source = f"({source})" + f" {op} {atom}" * links
+    return source

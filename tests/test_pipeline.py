@@ -21,6 +21,7 @@ from ptrun.router import RouteMode
 from ptrun.semantic import PriceEntry, ScriptedModel, build_profile_prompt
 from ptrun.trace import VOLATILE_KEYS, TraceSchemaError, read_trace, strip_volatile
 
+import helpers_dsl
 from helpers_scenarios import build_model, make_scenario
 
 KB = [
@@ -557,8 +558,9 @@ class TestUntrustedRuleText:
         "exists(trace.\u0663)",
         "(" * 1000 + "exists(env.audience)" + ")" * 1000,
         " and ".join(["exists(env.audience)"] * 1500),
+        helpers_dsl.left_nested("exists(env.audience)", "and"),
     ], ids=["superscript-two", "arabic-indic-number", "arabic-indic-index", "nested-parens",
-            "and-chain"])
+            "and-chain", "left-nested-and"])
     def test_bad_branch_predicate_ends_in_a_recorded_outcome(self, predicate, tmp_path):
         path = str(tmp_path / "run.jsonl")
         profile = dict(CLEAN_PROFILE, branch_rules=[
@@ -571,10 +573,14 @@ class TestUntrustedRuleText:
         assert "unevaluable_branch_rule" in abort["detail"]
         assert replay_trace(path).matched
 
-    def test_long_calc_chain_is_a_recorded_step_failure(self, tmp_path):
+    @pytest.mark.parametrize("expression", [
+        " + ".join(["1"] * 1500),
+        helpers_dsl.left_nested("1", "+"),
+    ], ids=["sum-chain", "left-nested-sum"])
+    def test_long_calc_chain_is_a_recorded_step_failure(self, expression, tmp_path):
         path = str(tmp_path / "run.jsonl")
         profile = {"workflow": {"steps": [
-            {"tool_id": "calc", "params": {"expression": " + ".join(["1"] * 1500)}}]}}
+            {"tool_id": "calc", "params": {"expression": expression}}]}}
         report = run_ptr(task(), bench_metadata(), RunConfig(), scripted(
             profile_entry(profile), {"role": "repair", "text": json.dumps(GOOD_PATCH)}, REASON),
             environment(), trace_path=path)

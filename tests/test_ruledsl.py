@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,15 @@ from ptrun.executor import ExecutionState
 import helpers_dsl
 
 CORPUS_PATH = Path(__file__).parent / "data" / "dsl_corpus.json"
+
+
+LEFT_NESTED_SUM = helpers_dsl.left_nested("1", "+")
+LEFT_NESTED_AND = helpers_dsl.left_nested("exists(env.a)", "and")
+
+
+def nth_operator(source: str, pattern: str, n: int = r.MAX_DEPTH) -> int:
+    """Offset of the operator past the bound: the (n+1)th match of `pattern`."""
+    return [m.start() for m in re.finditer(pattern, source)][n]
 
 
 def state_with(result_store=None, env=None):
@@ -297,9 +307,12 @@ class TestUntrustedText:
          len("set x = ") + r.MAX_DEPTH),
         ("(env.a == 1 and " * 40 + "env.a == 1" + ")" * 40, r.parse_predicate,
          len("(env.a == 1 and ") * 32),
+        (LEFT_NESTED_SUM, r.parse_arith, nth_operator(LEFT_NESTED_SUM, r"[(+]")),
+        (LEFT_NESTED_AND, r.parse_predicate,
+         nth_operator(LEFT_NESTED_AND, r"(?<!exists)\(|\band\b")),
     ], ids=["parens", "not", "and-chain", "or-chain", "plus-chain", "times-chain",
-            "modifier-parens", "mixed"])
+            "modifier-parens", "mixed", "left-nested-sum", "left-nested-and"])
     def test_nesting_past_the_bound_is_a_parse_error_at_its_token(self, source, parse, offset):
-        with pytest.raises(r.DslParseError, match="nests deeper") as exc_info:
+        with pytest.raises(r.DslParseError, match="nesting operators") as exc_info:
             parse(source)
         assert exc_info.value.offset == offset
