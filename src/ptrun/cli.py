@@ -1,7 +1,8 @@
 """Command-line interface: run, replay, bench, verify-trace.
 
 Exit codes: 0 success / full match, 2 usage, divergence, a malformed
-trace or an unusable input file, 3 run_invalid, 4 budget_exceeded.
+trace or an unusable input file, 3 run_invalid, 4 budget_exceeded,
+5 model_error.
 Provider credentials are read from the environment variable named in the
 provider config (default PTRUN_API_KEY) and never appear in traces or
 results.
@@ -28,8 +29,10 @@ EXIT_USAGE = 2
 EXIT_DIVERGENCE = 2
 EXIT_RUN_INVALID = 3
 EXIT_BUDGET = 4
+EXIT_MODEL_ERROR = 5
 
-_OUTCOME_EXIT = {"ok": EXIT_OK, "run_invalid": EXIT_RUN_INVALID, "budget_exceeded": EXIT_BUDGET}
+_OUTCOME_EXIT = {"ok": EXIT_OK, "run_invalid": EXIT_RUN_INVALID, "budget_exceeded": EXIT_BUDGET,
+                 "model_error": EXIT_MODEL_ERROR}
 
 
 def bundled_data(name: str) -> Path:

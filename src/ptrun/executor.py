@@ -28,6 +28,21 @@ HARD_ERROR_CLASSES = ("unresolved_auto", "missing_placeholder", "unknown_tool",
 _LOG_ROOTS = {"trace": "trace", "failure": "failure_log", "branch": "branch_log"}
 
 
+def _list_index(segment: str, length: int) -> int | None:
+    """The index a path segment gives into a list of ``length`` entries, or
+    None when it gives none. An index is ASCII digits only, as the rule
+    grammar defines a digit. One with more significant digits than
+    ``length`` has is out of range and is never converted, so its length
+    does not matter."""
+    if not (segment.isascii() and segment.isdigit()):
+        return None
+    digits = segment.lstrip("0") or "0"
+    if len(digits) > len(str(length)):
+        return None
+    index = int(digits)
+    return index if index < length else None
+
+
 class _StepAbort(Exception):
     """Internal: step could not reach the invoke sub-stage."""
 
@@ -138,9 +153,10 @@ class ExecutionState:
             log = getattr(self, _LOG_ROOTS[root])
             if not rest:
                 return (True, [entry.to_dict() for entry in log])
-            if not rest[0].isdigit() or int(rest[0]) >= len(log):
+            index = _list_index(rest[0], len(log))
+            if index is None:
                 return (False, None)
-            node, rest = log[int(rest[0])].to_dict(), rest[1:]
+            node, rest = log[index].to_dict(), rest[1:]
         else:
             return (False, None)
         for segment in rest:
@@ -148,11 +164,11 @@ class ExecutionState:
                 if segment not in node:
                     return (False, None)
                 node = node[segment]
-            elif isinstance(node, (list, tuple)) and segment.isdigit():
-                i = int(segment)
-                if i >= len(node):
+            elif isinstance(node, (list, tuple)):
+                index = _list_index(segment, len(node))
+                if index is None:
                     return (False, None)
-                node = node[i]
+                node = node[index]
             else:
                 return (False, None)
         return (True, node)

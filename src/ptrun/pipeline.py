@@ -9,6 +9,8 @@ self-contained JSONL trace that `replay_trace` can recompute and check.
 
 from __future__ import annotations
 
+import copy
+import json
 import time
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
@@ -32,6 +34,11 @@ REPAIR_APPLIED_FLAG = "repair_applied"
 
 class RunInvalidError(Exception):
     """Profile unusable after the single corrective retry."""
+
+
+class ModelCallError(Exception):
+    """The model raised instead of answering (a provider, credential or
+    script error); the run ends in ``model_error``."""
 
 
 @dataclass(frozen=True)
@@ -108,44 +115,62 @@ class ToolEnvironment:
     per-tool fault scripts. Embedded in the trace header so replay can
     reconstruct an identical registry.
 
-    The articles are read once, when the environment is built: its one
-    read-only KnowledgeBase serves every run, and only the fault injectors
-    are built per run. Malformed articles or fault scripts raise ValueError
-    here."""
+    The inputs are fixed when the environment is built: it keeps its own
+    copy of each article dict (not of the lists inside one) and of the fault
+    scripts, so a caller who later sets a key of an article or edits a
+    fault script changes neither the runs nor their headers. The articles
+    are read once into one read-only KnowledgeBase that serves every run;
+    only the fault injectors are built per run. The header's JSON text is
+    encoded on the first traced run and then held. Malformed articles or
+    fault scripts raise ValueError here."""
 
     articles: tuple = ()
     fault_scripts: dict = field(default_factory=dict)
     kb: KnowledgeBase = field(init=False, repr=False, compare=False)
+    _encoded: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "kb", KnowledgeBase(self.articles))
         if not isinstance(self.fault_scripts, dict):
             raise ValueError("fault scripts must map tool ids to scripts")
         for script in self.fault_scripts.values():
-            if script:
+            if script not in ([], ()):  # an empty script injects nothing
                 parse_fault_script(script)
+        # copying each article's links list too would triple this copy's cost,
+        # which replay pays once per trace
+        object.__setattr__(self, "articles", tuple(map(dict, self.articles)))
+        object.__setattr__(self, "fault_scripts", copy.deepcopy(self.fault_scripts))
 
     @classmethod
     def from_kb_path(cls, path, fault_scripts: dict | None = None) -> "ToolEnvironment":
         kb = KnowledgeBase.load(path)
-        return cls(articles=tuple(kb.to_list()), fault_scripts=dict(fault_scripts or {}))
+        return cls(articles=tuple(kb.to_list()), fault_scripts=fault_scripts or {})
 
     def build_registry(self) -> ToolRegistry:
         return builtin_registry(self.kb, self.fault_scripts)
 
     def describe(self) -> dict:
-        return {"kb": [dict(a) for a in self.articles],
+        """The header's environment member. It shares the environment's
+        article dicts rather than copying them; they are not to be changed."""
+        return {"kb": list(self.articles),
                 "fault_scripts": {k: list(v) for k, v in self.fault_scripts.items()}}
+
+    def encoded(self) -> str:
+        """``describe()`` as the JSON text a trace header holds: encoded on
+        the first call and then held, since the inputs never change."""
+        if self._encoded is None:
+            object.__setattr__(self, "_encoded", json.dumps(self.describe(), allow_nan=False))
+        return self._encoded
 
     @classmethod
     def from_description(cls, data: dict) -> "ToolEnvironment":
         return cls(articles=tuple(data.get("kb", ())),
-                   fault_scripts=dict(data.get("fault_scripts", {})))
+                   fault_scripts=data.get("fault_scripts", {}))
 
 
 @dataclass
 class RunReport:
-    outcome: str  # ok | run_invalid | budget_exceeded
+    outcome: str  # ok | run_invalid | budget_exceeded | model_error
     answer: str | None
     trace_path: str | None
     verification: dict | None
@@ -173,9 +198,13 @@ class RunReport:
 
 def _model_call(model, role: str, prompt: str, cfg: RunConfig, ledger: BudgetLedger,
                 writer: TraceWriter):
-    """One raw model call: persisted to the trace, then budget-checked."""
+    """One raw model call: persisted to the trace, then budget-checked. Any
+    exception the model raises becomes a ModelCallError."""
     request = ModelRequest(role=role, prompt=prompt, temperature=0.0, seed=cfg.seed)
-    response = model.complete(request)
+    try:
+        response = model.complete(request)
+    except Exception as exc:
+        raise ModelCallError(f"{role} call raised {type(exc).__name__}: {exc}") from exc
     writer.write({
         "type": "model_call",
         "role": role,
@@ -287,8 +316,8 @@ def run_ptr(task: Task, metadata: Metadata, cfg: RunConfig, model,
 
     Raises ValueError on violated preconditions (invalid metadata, registry
     not covering the catalog); every run-level failure mode (unusable profile,
-    budget exhaustion) is reported in the returned RunReport and recorded in
-    the trace.
+    budget exhaustion, a model that raises) is reported in the returned
+    RunReport and recorded in the trace.
     """
     issues = validate_metadata(metadata)
     if issues:
@@ -306,7 +335,7 @@ def run_ptr(task: Task, metadata: Metadata, cfg: RunConfig, model,
 
 
 def _abort_report(writer: TraceWriter, outcome: str, detail: str, ledger: BudgetLedger,
-                  timing: dict, repaired: bool = False, route: dict | None = None) -> RunReport:
+                  timing: dict, repaired: bool, route: dict | None) -> RunReport:
     writer.write({"type": "abort", "reason": outcome, "detail": detail})
     report = RunReport(
         outcome=outcome, answer=None, trace_path=writer.path, verification=None,
@@ -319,7 +348,7 @@ def _abort_report(writer: TraceWriter, outcome: str, detail: str, ledger: Budget
 
 def _run(task: Task, metadata: Metadata, cfg: RunConfig, model, registry: ToolRegistry,
          environment: ToolEnvironment, writer: TraceWriter) -> RunReport:
-    writer.write({
+    header = {
         "type": "header",
         "schema_version": SCHEMA_VERSION,
         "task": task.to_dict(),
@@ -327,95 +356,91 @@ def _run(task: Task, metadata: Metadata, cfg: RunConfig, model, registry: ToolRe
         "config": cfg.to_dict(),
         "config_hash": cfg.config_hash(),
         "environment": environment.describe(),
-    })
+    }
+    # the environment, which may embed a large KB, is encoded once per environment
+    writer.write(header, environment.encoded() if writer.path else None)
     ledger = BudgetLedger(limit_micros=cfg.budget_micros)
     timing: dict[str, float] = {}
+    repaired, route_dict = False, None
 
-    # PROFILE (semantic call #1; one corrective retry inside the same stage)
-    started = time.perf_counter()
-    ledger.count_stage("profile")
+    # Each semantic stage may abort the run; `stage` and `started` name the
+    # stage in progress, whose time the abort report records.
+    stage, started = "profile", time.perf_counter()
     try:
+        # PROFILE (semantic call #1; one corrective retry inside the same stage)
+        ledger.count_stage("profile")
         profile, branch_rules, raw_profile, attempts = _obtain_profile(
             task, metadata, cfg, model, ledger, writer)
-    except BudgetExceededError as exc:
         timing["profile"] = time.perf_counter() - started
-        return _abort_report(writer, "budget_exceeded", str(exc), ledger, timing)
-    except RunInvalidError as exc:
-        timing["profile"] = time.perf_counter() - started
-        return _abort_report(writer, "run_invalid", str(exc), ledger, timing)
-    timing["profile"] = time.perf_counter() - started
-    writer.write({"type": "profile", "raw": raw_profile,
-                  "parsed": profile.to_dict(), "attempts": attempts})
+        writer.write({"type": "profile", "raw": raw_profile,
+                      "parsed": profile.to_dict(), "attempts": attempts})
 
-    # ROUTE, EXECUTE + VERIFY (deterministic)
-    started = time.perf_counter()
-    mode, route_dict = _route(metadata, profile, cfg, writer)
-    timing["route"] = time.perf_counter() - started
-    state, z = _execute(task, metadata, cfg, registry, profile,
-                        bundle_rules(metadata, branch_rules), mode, "initial", writer, timing)
+        # ROUTE, EXECUTE + VERIFY (deterministic)
+        route_started = time.perf_counter()
+        mode, route_dict = _route(metadata, profile, cfg, writer)
+        timing["route"] = time.perf_counter() - route_started
+        state, z = _execute(task, metadata, cfg, registry, profile,
+                            bundle_rules(metadata, branch_rules), mode, "initial", writer, timing)
 
-    # REPAIR (optional; at most one semantic call, never more). `repaired`
-    # records that the stage was invoked, so it tracks the 2-vs-3-call split
-    # even when the patch is rejected; the repair_rejected flag and the trace
-    # record say what became of the patch.
-    repaired = False
-    final_state, final_z = state, z
-    if z.repair_recommended:
-        started = time.perf_counter()
-        ledger.count_stage("repair")
-        repaired = True
-        prompt = build_repair_prompt(task, metadata, profile, state, z)
-        try:
+        # REPAIR (optional; at most one semantic call, never more). `repaired`
+        # records that the stage was invoked, so it tracks the 2-vs-3-call split
+        # even when the patch is rejected; the repair_rejected flag and the trace
+        # record say what became of the patch.
+        final_state, final_z = state, z
+        if z.repair_recommended:
+            stage, started = "repair", time.perf_counter()
+            ledger.count_stage("repair")
+            repaired = True
+            prompt = build_repair_prompt(task, metadata, profile, state, z)
             response = _model_call(model, "repair", prompt, cfg, ledger, writer)
-        except BudgetExceededError as exc:
+            rejection = None
+            try:
+                patched, repair_rules = _admit(response.text, metadata)
+            except InadmissibleProfileError as exc:
+                rejection = exc.diagnostic
+            except ProfileParseError as exc:
+                rejection = f"parse_error: {exc.diagnostic}"
+            if rejection is not None:
+                writer.write({"type": "repair", "accepted": False, "reason": rejection})
+                final_z = _with_flag(z, REPAIR_REJECTED_FLAG)
+            else:
+                writer.write({"type": "repair", "accepted": True, "raw": response.text,
+                              "parsed": patched.to_dict()})
+                final_state, final_z = _execute(task, metadata, cfg, registry, patched,
+                                                bundle_rules(metadata, repair_rules), mode,
+                                                "repair", writer)
             timing["repair"] = time.perf_counter() - started
-            return _abort_report(writer, "budget_exceeded", str(exc), ledger, timing,
-                                 repaired=True, route=route_dict)
-        rejection = None
-        try:
-            patched, repair_rules = _admit(response.text, metadata)
-        except InadmissibleProfileError as exc:
-            rejection = exc.diagnostic
-        except ProfileParseError as exc:
-            rejection = f"parse_error: {exc.diagnostic}"
-        if rejection is not None:
-            writer.write({"type": "repair", "accepted": False, "reason": rejection})
-            final_z = _with_flag(z, REPAIR_REJECTED_FLAG)
-        else:
-            writer.write({"type": "repair", "accepted": True, "raw": response.text,
-                          "parsed": patched.to_dict()})
-            final_state, final_z = _execute(task, metadata, cfg, registry, patched,
-                                            bundle_rules(metadata, repair_rules), mode,
-                                            "repair", writer)
-        timing["repair"] = time.perf_counter() - started
 
-    # REASON (semantic call #2 or #3)
-    started = time.perf_counter()
-    ledger.count_stage("reason")
-    prompt = build_reason_prompt(task, metadata, final_state, final_z)
-    try:
+        # REASON (semantic call #2 or #3)
+        stage, started = "reason", time.perf_counter()
+        ledger.count_stage("reason")
+        prompt = build_reason_prompt(task, metadata, final_state, final_z)
         response = _model_call(model, "reason", prompt, cfg, ledger, writer)
-    except BudgetExceededError as exc:
         timing["reason"] = time.perf_counter() - started
-        return _abort_report(writer, "budget_exceeded", str(exc), ledger, timing,
-                             repaired=repaired, route=route_dict)
-    timing["reason"] = time.perf_counter() - started
-    writer.write({"type": "reason", "answer": response.text})
-
-    report = RunReport(
-        outcome="ok",
-        answer=response.text,
-        trace_path=writer.path,
-        verification=final_z.to_dict(),
-        ledger=ledger.summary(),
-        route=route_dict,
-        repaired=repaired,
-        timing=timing,
-        model_calls=sum(ledger.stage_counts.values()),
-        raw_model_calls=len(ledger.entries),
-    )
-    writer.write({"type": "report", "report": report.to_dict()})
-    return report
+    except BudgetExceededError as exc:
+        outcome, detail = "budget_exceeded", str(exc)
+    except RunInvalidError as exc:
+        outcome, detail = "run_invalid", str(exc)
+    except ModelCallError as exc:
+        outcome, detail = "model_error", str(exc)
+    else:
+        writer.write({"type": "reason", "answer": response.text})
+        report = RunReport(
+            outcome="ok",
+            answer=response.text,
+            trace_path=writer.path,
+            verification=final_z.to_dict(),
+            ledger=ledger.summary(),
+            route=route_dict,
+            repaired=repaired,
+            timing=timing,
+            model_calls=sum(ledger.stage_counts.values()),
+            raw_model_calls=len(ledger.entries),
+        )
+        writer.write({"type": "report", "report": report.to_dict()})
+        return report
+    timing[stage] = time.perf_counter() - started
+    return _abort_report(writer, outcome, detail, ledger, timing, repaired, route_dict)
 
 
 # --- trace replay -----------------------------------------------------------------

@@ -38,10 +38,23 @@ class TraceWriter:
         self.records: list[dict] = []
         self._fh = open(self.path, "w", encoding="utf-8") if self.path else None
 
-    def write(self, record: dict) -> None:
+    def write(self, record: dict, last_json: str | None = None) -> None:
+        """Keep the record and, with a path, append it as one JSON line.
+
+        ``last_json``, when given, is the JSON text of the record's last
+        member. It is spliced into the line instead of being encoded again;
+        the line is the same as ``json.dumps(record, allow_nan=False)``.
+        """
         self.records.append(record)
         if self._fh:
-            self._fh.write(json.dumps(record, allow_nan=False) + "\n")
+            if last_json is None:
+                line = json.dumps(record, allow_nan=False) + "\n"
+            else:
+                *keys, last = record
+                head = json.dumps({key: record[key] for key in keys}, allow_nan=False)
+                opening = head[:-1] + ", " if keys else "{"
+                line = f"{opening}{json.dumps(last)}: {last_json}}}\n"
+            self._fh.write(line)
             self._fh.flush()
 
     def close(self) -> None:

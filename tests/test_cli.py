@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from ptrun.cli import (EXIT_BUDGET, EXIT_DIVERGENCE, EXIT_OK, EXIT_RUN_INVALID, EXIT_USAGE,
-                       bundled_data, main)
+from ptrun.cli import (EXIT_BUDGET, EXIT_DIVERGENCE, EXIT_MODEL_ERROR, EXIT_OK,
+                       EXIT_RUN_INVALID, EXIT_USAGE, bundled_data, main)
 
 
 @pytest.fixture
@@ -62,6 +62,38 @@ class TestRunCommand:
                        "--model", f"scripted:{demo_args['script']}",
                        "--trace-out", demo_args["trace"])
         assert code == EXIT_BUDGET
+
+    def test_exhausted_script_exits_5(self, demo_args, tmp_path, capsys):
+        script = json.loads(bundled_data("demo_script.json").read_text())[:1]
+        script_path = tmp_path / "short.json"
+        script_path.write_text(json.dumps(script))
+        code = run_cli("run", "--task-file", demo_args["task"],
+                       "--metadata", demo_args["metadata"],
+                       "--config", demo_args["config"],
+                       "--model", f"scripted:{script_path}",
+                       "--trace-out", demo_args["trace"])
+        assert code == EXIT_MODEL_ERROR == 5
+        assert json.loads(capsys.readouterr().out)["outcome"] == "model_error"
+        assert run_cli("verify-trace", "--trace", demo_args["trace"]) == EXIT_OK
+
+    def test_provider_without_credentials_exits_5(self, demo_args, tmp_path, monkeypatch,
+                                                  capsys):
+        monkeypatch.delenv("PTRUN_TEST_UNSET_KEY", raising=False)
+        config = json.loads(bundled_data("config.json").read_text())
+        # the missing key is reported before any request is built
+        config["providers"] = {"local": {"endpoint": "http://127.0.0.1:9/", "model": "m",
+                                         "api_key_env": "PTRUN_TEST_UNSET_KEY"}}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        code = run_cli("run", "--task-file", demo_args["task"],
+                       "--metadata", demo_args["metadata"],
+                       "--config", str(config_path),
+                       "--model", "provider:local",
+                       "--trace-out", demo_args["trace"])
+        assert code == EXIT_MODEL_ERROR
+        report = json.loads(capsys.readouterr().out)
+        assert report["outcome"] == "model_error" and report["model_calls"] == 1
+        assert run_cli("verify-trace", "--trace", demo_args["trace"]) == EXIT_OK
 
     def test_bad_model_spec(self, demo_args):
         with pytest.raises(SystemExit):
@@ -258,6 +290,7 @@ class TestInputFiles:
         ("--model", "script", json.dumps([{"role": "profile", "text": 5}])),
         ("--fault-scripts", "fault-script", json.dumps({"kb_search": [{"message": "x"}]})),
         ("--fault-scripts", "fault-script", json.dumps(["timeout"])),
+        ("--fault-scripts", "fault-script", json.dumps({"kb_search": None})),
     ])
     def test_malformed_run_input_exits_2(self, flag, label, content, demo_args, tmp_path,
                                          capsys):

@@ -289,7 +289,8 @@ def reference_lookup(state, parts):
     for segment in parts[1:]:
         if isinstance(node, dict) and segment in node:
             node = node[segment]
-        elif isinstance(node, list) and segment.isdigit() and int(segment) < len(node):
+        elif (isinstance(node, list) and segment.isascii() and segment.isdigit()
+              and int(segment) < len(node)):
             node = node[int(segment)]
         else:
             return (False, None)
@@ -324,7 +325,8 @@ class TestStatePaths:
             # Mostly follow the real structure, so deep fields are reached;
             # otherwise step out of range or off the structure.
             choices = [st.integers(0, 12).map(str),
-                       st.sampled_from(("outcome", "ok", "x", "01", "-1", ""))]
+                       st.sampled_from(("outcome", "ok", "x", "01", "-1", "", "\u00b2",
+                                        "\u0661", "\u0660"))]
             if isinstance(node, dict) and node:
                 choices += [st.sampled_from(sorted(node))] * 3
             if isinstance(node, list) and node:
@@ -333,7 +335,8 @@ class TestStatePaths:
             parts.append(segment)
             if isinstance(node, dict):
                 node = node.get(segment)
-            elif isinstance(node, list) and segment.isdigit() and int(segment) < len(node):
+            elif (isinstance(node, list) and segment.isascii() and segment.isdigit()
+                  and int(segment) < len(node)):
                 node = node[int(segment)]
             else:
                 node = None
@@ -369,3 +372,26 @@ class TestStatePaths:
             assert found[path] == (False, None)
         assert ruledsl.eval_predicate(ruledsl.parse_predicate("exists(trace)"), state)
         assert not ruledsl.eval_predicate(ruledsl.parse_predicate("exists(trace.4)"), state)
+
+    @pytest.mark.parametrize("index", ["\u00b2", "\u0661", "\u0660", "9" * 5000, "4", "-0",
+                                       "+1", " 1", "1 ", "1_0", "\uff11", ""],
+                             ids=["superscript-two", "arabic-indic-one", "arabic-indic-zero",
+                                  "5000-nines", "past-the-end", "signed-zero", "plus-one",
+                                  "leading-space", "trailing-space", "underscore",
+                                  "fullwidth-one", "empty"])
+    @pytest.mark.parametrize("root", ["trace", "result.kb_search_1.titles",
+                                      "trace.0.attempts"])
+    def test_index_that_is_not_ascii_digits_in_range_is_missing(self, root, index):
+        state = run(workflow_of(("kb_search", {"query": "turing paris", "limit": 3})))
+        assert len(state.result_store["kb_search_1"]["titles"]) == 2
+        parts = tuple(root.split(".")) + (index,)
+        assert state.resolve_path(parts) == (False, None)
+
+    @pytest.mark.parametrize("index, entry", [("0", 0), ("00", 0), ("0" * 5000, 0), ("01", 1)],
+                             ids=["zero", "two-zeros", "5000-zeros", "zero-one"])
+    def test_leading_zeros_name_the_same_entry(self, index, entry):
+        state = run(workflow_of(("kb_search", {"query": "turing paris", "limit": 3})))
+        titles = state.result_store["kb_search_1"]["titles"]
+        assert state.resolve_path(("result", "kb_search_1", "titles", index)) == \
+            (True, titles[entry])
+        assert state.resolve_path(("trace", index, "key"))[0] is (entry == 0)

@@ -18,8 +18,10 @@ from ptrun.core import Metadata, Task
 from ptrun.pipeline import (REPAIR_APPLIED_FLAG, REPAIR_REJECTED_FLAG, RunConfig,
                             ToolEnvironment, replay_trace, run_ptr)
 from ptrun.router import RouteMode
-from ptrun.semantic import PriceEntry, ScriptedModel, build_profile_prompt
-from ptrun.trace import VOLATILE_KEYS, TraceSchemaError, read_trace, strip_volatile
+from ptrun.semantic import (ModelResponse, PriceEntry, ScriptedModel, ScriptExhaustedError, Usage,
+                            build_profile_prompt)
+from ptrun.trace import (SCHEMA_VERSION, VOLATILE_KEYS, TraceSchemaError, read_trace,
+                         strip_volatile)
 
 import helpers_dsl
 from helpers_scenarios import build_model, make_scenario
@@ -415,6 +417,8 @@ class TestReplay:
         ("environment", {"kb": [{"body": "no title"}]}),
         ("environment", {"kb": [], "fault_scripts": {"kb_search": [7]}}),
         ("environment", {"kb": 5}),
+        ("environment", {"kb": [], "fault_scripts": {"kb_search": None}}),
+        ("environment", {"kb": [], "fault_scripts": ["kb_search"]}),
     ])
     def test_malformed_header_input_is_schema_error(self, key, value, tmp_path):
         _, _, path = self.run_and_replay(profile_entry(CLEAN_PROFILE), REASON,
@@ -672,3 +676,273 @@ class TestBounds:
                         recovery_retries=1)
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
         assert cfg.config_hash() == RunConfig.from_dict(cfg.to_dict()).config_hash()
+
+
+class RoleModel:
+    """Answers each role with its fixed text, however often it is asked."""
+
+    def __init__(self, texts: dict):
+        self.texts = texts
+
+    def complete(self, request):
+        text = self.texts[request.role]
+        return ModelResponse(text=text, usage=Usage(len(request.prompt.split()),
+                                                    len(text.split())))
+
+
+class RaisingModel:
+    """A scripted model that raises `error` instead of making call `fail_at`
+    (0-based)."""
+
+    def __init__(self, entries, fail_at, error):
+        self.inner = scripted(*entries)
+        self.fail_at, self.error, self.calls = fail_at, error, 0
+
+    def complete(self, request):
+        call, self.calls = self.calls, self.calls + 1
+        if call == self.fail_at:
+            raise self.error
+        return self.inner.complete(request)
+
+
+def assert_model_error(report, path, role):
+    assert report.outcome == "model_error" and report.answer is None
+    records = read_trace(path)
+    assert [r["type"] for r in records[-2:]] == ["abort", "report"]
+    assert records[-2]["reason"] == "model_error"
+    assert records[-2]["detail"].startswith(f"{role} call raised ")
+    assert records[-1]["report"]["outcome"] == "model_error"
+    assert replay_trace(path).matched
+
+
+class TestModelErrors:
+    @pytest.mark.parametrize("entries, fail_at, role, stages", [
+        ((), 0, "profile", {"profile": 1}),
+        (({"role": "profile", "text": "garbage"},), 1, "profile", {"profile": 1}),
+        ((profile_entry(FAILING_PROFILE),), 1, "repair", {"profile": 1, "repair": 1}),
+        ((profile_entry(CLEAN_PROFILE),), 1, "reason", {"profile": 1, "reason": 1}),
+        ((profile_entry(FAILING_PROFILE), {"role": "repair", "text": json.dumps(GOOD_PATCH)}),
+         2, "reason", {"profile": 1, "repair": 1, "reason": 1}),
+    ], ids=["profile", "profile-retry", "repair", "reason", "reason-after-repair"])
+    def test_raising_model_ends_in_model_error(self, entries, fail_at, role, stages, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        model = RaisingModel(entries, fail_at, ConnectionError("connection reset"))
+        report = run_ptr(task(), bench_metadata(), RunConfig(), model, environment(),
+                         trace_path=path)
+        assert_model_error(report, path, role)
+        abort = read_trace(path)[-2]
+        assert abort["detail"] == f"{role} call raised ConnectionError: connection reset"
+        assert report.raw_model_calls == fail_at
+        assert report.ledger["stage_counts"] == stages
+        assert report.repaired is ("repair" in stages)
+        assert (report.route is None) is (role == "profile")
+        assert role in report.timing
+
+    def test_exhausted_script_is_a_model_error(self, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        report = run_ptr(task(), bench_metadata(), RunConfig(),
+                         scripted(profile_entry(CLEAN_PROFILE)), environment(), trace_path=path)
+        assert_model_error(report, path, "reason")
+        assert "ScriptExhaustedError" in read_trace(path)[-2]["detail"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_any_model_exception_at_any_call_is_recorded(self, seed, data):
+        scenario = make_scenario(random.Random(seed))
+        script = scenario["script"]
+        fail_at = data.draw(st.integers(0, len(script) - 1))
+        error = data.draw(st.sampled_from([
+            ConnectionError("reset"), TimeoutError(), RuntimeError("provider said no"),
+            KeyError("choices"), ValueError("bad usage"), ScriptExhaustedError("empty")]))
+        model = RaisingModel(script, fail_at, error)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.jsonl")
+            report = run_ptr(scenario["task"], scenario["metadata"], scenario["cfg"], model,
+                             scenario["environment"], trace_path=path)
+            assert_model_error(report, path, script[fail_at]["role"])
+
+
+class TestStatePathIndexes:
+    """A list index in a placeholder is ASCII digits; anything else is a
+    missing placeholder, recorded in the trace like any other."""
+
+    def run_placeholder(self, segment, path):
+        profile = {"workflow": {"steps": [
+            {"tool_id": "kb_search", "params": {"query": "turing machine", "limit": 2}},
+            {"tool_id": "kb_lookup",
+             "params": {"title": {"placeholder": f"result.kb_search_1.titles.{segment}"}}},
+        ]}}
+        model = RoleModel({"profile": json.dumps(profile), "repair": json.dumps(GOOD_PATCH),
+                           "reason": "Alan Turing"})
+        return run_ptr(task(), bench_metadata(), RunConfig(), model, environment(),
+                       trace_path=path)
+
+    def lookup_step(self, path):
+        return next(r["event"] for r in read_trace(path)
+                    if r["type"] == "step" and r["event"]["tool_id"] == "kb_lookup")
+
+    @pytest.mark.parametrize("segment", ["²", "١", "٠", "9" * 5000, "0" * 5000 + "1",
+                                         "1", "-0", " 0", "0x0", ""],
+                             ids=["superscript-two", "arabic-indic-one", "arabic-indic-zero",
+                                  "5000-nines", "5000-zeros-then-one", "past-the-end",
+                                  "negative", "space", "hex", "empty"])
+    def test_non_index_is_a_missing_placeholder(self, segment, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        report = self.run_placeholder(segment, path)
+        assert report.outcome == "ok"
+        step = self.lookup_step(path)
+        assert step["outcome"] == "failure"
+        assert step["error_class"] == "missing_placeholder"
+        assert replay_trace(path).matched
+
+    @pytest.mark.parametrize("segment", ["0", "00", "0" * 5000])
+    def test_ascii_index_reads_the_entry(self, segment, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        self.run_placeholder(segment, path)
+        step = self.lookup_step(path)
+        assert step["outcome"] == "success"
+        assert step["resolved_params"] == {"title": "Alan Turing"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(segment=st.text(max_size=40))
+    def test_any_segment_text_ends_in_a_recorded_outcome(self, segment):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.jsonl")
+            report = self.run_placeholder(segment, path)
+            assert report.outcome == "ok"
+            assert read_trace(path)[-1]["type"] == "report"
+            assert replay_trace(path).matched
+
+
+TOOLS = ("kb_search", "kb_lookup", "calc")
+ARTICLE_TEXT = st.text(max_size=30) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\u2028", "café \U0001f600", "alpha"])
+FAULT_ENTRY = st.sampled_from(["ok", "timeout", "not_found",
+                               {"fail": "rate_limited", "message": 'slöw "down" \\'}])
+
+
+@st.composite
+def articles(draw):
+    """Article dicts with unique titles; keys in any order, body and links
+    optional."""
+    titles = draw(st.lists(ARTICLE_TEXT, unique=True, max_size=5))
+    result = []
+    for title in titles:
+        fields = [("title", title)]
+        if draw(st.booleans()):
+            fields.append(("body", draw(ARTICLE_TEXT)))
+        if draw(st.booleans()):
+            fields.append(("links", draw(st.lists(ARTICLE_TEXT, max_size=3))))
+        result.append(dict(draw(st.permutations(fields))))
+    return result
+
+
+def expected_header_line(cfg, articles, fault_scripts) -> str:
+    """The header line as json.dumps writes the whole header record."""
+    return json.dumps({
+        "type": "header",
+        "schema_version": SCHEMA_VERSION,
+        "task": task().to_dict(),
+        "metadata": bench_metadata().to_dict(),
+        "config": cfg.to_dict(),
+        "config_hash": cfg.config_hash(),
+        "environment": {"kb": [dict(a) for a in articles],
+                        "fault_scripts": {k: list(v) for k, v in fault_scripts.items()}},
+    }, allow_nan=False)
+
+
+def header_line(path) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.readline().rstrip("\n")
+
+
+SEARCH_THEN_CALC = {"workflow": {"steps": [
+    {"tool_id": "kb_search", "params": {"query": "alpha café"}},
+    {"tool_id": "calc", "params": {"expression": "1 + 2"}},
+]}}
+
+
+def role_model():
+    return RoleModel({"profile": json.dumps(SEARCH_THEN_CALC),
+                      "repair": json.dumps(SEARCH_THEN_CALC), "reason": "done"})
+
+
+class TestEnvironmentHeader:
+    @settings(max_examples=80, deadline=None)
+    @given(kb=articles(),
+           fault_scripts=st.dictionaries(st.sampled_from(TOOLS),
+                                         st.lists(FAULT_ENTRY, min_size=1, max_size=3),
+                                         max_size=3))
+    def test_header_line_is_the_whole_record_encoded(self, kb, fault_scripts):
+        env = ToolEnvironment(articles=tuple(kb), fault_scripts=fault_scripts)
+        cfg = RunConfig()
+        expected = expected_header_line(cfg, kb, fault_scripts)
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in ("first", "later", "last"):
+                path = os.path.join(tmp, f"{name}.jsonl")
+                run_ptr(task(), bench_metadata(), cfg, role_model(), env, trace_path=path)
+                assert header_line(path) == expected
+                assert json.dumps(read_trace(path)[0], allow_nan=False) == expected
+                assert replay_trace(path).matched
+
+    def test_environment_is_encoded_once_and_only_for_a_trace_file(self, monkeypatch,
+                                                                    tmp_path):
+        calls = []
+        original = ToolEnvironment.describe
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(ToolEnvironment, "describe", counting)
+        env = environment()
+        assert calls == []  # building an environment encodes nothing
+        report = run_ptr(task(), bench_metadata(), RunConfig(), role_model(), env)
+        assert report.outcome == "ok"
+        assert len(calls) == 1  # for the header record; an in-memory trace encodes nothing
+        for name in ("first", "second"):
+            run_ptr(task(), bench_metadata(), RunConfig(), role_model(), env,
+                    trace_path=str(tmp_path / f"{name}.jsonl"))
+        assert env.encoded() is env.encoded()
+        # one more to encode the first trace file
+        assert len(calls) == 4
+
+    def test_caller_changes_after_build_reach_neither_run_nor_header(self, tmp_path):
+        kb = [dict(article, links=["Paris"]) for article in KB]
+        scripts = {"kb_search": ["timeout", "ok"]}
+        expected = expected_header_line(RunConfig(), kb, scripts)
+        profile = {"workflow": {"steps": [
+            {"tool_id": "kb_search", "params": {"query": "turing machine"}},
+            {"tool_id": "kb_lookup", "params": {"title": "Paris"}}]}}
+        model = functools.partial(RoleModel, {"profile": json.dumps(profile),
+                                              "repair": json.dumps(profile), "reason": "ok"})
+        env = ToolEnvironment(articles=tuple(kb), fault_scripts=scripts)
+
+        def mutate():
+            scripts["kb_search"][0] = "ok"
+            scripts["kb_search"].append("not_found")
+            scripts["kb_lookup"] = ["not_found"]
+            kb[1]["body"] = "changed"
+            kb[1]["links"] = ["Alan Turing"]
+            kb.append({"title": "Added"})
+
+        traces = []
+        for name in ("before", "after"):  # the first run encodes the header
+            path = str(tmp_path / f"{name}.jsonl")
+            run_ptr(task(), bench_metadata(), RunConfig(), model(), env, trace_path=path)
+            assert header_line(path) == expected
+            traces.append(strip_volatile(read_trace(path)))
+            mutate()
+        assert traces[0] == traces[1]
+        first_step = next(r for r in traces[0] if r["type"] == "step")
+        assert first_step["event"]["error_class"] == "timeout"
+
+        # a change made before the first run does not reach it either
+        kb = [dict(article, links=["Paris"]) for article in KB]
+        scripts = {"kb_search": ["timeout", "ok"]}
+        env = ToolEnvironment(articles=tuple(kb), fault_scripts=scripts)
+        mutate()
+        path = str(tmp_path / "mutated-first.jsonl")
+        run_ptr(task(), bench_metadata(), RunConfig(), model(), env, trace_path=path)
+        assert header_line(path) == expected
+        assert strip_volatile(read_trace(path)) == traces[0]
