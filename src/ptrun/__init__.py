@@ -6,8 +6,8 @@ the verified trace: two model calls in the nominal case, three in the worst
 case, regardless of workflow length.
 """
 
-from .core import (AdmissibilityReport, BranchRule, HistorySummary, Metadata, Profile,
-                   Task, ToolSpec, Workflow, WorkflowStep, check_admissibility,
+from .core import (AdmissibilityReport, BranchRule, HistorySummary, Metadata, MetadataReport,
+                   Profile, Task, ToolSpec, Workflow, WorkflowStep, check_admissibility,
                    validate_metadata)
 from .executor import ExecutionConfig, ExecutionState, run_workflow
 from .metrics import BenchmarkItem, compare, exact_match, normalize_answer, token_f1
@@ -24,8 +24,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibilityReport", "BenchmarkItem", "BranchRule", "BudgetLedger",
     "ExecutionConfig", "ExecutionState", "HistorySummary", "KnowledgeBase",
-    "Metadata", "ModelRequest", "ModelResponse", "PenaltyCoefficients", "Profile",
-    "ReplayReport", "RiskWeights", "RouteMode", "RouteThresholds", "RunConfig",
+    "Metadata", "MetadataReport", "ModelRequest", "ModelResponse", "PenaltyCoefficients",
+    "Profile", "ReplayReport", "RiskWeights", "RouteMode", "RouteThresholds", "RunConfig",
     "RunReport", "ScriptedModel", "Task", "ToolEnvironment", "ToolOutcome",
     "ToolRegistry", "ToolSpec", "VerificationObject", "Workflow", "WorkflowStep",
     "builtin_registry", "check_admissibility", "compare", "compute_risk",

@@ -39,8 +39,9 @@ def bundled_data(name: str) -> Path:
     return Path(str(resources.files("ptrun").joinpath("data", name)))
 
 
-class InputFileError(Exception):
-    """An input file that cannot be used; the CLI prints it and exits 2."""
+class UsageError(Exception):
+    """A bad argument or an input file that cannot be used; the CLI prints it
+    on one line and exits 2."""
 
 
 def _reject_constant(name: str):
@@ -55,11 +56,11 @@ def _load_json(path: str | Path):
 
 def _input(label: str, path: str | Path, build=lambda raw: raw):
     """Load one JSON input file and build from it; any failure to read,
-    parse or build becomes an InputFileError naming the file."""
+    parse or build becomes a UsageError naming the file."""
     try:
         return build(_load_json(path))
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise InputFileError(f"{label} file {path}: {exc}") from None
+        raise UsageError(f"{label} file {path}: {exc}") from None
 
 
 def _config(raw) -> tuple[RunConfig, dict]:
@@ -70,9 +71,7 @@ def _config(raw) -> tuple[RunConfig, dict]:
 
 def _metadata(raw) -> Metadata:
     metadata = Metadata.from_dict(raw)
-    issues = validate_metadata(metadata)
-    if issues:
-        raise ValueError(f"metadata is invalid: {[i.to_dict() for i in issues]}")
+    validate_metadata(metadata).require_valid()
     return metadata
 
 
@@ -82,16 +81,23 @@ def _build_model(spec: str, cfg: RunConfig, providers: dict, role_script_ok: boo
         return _input("script", detail,
                       lambda entries: ScriptedModel(entries, price=cfg.price_for("scripted")))
     if kind == "provider" and detail:
+        if not isinstance(providers, dict):
+            raise UsageError("config providers must be an object of provider entries")
         provider = providers.get(detail)
         if provider is None:
-            raise SystemExit(f"config has no provider entry named {detail!r}")
+            raise UsageError(f"config has no provider entry named {detail!r}")
+        if not (isinstance(provider, dict)
+                and all(isinstance(provider.get(key), str) for key in ("endpoint", "model"))
+                and isinstance(provider.get("api_key_env", ""), str)):
+            raise UsageError(f"provider entry {detail!r} needs string endpoint and model "
+                             "fields and an optional string api_key_env")
         return HttpProviderModel(
             endpoint=provider["endpoint"],
             model=provider["model"],
             price=cfg.price_for(provider["model"]),
             api_key_env=provider.get("api_key_env", "PTRUN_API_KEY"),
         )
-    raise SystemExit(f"--model must be scripted:<script-file> or provider:<id>, got {spec!r}")
+    raise UsageError(f"--model must be scripted:<script-file> or provider:<id>, got {spec!r}")
 
 
 def _environment(kb_path: str | None, fault_scripts_path: str | None) -> ToolEnvironment:
@@ -150,12 +156,15 @@ def cmd_bench(args) -> int:
     try:
         suite = load_suite(args.suite)
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise InputFileError(f"suite file {args.suite}: {exc}") from None
+        raise UsageError(f"suite file {args.suite}: {exc}") from None
     kind, _, detail = args.model.partition(":")
     scripted = kind == "scripted"
     if scripted:
         factory = scripted_model_factory(_input("scriptbook", detail))
     else:
+        # A bad spec or provider entry stops the command here, not item by item.
+        _build_model(args.model, cfg, providers)
+
         def factory(framework: str, item_id: str):
             return _build_model(args.model, cfg, providers)
     environment = _environment(args.kb, None)
@@ -209,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputFileError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -491,7 +491,24 @@ class AdmissibilityReport:
         return {"admissible": self.admissible, "violations": [v.to_dict() for v in self.violations]}
 
 
-def validate_metadata(metadata: Metadata) -> list[ValidationIssue]:
+@dataclass(frozen=True)
+class MetadataReport:
+    """Verdict of validate_metadata. It also carries the metadata's auto and
+    recovery rules as parsed by the check, so a run parses each rule once; a
+    rule that does not parse is left out and reported as an issue."""
+
+    issues: tuple[ValidationIssue, ...] = ()
+    auto_rules: dict[str, ruledsl.AutoRule] = field(default_factory=dict)
+    recovery_rules: tuple[tuple[str, ruledsl.ModifierAst], ...] = ()
+
+    def require_valid(self) -> "MetadataReport":
+        """This report; ValueError naming the issues when there are any."""
+        if self.issues:
+            raise ValueError(f"metadata is invalid: {[i.to_dict() for i in self.issues]}")
+        return self
+
+
+def validate_metadata(metadata: Metadata) -> MetadataReport:
     """Structural checks on metadata: unique tool ids and parseable rule sources."""
     issues: list[ValidationIssue] = []
     seen: set[str] = set()
@@ -499,17 +516,19 @@ def validate_metadata(metadata: Metadata) -> list[ValidationIssue]:
         if spec.id in seen:
             issues.append(ValidationIssue("duplicate_tool_id", f"tool id {spec.id!r} registered twice"))
         seen.add(spec.id)
+    auto_rules: dict[str, ruledsl.AutoRule] = {}
     for rule in metadata.constraints.auto_rules:
         try:
-            ruledsl.parse_auto_expr(rule.expr)
+            auto_rules[rule.id] = ruledsl.AutoRule(id=rule.id, expr=ruledsl.parse_auto_expr(rule.expr))
         except ruledsl.DslParseError as exc:
             issues.append(ValidationIssue("bad_rule_syntax", f"auto rule {rule.id!r}: {exc}"))
+    recovery_rules: list[tuple[str, ruledsl.ModifierAst]] = []
     for i, rule in enumerate(metadata.constraints.recovery_rules, start=1):
         if rule.error_class not in ERROR_CLASSES + ("any",):
             issues.append(ValidationIssue(
                 "bad_error_class", f"recovery rule {i}: unknown error class {rule.error_class!r}"))
         try:
-            ruledsl.parse_modifier(rule.modifier)
+            recovery_rules.append((rule.error_class, ruledsl.parse_modifier(rule.modifier)))
         except ruledsl.DslParseError as exc:
             issues.append(ValidationIssue("bad_rule_syntax", f"recovery rule {i}: {exc}"))
     for i, source in enumerate(metadata.constraints.constraint_predicates, start=1):
@@ -517,7 +536,7 @@ def validate_metadata(metadata: Metadata) -> list[ValidationIssue]:
             ruledsl.parse_predicate(source)
         except ruledsl.DslParseError as exc:
             issues.append(ValidationIssue("bad_rule_syntax", f"constraint predicate {i}: {exc}"))
-    return issues
+    return MetadataReport(tuple(issues), auto_rules, tuple(recovery_rules))
 
 
 def check_admissibility(profile: Profile, metadata: Metadata) -> AdmissibilityReport:

@@ -14,8 +14,8 @@ import time
 from dataclasses import dataclass, field
 
 from . import ruledsl
-from .core import (AutoParam, CompiledBranchRule, Metadata, PlaceholderParam, Profile, Workflow,
-                   compile_branch_rule, store_keys)
+from .core import (AutoParam, CompiledBranchRule, Metadata, MetadataReport, PlaceholderParam,
+                   Profile, Workflow, compile_branch_rule, store_keys, validate_metadata)
 from .router import RouteMode
 from .tools import ToolOutcome, ToolRegistry
 
@@ -222,23 +222,19 @@ class RuleBundle:
 
 
 def compile_rules(metadata: Metadata, profile: Profile) -> RuleBundle:
-    """Parse every rule source once; call only after admissibility passed."""
-    return bundle_rules(metadata, tuple(compile_branch_rule(i, rule)
-                                        for i, rule in enumerate(profile.branch_rules)))
+    """Parse every rule source of a metadata and a profile once; call only
+    after admissibility passed. Raises ValueError for invalid metadata."""
+    return bundle_rules(validate_metadata(metadata).require_valid(),
+                        tuple(compile_branch_rule(i, rule)
+                              for i, rule in enumerate(profile.branch_rules)))
 
 
-def bundle_rules(metadata: Metadata, branch_rules: tuple[CompiledBranchRule, ...]) -> RuleBundle:
-    """Parse the metadata's auto and recovery rules and bundle them with branch
-    rules already compiled, as check_admissibility hands them to a run."""
-    autos = {
-        rule.id: ruledsl.AutoRule(id=rule.id, expr=ruledsl.parse_auto_expr(rule.expr))
-        for rule in metadata.constraints.auto_rules
-    }
-    recoveries = tuple(
-        (rule.error_class, ruledsl.parse_modifier(rule.modifier))
-        for rule in metadata.constraints.recovery_rules
-    )
-    return RuleBundle(auto_rules=autos, recovery_rules=recoveries, branch_rules=branch_rules)
+def bundle_rules(checked: MetadataReport, branch_rules: tuple[CompiledBranchRule, ...]
+                 ) -> RuleBundle:
+    """Bundle the auto and recovery rules that metadata validation parsed with
+    branch rules already compiled, as check_admissibility hands them to a run."""
+    return RuleBundle(auto_rules=checked.auto_rules, recovery_rules=checked.recovery_rules,
+                      branch_rules=branch_rules)
 
 
 def resolve_step(params: dict, auto_rules: dict[str, ruledsl.AutoRule], state: ExecutionState) -> dict:

@@ -15,10 +15,12 @@ import time
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 
-from .core import (CompiledBranchRule, Metadata, Profile, Task, check_admissibility,
-                   validate_metadata)
-from .executor import (ExecutionConfig, RuleBundle, bundle_rules, compile_rules, initial_state,
-                       run_workflow)
+from .core import (CompiledBranchRule, Metadata, MetadataReport, Profile, Task,
+                   check_admissibility, compile_branch_rule, validate_metadata)
+# compile_rules is not called here; it stays importable from this module for
+# callers that compile a profile's rules outside a run.
+from .executor import (ExecutionConfig, RuleBundle, bundle_rules, compile_rules,  # noqa: F401
+                       initial_state, run_workflow)
 from .router import RiskWeights, RouteMode, RouteThresholds, decide_route
 from .semantic import (BudgetExceededError, BudgetLedger, ModelRequest, PriceEntry,
                        ProfileParseError, build_profile_prompt, build_profile_retry_prompt,
@@ -319,9 +321,7 @@ def run_ptr(task: Task, metadata: Metadata, cfg: RunConfig, model,
     budget exhaustion, a model that raises) is reported in the returned
     RunReport and recorded in the trace.
     """
-    issues = validate_metadata(metadata)
-    if issues:
-        raise ValueError(f"metadata is invalid: {[i.to_dict() for i in issues]}")
+    checked = validate_metadata(metadata).require_valid()
     registry = environment.build_registry()
     for spec in metadata.tool_catalog:
         if not registry.has(spec.id):
@@ -329,7 +329,7 @@ def run_ptr(task: Task, metadata: Metadata, cfg: RunConfig, model,
 
     writer = TraceWriter(trace_path)
     try:
-        return _run(task, metadata, cfg, model, registry, environment, writer)
+        return _run(task, metadata, checked, cfg, model, registry, environment, writer)
     finally:
         writer.close()
 
@@ -346,8 +346,8 @@ def _abort_report(writer: TraceWriter, outcome: str, detail: str, ledger: Budget
     return report
 
 
-def _run(task: Task, metadata: Metadata, cfg: RunConfig, model, registry: ToolRegistry,
-         environment: ToolEnvironment, writer: TraceWriter) -> RunReport:
+def _run(task: Task, metadata: Metadata, checked: MetadataReport, cfg: RunConfig, model,
+         registry: ToolRegistry, environment: ToolEnvironment, writer: TraceWriter) -> RunReport:
     header = {
         "type": "header",
         "schema_version": SCHEMA_VERSION,
@@ -380,7 +380,7 @@ def _run(task: Task, metadata: Metadata, cfg: RunConfig, model, registry: ToolRe
         mode, route_dict = _route(metadata, profile, cfg, writer)
         timing["route"] = time.perf_counter() - route_started
         state, z = _execute(task, metadata, cfg, registry, profile,
-                            bundle_rules(metadata, branch_rules), mode, "initial", writer, timing)
+                            bundle_rules(checked, branch_rules), mode, "initial", writer, timing)
 
         # REPAIR (optional; at most one semantic call, never more). `repaired`
         # records that the stage was invoked, so it tracks the 2-vs-3-call split
@@ -407,7 +407,7 @@ def _run(task: Task, metadata: Metadata, cfg: RunConfig, model, registry: ToolRe
                 writer.write({"type": "repair", "accepted": True, "raw": response.text,
                               "parsed": patched.to_dict()})
                 final_state, final_z = _execute(task, metadata, cfg, registry, patched,
-                                                bundle_rules(metadata, repair_rules), mode,
+                                                bundle_rules(checked, repair_rules), mode,
                                                 "repair", writer)
             timing["repair"] = time.perf_counter() - started
 
@@ -469,28 +469,33 @@ def _diverge(section: str, index: int, recorded, recomputed) -> dict:
     }
 
 
-def _read_header(header: dict) -> tuple[Task, Metadata, RunConfig, ToolEnvironment]:
-    """The run inputs a trace header embeds; TraceSchemaError when one is
-    missing or malformed (a malformed embedded KB included)."""
+def _read_header(header: dict
+                 ) -> tuple[Task, Metadata, MetadataReport, RunConfig, ToolEnvironment]:
+    """The run inputs a trace header embeds, with the metadata's validation
+    report; TraceSchemaError when one is missing or malformed (a malformed
+    embedded KB and invalid metadata included)."""
     for key in ("task", "metadata", "config", "environment"):
         if not isinstance(header.get(key), dict):
             raise TraceSchemaError(f"trace header has no {key} object")
     try:
         task = Task.from_dict(header["task"])
         metadata = Metadata.from_dict(header["metadata"])
+        checked = validate_metadata(metadata).require_valid()
         cfg = RunConfig.from_dict(header["config"])
         env = ToolEnvironment.from_description(header["environment"])
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceSchemaError(f"trace header is malformed: {exc}") from None
-    return task, metadata, cfg, env
+    return task, metadata, checked, cfg, env
 
 
-def _recorded_profile(record: dict, metadata: Metadata) -> tuple[Profile, RuleBundle]:
-    """The profile a profile or repair record holds, with its rules compiled;
-    TraceSchemaError when the record holds no usable profile."""
+def _recorded_profile(record: dict, checked: MetadataReport) -> tuple[Profile, RuleBundle]:
+    """The profile a profile or repair record holds, with its branch rules
+    compiled and bundled with the metadata's; TraceSchemaError when the record
+    holds no usable profile."""
     try:
         profile = Profile.from_dict(record.get("parsed"))
-        return profile, compile_rules(metadata, profile)
+        return profile, bundle_rules(checked, tuple(
+            compile_branch_rule(i, rule) for i, rule in enumerate(profile.branch_rules)))
     except (TypeError, ValueError) as exc:
         raise TraceSchemaError(f"{record['type']} record is malformed: {exc}") from None
 
@@ -520,24 +525,25 @@ def replay_trace(source) -> ReplayReport:
     divergence or a full match. Every run_ptr trace ends in a report record,
     so one that does not is a divergence in section ``incomplete``. Raises
     TraceSchemaError for a malformed trace, including a header whose task,
-    metadata, config or environment is missing or malformed and a profile or
-    repair record that holds no usable profile."""
+    metadata, config or environment is missing or malformed, a header whose
+    metadata is invalid and a profile or repair record that holds no usable
+    profile."""
     records = read_trace(source)
     if records[-1].get("type") != "report":
         return ReplayReport(False, _diverge("incomplete", len(records) - 1,
                                             records[-1].get("type"), "report"), 0)
-    task, metadata, cfg, env = _read_header(records[0])
+    task, metadata, checked, cfg, env = _read_header(records[0])
     recomputed = TraceWriter()
     profile_record = next((r for r in records if r.get("type") == "profile"), None)
     # A run aborted in the profile stage has no deterministic stage to recompute.
     if profile_record is not None:
         registry = env.build_registry()
-        profile, rules = _recorded_profile(profile_record, metadata)
+        profile, rules = _recorded_profile(profile_record, checked)
         mode, _ = _route(metadata, profile, cfg, recomputed)
         _, z = _execute(task, metadata, cfg, registry, profile, rules, mode, "initial",
                         recomputed)
         repair = next((r for r in records if r.get("type") == "repair"), None)
         if z.repair_recommended and repair is not None and repair.get("accepted") is True:
-            patched, rules = _recorded_profile(repair, metadata)
+            patched, rules = _recorded_profile(repair, checked)
             _execute(task, metadata, cfg, registry, patched, rules, mode, "repair", recomputed)
     return _compare([r for r in records if r.get("type") in _RECOMPUTED], recomputed.records)

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 
 STATE_ROOTS = ("result", "trace", "failure", "branch", "env")
 
-_KEYWORDS = ("and", "or", "not", "exists", "failed", "empty", "set", "true", "false")
-_SYMBOLS = ("==", "!=", "<=", ">=", "??", "<", ">", "(", ")", ".", "=", "+", "-", "*", ";")
-_DIGITS = frozenset("0123456789")
+_KEYWORDS = frozenset(("and", "or", "not", "exists", "failed", "empty", "set", "true", "false"))
 
 MAX_EXACT_INT = float(2**53)
 
@@ -66,63 +65,76 @@ class UnresolvedAutoError(DslError):
 # --- tokenizer ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident | number | string | symbol | keyword | end
-    text: str
-    value: object
-    pos: int  # character offset into the source
+# A token is a plain (kind, text, value, pos) tuple, read through these
+# indexes: kind is ident, number, string, symbol, keyword or end, and pos is
+# a character offset into the source. Building each token as a NamedTuple
+# instead doubles the lexer's cost per token.
+_KIND, _TEXT, _VALUE, _POS = range(4)
+
+
+# One alternative per token class, each after the whitespace that precedes
+# it. At each position the first alternative that matches wins, so `-` glued
+# to a digit starts a number before it can be a symbol, and two-character
+# symbols come before their one-character prefixes. Identifier characters are
+# rechecked against str.isalpha where the match is not ASCII (see _tokenize).
+# A string runs to its closing quote or to the end of the source, and any
+# other character is an error. No alternative can fail after scanning ahead,
+# so the cost is linear in the length of the source.
+_TOKEN_RE = re.compile(r"""
+    (?P<space>[ \t\r\n]*)
+    (?:(?P<ident>[^\W\d]\w*)
+      |(?P<number>-?[0-9]+(?:\.[0-9]+)?)
+      |(?P<symbol>==|!=|<=|>=|\?\?|[<>().=+*;-])
+      |(?P<string>"[^"\\]*(?:\\.[^"\\]*)*"?)
+      |(?P<other>[^ \t\r\n]))
+""", re.VERBOSE | re.DOTALL)
 
 
 def _byte_offset(source: str, pos: int) -> int:
     return len(source[:pos].encode("utf-8", "surrogatepass"))
 
 
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch == '"':
-            text, value, end = _read_string(source, i)
-            tokens.append(_Token("string", text, value, i))
-            i = end
-            continue
-        if ch in _DIGITS or (ch == "-" and i + 1 < n and source[i + 1] in _DIGITS):
-            j = i + 1
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            if j + 1 < n and source[j] == "." and source[j + 1] in _DIGITS:
-                j += 2
-                while j < n and source[j] in _DIGITS:
-                    j += 1
-            text = source[i:j]
-            number = float(text)
-            if not math.isfinite(number):
-                raise DslParseError("number literal is too large", _byte_offset(source, i))
-            tokens.append(_Token("number", text, number, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (source[j].isalpha() or source[j] in _DIGITS or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = "keyword" if text in _KEYWORDS else "ident"
-            tokens.append(_Token(kind, text, text, i))
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(_Token("symbol", sym, sym, i))
-                i += len(sym)
-                break
+def _tokenize(source: str) -> list[tuple]:
+    """Split a source into tokens in one pass; the cost is linear in its length."""
+    tokens: list[tuple] = []
+    append = tokens.append
+    pos = 0
+    # findall gives one tuple of group texts per token. Trailing whitespace is
+    # stripped, as no token follows it; the matches are then contiguous, so a
+    # token's position is the sum of the lengths before it.
+    for space, ident, number, symbol, string, other in _TOKEN_RE.findall(
+            source.rstrip(" \t\r\n")):
+        pos += len(space)
+        if ident:
+            # \w also matches digits and numerals that are not letters (², ½,
+            # Ⅻ, ١); a letter is what str.isalpha says, and a digit is ASCII.
+            if not ident.isascii():
+                for i, ch in enumerate(ident):
+                    if not (ch.isalpha() or ch == "_" or "0" <= ch <= "9"):
+                        raise DslParseError(f"unexpected character {ch!r}",
+                                            _byte_offset(source, pos + i))
+            append(("keyword" if ident in _KEYWORDS else "ident", ident, ident, pos))
+            pos += len(ident)
+        elif symbol:
+            append(("symbol", symbol, symbol, pos))
+            pos += len(symbol)
+        elif number:
+            value = float(number)
+            if not math.isfinite(value):
+                raise DslParseError("number literal is too large", _byte_offset(source, pos))
+            append(("number", number, value, pos))
+            pos += len(number)
+        elif string:
+            if "\\" in string or len(string) < 2 or string[-1] != '"':
+                # escapes, or no closing quote: the string reader decodes or raises
+                _, value, _ = _read_string(source, pos)
+            else:
+                value = string[1:-1]
+            append(("string", string, value, pos))
+            pos += len(string)
         else:
-            raise DslParseError(f"unexpected character {ch!r}", _byte_offset(source, i))
-    tokens.append(_Token("end", "", None, n))
+            raise DslParseError(f"unexpected character {other!r}", _byte_offset(source, pos))
+    append(("end", "", None, len(source)))
     return tokens
 
 
@@ -259,30 +271,33 @@ class AutoRule:
 
 # --- parser ---------------------------------------------------------------------
 
+_NAME_KINDS = ("ident", "keyword")
+_COMPARISON_OPS = frozenset(("==", "!=", "<=", ">=", "<", ">"))
+
 
 class _Parser:
+    """Recursive descent over the token list. `tok` is the current token, and
+    `self.tok = self.next_token()` moves past it; the parser never moves past
+    the end token.
+
+    Symbols and keywords are matched by their text alone: no token of another
+    kind has the same text, as strings keep their quotes, numbers are digits
+    and a word that is a keyword always lexes as one.
+    """
+
     def __init__(self, source: str, allow_refs: bool = True):
         self.source = source
-        self.tokens = _tokenize(source)
-        self.index = 0
+        self.next_token = iter(_tokenize(source)).__next__
+        self.tok = self.next_token()
         self.allow_refs = allow_refs
         self.depth = 0
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        token = self.current
-        self.index += 1
-        return token
-
     def fail(self, expected: set[str]) -> DslParseError:
-        token = self.current
-        what = token.text or "end of input"
+        token = self.tok
+        what = token[_TEXT] or "end of input"
         return DslParseError(
             f"unexpected {what!r}",
-            _byte_offset(self.source, token.pos),
+            _byte_offset(self.source, token[_POS]),
             frozenset(expected),
         )
 
@@ -291,180 +306,177 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise DslParseError(f"rule holds more than {MAX_DEPTH} nesting operators",
-                                _byte_offset(self.source, self.current.pos))
+                                _byte_offset(self.source, self.tok[_POS]))
 
-    def expect_symbol(self, sym: str) -> _Token:
-        if self.current.kind == "symbol" and self.current.text == sym:
-            return self.advance()
-        raise self.fail({sym})
-
-    def at_symbol(self, *symbols: str) -> bool:
-        return self.current.kind == "symbol" and self.current.text in symbols
-
-    def at_keyword(self, *words: str) -> bool:
-        return self.current.kind == "keyword" and self.current.text in words
+    def expect_symbol(self, sym: str) -> None:
+        if self.tok[_TEXT] != sym:
+            raise self.fail({sym})
+        self.tok = self.next_token()
 
     def expect_end(self) -> None:
-        if self.current.kind != "end":
+        if self.tok[_KIND] != "end":
             raise self.fail({"end of input"})
 
     # path := root ("." segment)*
     def parse_path(self) -> PathRef:
-        if self.current.kind not in ("ident", "keyword"):
+        root = self.tok
+        if root[_KIND] not in _NAME_KINDS:
             raise self.fail({"state path"})
-        root_token = self.advance()
-        if root_token.text not in STATE_ROOTS:
+        if root[_TEXT] not in STATE_ROOTS:
             raise PathRootError(
-                f"path root {root_token.text!r} is not a state component",
-                _byte_offset(self.source, root_token.pos),
+                f"path root {root[_TEXT]!r} is not a state component",
+                _byte_offset(self.source, root[_POS]),
                 frozenset(STATE_ROOTS),
             )
-        parts = [root_token.text]
-        while self.at_symbol("."):
-            self.advance()
-            seg = self.current
-            if seg.kind in ("ident", "keyword") or (seg.kind == "number" and seg.text.isdigit()):
-                parts.append(seg.text)
-                self.advance()
+        parts = [root[_TEXT]]
+        next_token = self.next_token
+        tok = next_token()
+        while tok[_TEXT] == ".":
+            tok = next_token()
+            if tok[_KIND] in _NAME_KINDS or (tok[_KIND] == "number" and tok[_TEXT].isdigit()):
+                parts.append(tok[_TEXT])
+                tok = next_token()
             else:
+                self.tok = tok
                 raise self.fail({"path segment"})
-        return PathRef(parts=tuple(parts))
+        self.tok = tok
+        return PathRef(tuple(parts))
 
     def parse_literal(self) -> object:
-        token = self.current
-        if token.kind == "number":
-            self.advance()
-            return token.value
-        if token.kind == "string":
-            self.advance()
-            return token.value
-        if self.at_keyword("true", "false"):
-            self.advance()
-            return token.text == "true"
+        token = self.tok
+        if token[_KIND] == "number" or token[_KIND] == "string":
+            self.tok = self.next_token()
+            return token[_VALUE]
+        if token[_TEXT] == "true" or token[_TEXT] == "false":
+            self.tok = self.next_token()
+            return token[_TEXT] == "true"
         raise self.fail({"literal"})
 
     # predicate := or_expr
     def parse_predicate(self) -> PredicateAst:
         node = self.parse_and()
-        while self.at_keyword("or"):
+        while self.tok[_TEXT] == "or":
             self.nest()
-            self.advance()
-            node = Or(left=node, right=self.parse_and())
+            self.tok = self.next_token()
+            node = Or(node, self.parse_and())
         return node
 
     def parse_and(self) -> PredicateAst:
         node = self.parse_not()
-        while self.at_keyword("and"):
+        while self.tok[_TEXT] == "and":
             self.nest()
-            self.advance()
-            node = And(left=node, right=self.parse_not())
+            self.tok = self.next_token()
+            node = And(node, self.parse_not())
         return node
 
     def parse_not(self) -> PredicateAst:
-        if self.at_keyword("not"):
+        if self.tok[_TEXT] == "not":
             self.nest()
-            self.advance()
-            return Not(operand=self.parse_not())
+            self.tok = self.next_token()
+            return Not(self.parse_not())
         return self.parse_atom()
 
     def parse_atom(self) -> PredicateAst:
-        if self.at_symbol("("):
+        text = self.tok[_TEXT]
+        if text == "(":
             self.nest()
-            self.advance()
+            self.tok = self.next_token()
             node = self.parse_predicate()
             self.expect_symbol(")")
             return node
-        if self.at_keyword("exists"):
-            self.advance()
+        if text == "exists":
+            self.tok = self.next_token()
             self.expect_symbol("(")
             path = self.parse_path()
             self.expect_symbol(")")
-            return Exists(path=path)
-        if self.at_keyword("failed", "empty"):
-            word = self.advance().text
+            return Exists(path)
+        if text == "failed" or text == "empty":
+            self.tok = self.next_token()
             self.expect_symbol("(")
-            key = self.current
-            if key.kind not in ("ident", "keyword"):
+            key = self.tok
+            if key[_KIND] not in _NAME_KINDS:
                 raise self.fail({"step key"})
-            self.advance()
+            self.tok = self.next_token()
             self.expect_symbol(")")
-            return Failed(step_key=key.text) if word == "failed" else Empty(step_key=key.text)
+            return Failed(key[_TEXT]) if text == "failed" else Empty(key[_TEXT])
         path = self.parse_path()
-        op_token = self.current
-        if op_token.kind == "symbol" and op_token.text in ("==", "!=", "<=", ">=", "<", ">"):
-            self.advance()
-            value = self.parse_literal()
-            return Comparison(op=op_token.text, path=path, value=value)
+        op = self.tok[_TEXT]
+        if op in _COMPARISON_OPS:
+            self.tok = self.next_token()
+            return Comparison(op, path, self.parse_literal())
         raise self.fail({"==", "!=", "<", "<=", ">", ">="})
 
     # modifier := assignment (";" assignment)* [";"]
     def parse_modifier(self) -> ModifierAst:
         assignments: list[Assignment] = []
-        if self.current.kind == "end":
-            return ModifierAst(assignments=())
+        if self.tok[_KIND] == "end":
+            return ModifierAst(())
         while True:
-            if not self.at_keyword("set"):
+            if self.tok[_TEXT] != "set":
                 raise self.fail({"set"})
-            self.advance()
-            slot = self.current
-            if slot.kind not in ("ident", "keyword"):
+            slot = self.tok = self.next_token()
+            if slot[_KIND] not in _NAME_KINDS:
                 raise self.fail({"slot name"})
-            self.advance()
+            self.tok = self.next_token()
             self.expect_symbol("=")
-            expr = self.parse_expr()
-            assignments.append(Assignment(slot=slot.text, expr=expr))
-            if self.at_symbol(";"):
-                self.advance()
-                if self.current.kind == "end":
-                    break
-                continue
-            break
-        return ModifierAst(assignments=tuple(assignments))
+            assignments.append(Assignment(slot[_TEXT], self.parse_expr()))
+            if self.tok[_TEXT] != ";":
+                break
+            self.tok = self.next_token()
+            if self.tok[_KIND] == "end":
+                break
+        return ModifierAst(tuple(assignments))
 
     # expr := term (("+"|"-") term)* ; term := factor ("*" factor)*
     def parse_expr(self) -> object:
         node = self.parse_term()
-        while self.at_symbol("+", "-"):
+        while self.tok[_TEXT] == "+" or self.tok[_TEXT] == "-":
             self.nest()
-            op = self.advance().text
-            node = BinOp(op=op, left=node, right=self.parse_term())
+            op = self.tok[_TEXT]
+            self.tok = self.next_token()
+            node = BinOp(op, node, self.parse_term())
         return node
 
     def parse_term(self) -> object:
         node = self.parse_factor()
-        while self.at_symbol("*"):
+        while self.tok[_TEXT] == "*":
             self.nest()
-            self.advance()
-            node = BinOp(op="*", left=node, right=self.parse_factor())
+            self.tok = self.next_token()
+            node = BinOp("*", node, self.parse_factor())
         return node
 
     def parse_factor(self) -> object:
-        token = self.current
-        if self.at_symbol("("):
+        token = self.tok
+        kind = token[_KIND]
+        if kind == "number" or kind == "string":
+            self.tok = self.next_token()
+            return Lit(token[_VALUE])
+        if token[_TEXT] == "(":
             self.nest()
-            self.advance()
+            self.tok = self.next_token()
             node = self.parse_expr()
             self.expect_symbol(")")
             return node
-        if token.kind in ("number", "string") or self.at_keyword("true", "false"):
-            return Lit(value=self.parse_literal())
-        if token.kind in ("ident", "keyword"):
+        if token[_TEXT] == "true" or token[_TEXT] == "false":
+            self.tok = self.next_token()
+            return Lit(token[_TEXT] == "true")
+        if kind in _NAME_KINDS:
             if not self.allow_refs:
                 raise self.fail({"number", "("})
-            if token.text in STATE_ROOTS:
-                return StatePath(path=self.parse_path())
-            self.advance()
-            return SlotRef(name=token.text)
+            if token[_TEXT] in STATE_ROOTS:
+                return StatePath(self.parse_path())
+            self.tok = self.next_token()
+            return SlotRef(token[_TEXT])
         raise self.fail({"expression"})
 
     # auto := path ["??" literal]
     def parse_auto(self) -> AutoExpr:
         path = self.parse_path()
-        if self.at_symbol("??"):
-            self.advance()
+        if self.tok[_TEXT] == "??":
+            self.tok = self.next_token()
             value = self.parse_literal()
-            return AutoExpr(path=path, default=Lit(value=value), has_default=True)
-        return AutoExpr(path=path)
+            return AutoExpr(path, Lit(value), True)
+        return AutoExpr(path)
 
 
 def parse_predicate(source: str) -> PredicateAst:

@@ -1,7 +1,9 @@
-"""Seeded random generators for rule-DSL ASTs, shared by property tests."""
+"""Seeded random generators for rule-DSL ASTs, and a reference lexer, shared
+by property tests."""
 
 from __future__ import annotations
 
+import math
 import random
 
 from ptrun import ruledsl as r
@@ -91,3 +93,107 @@ def left_nested(atom: str, op: str, levels: int = 64) -> str:
     for links in range(2, levels + 1):
         source = f"({source})" + f" {op} {atom}" * links
     return source
+
+
+# --- reference lexer ------------------------------------------------------------
+#
+# The rule DSL's original per-character lexer, kept as the oracle that the
+# master-regex lexer in ruledsl must agree with token for token and error for
+# error. It returns (kind, text, value, pos) tuples.
+
+_REF_KEYWORDS = ("and", "or", "not", "exists", "failed", "empty", "set", "true", "false")
+_REF_SYMBOLS = ("==", "!=", "<=", ">=", "??", "<", ">", "(", ")", ".", "=", "+", "-", "*", ";")
+_REF_DIGITS = frozenset("0123456789")
+
+
+def _ref_byte_offset(source: str, pos: int) -> int:
+    return len(source[:pos].encode("utf-8", "surrogatepass"))
+
+
+def reference_tokenize(source: str) -> list[tuple]:
+    tokens: list[tuple] = []
+    i, n = 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch in " \t\r\n":
+            i += 1
+            continue
+        if ch == '"':
+            text, value, end = _ref_read_string(source, i)
+            tokens.append(("string", text, value, i))
+            i = end
+            continue
+        if ch in _REF_DIGITS or (ch == "-" and i + 1 < n and source[i + 1] in _REF_DIGITS):
+            j = i + 1
+            while j < n and source[j] in _REF_DIGITS:
+                j += 1
+            if j + 1 < n and source[j] == "." and source[j + 1] in _REF_DIGITS:
+                j += 2
+                while j < n and source[j] in _REF_DIGITS:
+                    j += 1
+            text = source[i:j]
+            number = float(text)
+            if not math.isfinite(number):
+                raise r.DslParseError("number literal is too large", _ref_byte_offset(source, i))
+            tokens.append(("number", text, number, i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (source[j].isalpha() or source[j] in _REF_DIGITS or source[j] == "_"):
+                j += 1
+            text = source[i:j]
+            kind = "keyword" if text in _REF_KEYWORDS else "ident"
+            tokens.append((kind, text, text, i))
+            i = j
+            continue
+        for sym in _REF_SYMBOLS:
+            if source.startswith(sym, i):
+                tokens.append(("symbol", sym, sym, i))
+                i += len(sym)
+                break
+        else:
+            raise r.DslParseError(f"unexpected character {ch!r}", _ref_byte_offset(source, i))
+    tokens.append(("end", "", None, n))
+    return tokens
+
+
+def _ref_read_string(source: str, start: int) -> tuple[str, str, int]:
+    escapes = {'"': '"', "\\": "\\", "/": "/", "n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f"}
+    out = []
+    i = start + 1
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == '"':
+            return source[start: i + 1], "".join(out), i + 1
+        if ch == "\\":
+            if i + 1 >= n:
+                break
+            esc = source[i + 1]
+            if esc == "u":
+                if i + 6 > n:
+                    raise r.DslParseError("truncated \\u escape", _ref_byte_offset(source, i))
+                try:
+                    out.append(chr(int(source[i + 2: i + 6], 16)))
+                except ValueError:
+                    raise r.DslParseError("bad \\u escape", _ref_byte_offset(source, i)) from None
+                i += 6
+                continue
+            if esc not in escapes:
+                raise r.DslParseError(f"bad escape \\{esc}", _ref_byte_offset(source, i))
+            out.append(escapes[esc])
+            i += 2
+            continue
+        out.append(ch)
+        i += 1
+    raise r.DslParseError("unterminated string literal", _ref_byte_offset(source, start))
+
+
+def lex_outcome(tokenize, source: str):
+    """A lexer's tokens as (kind, text, value, pos) tuples, or its error as
+    ("error", message, byte offset)."""
+    try:
+        return [tuple(token) for token in tokenize(source)]
+    except r.DslParseError as exc:
+        return ("error", str(exc), exc.offset)

@@ -96,12 +96,53 @@ class TestRunCommand:
         assert run_cli("verify-trace", "--trace", demo_args["trace"]) == EXIT_OK
 
     def test_bad_model_spec(self, demo_args):
-        with pytest.raises(SystemExit):
-            run_cli("run", "--task-file", demo_args["task"],
-                    "--metadata", demo_args["metadata"],
-                    "--config", demo_args["config"],
-                    "--model", "telepathy",
-                    "--trace-out", demo_args["trace"])
+        assert run_cli("run", "--task-file", demo_args["task"],
+                       "--metadata", demo_args["metadata"],
+                       "--config", demo_args["config"],
+                       "--model", "telepathy",
+                       "--trace-out", demo_args["trace"]) == EXIT_USAGE
+
+
+class TestModelSpecErrors:
+    """A bad --model spec or provider entry gives one error line and exit 2."""
+
+    def run_with(self, demo_args, tmp_path, model, providers=None, command="run"):
+        config = json.loads(bundled_data("config.json").read_text())
+        if providers is not None:
+            config["providers"] = providers
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        if command == "bench":
+            return run_cli("bench", "--suite", str(bundled_data("suite.json")),
+                           "--config", str(config_path), "--model", model)
+        return run_cli("run", "--task-file", demo_args["task"],
+                       "--metadata", demo_args["metadata"],
+                       "--config", str(config_path),
+                       "--model", model,
+                       "--trace-out", demo_args["trace"])
+
+    @pytest.mark.parametrize("model, providers, message", [
+        ("bogus", None, "--model must be scripted:<script-file> or provider:<id>"),
+        ("provider:nope", {"local": {"endpoint": "http://127.0.0.1:9/", "model": "m"}},
+         "no provider entry named 'nope'"),
+        ("provider:bad", {"bad": {"model": "m"}}, "provider entry 'bad' needs"),
+        ("provider:bad", {"bad": {"endpoint": "http://127.0.0.1:9/", "model": 5}},
+         "provider entry 'bad' needs"),
+        ("provider:bad", {"bad": {"endpoint": "e", "model": "m", "api_key_env": 1}},
+         "provider entry 'bad' needs"),
+        ("provider:bad", {"bad": "http://127.0.0.1:9/"}, "provider entry 'bad' needs"),
+        ("provider:x", [1], "config providers must be an object"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_exits_2_with_one_error_line(self, demo_args, tmp_path, capsys, model, providers,
+                                         message, command):
+        code = self.run_with(demo_args, tmp_path, model, providers, command)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "trace.jsonl").exists()
 
 
 class TestReplayAndVerify:

@@ -102,18 +102,18 @@ class TestDomainTypes:
 class TestValidateMetadata:
     def test_duplicate_tool_id(self):
         metadata = Metadata(tool_catalog=(make_tool("search"), make_tool("search")))
-        issues = validate_metadata(metadata)
+        issues = validate_metadata(metadata).issues
         assert [i.kind for i in issues] == ["duplicate_tool_id"]
 
     def test_wellformed_two_tools_empty_rules(self):
-        assert validate_metadata(make_metadata()) == []
+        assert validate_metadata(make_metadata()).issues == ()
 
     def test_unparseable_constraint_predicate(self):
         # oracle: the DSL parser itself rejects this source
         with pytest.raises(ruledsl.DslParseError):
             ruledsl.parse_predicate("count === ")
         metadata = make_metadata(constraints=RuleSet(constraint_predicates=("count === ",)))
-        issues = validate_metadata(metadata)
+        issues = validate_metadata(metadata).issues
         assert [i.kind for i in issues] == ["bad_rule_syntax"]
 
     def test_unparseable_auto_and_recovery_rules(self):
@@ -122,7 +122,7 @@ class TestValidateMetadata:
             recovery_rules=(RecoverySpec(error_class="timeout", modifier="set = 5"),
                             RecoverySpec(error_class="bogus", modifier="set limit = 1")),
         ))
-        kinds = sorted(i.kind for i in validate_metadata(metadata))
+        kinds = sorted(i.kind for i in validate_metadata(metadata).issues)
         assert kinds == ["bad_error_class", "bad_rule_syntax", "bad_rule_syntax"]
 
 

@@ -1,3 +1,4 @@
+import collections
 import copy
 import functools
 import json
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import ptrun
 from ptrun import ruledsl
 from ptrun.bench import bench_metadata
-from ptrun.core import Metadata, Task
+from ptrun.core import AutoRuleSpec, Metadata, RecoverySpec, RuleSet, Task
 from ptrun.pipeline import (REPAIR_APPLIED_FLAG, REPAIR_REJECTED_FLAG, RunConfig,
                             ToolEnvironment, replay_trace, run_ptr)
 from ptrun.router import RouteMode
@@ -195,6 +196,59 @@ class TestParseOnce:
         assert REPAIR_APPLIED_FLAG in report.verification["flags"]
         rules = len(failing["branch_rules"]) + len(patch["branch_rules"])
         assert calls == {"parse_predicate": rules, "parse_modifier": rules}
+
+    def test_each_rule_source_is_parsed_once_per_run_and_per_replay(self, monkeypatch,
+                                                                      tmp_path):
+        calls: collections.Counter = collections.Counter()
+        for name in ("parse_predicate", "parse_modifier", "parse_auto_expr", "parse_arith"):
+            original = getattr(ruledsl, name)
+
+            def counting(source, _name=name, _original=original):
+                calls[_name, source] += 1
+                return _original(source)
+
+            monkeypatch.setattr(ruledsl, name, counting)
+        # auto and recovery rules as in the long-workflow benchmark, plus a
+        # constraint predicate; every source differs from every other
+        constraints = RuleSet(
+            auto_rules=(AutoRuleSpec("top_hit", 'result.kb_search_1.top_title ?? "Paris"'),),
+            recovery_rules=(RecoverySpec("timeout", 'set title = "Paris"'),
+                            RecoverySpec("rate_limited", "")),
+            constraint_predicates=("exists(result.kb_lookup_1)",),
+        )
+        metadata = Metadata(schema={}, tool_catalog=bench_metadata().tool_catalog,
+                            constraints=constraints)
+        failing = dict(FAILING_PROFILE, branch_rules=[
+            {"predicate": "failed(kb_lookup_1)", "modifier": 'set title = "Missing Three"',
+             "target_step": 2},
+            {"predicate": 'failure.0.classified == "hard"', "modifier": 'set title = "Four"',
+             "target_step": 1},
+        ])
+        patch = dict(GOOD_PATCH, branch_rules=[
+            {"predicate": "exists(branch.0)", "modifier": 'set title = "Alan Turing"',
+             "target_step": 1},
+        ])
+        sources = (
+            [("parse_auto_expr", rule.expr) for rule in constraints.auto_rules]
+            + [("parse_modifier", rule.modifier) for rule in constraints.recovery_rules]
+            + [("parse_predicate", source) for source in constraints.constraint_predicates]
+            + [(name, rule[key]) for rule in failing["branch_rules"] + patch["branch_rules"]
+               for name, key in (("parse_predicate", "predicate"), ("parse_modifier", "modifier"))]
+        )
+        expected = collections.Counter(sources)
+        assert set(expected.values()) == {1}
+
+        path = str(tmp_path / "run.jsonl")
+        model = scripted(profile_entry(failing),
+                         {"role": "repair", "text": json.dumps(patch)}, REASON)
+        report = run_ptr(task(), metadata, RunConfig(), model, environment(), trace_path=path)
+        assert report.model_calls == 3
+        assert REPAIR_APPLIED_FLAG in report.verification["flags"]
+        assert calls == expected
+
+        calls.clear()
+        assert replay_trace(path).matched
+        assert calls == expected
 
 
 class TestApplyRepair:
@@ -411,6 +465,11 @@ class TestReplay:
     @pytest.mark.parametrize("key, value", [
         ("task", {"objective": 3}),
         ("metadata", {"tool_catalog": [{"id": ""}]}),
+        # metadata that parses but that run_ptr would refuse
+        ("metadata", dict(bench_metadata().to_dict(), constraints={
+            "recovery_rules": [{"error_class": "bogus", "modifier": ""}]})),
+        ("metadata", dict(bench_metadata().to_dict(), constraints={
+            "auto_rules": [{"id": "a", "expr": "result.x ?? "}]})),
         ("config", {"route_thresholds": {"lower": 0.5}}),
         ("config", {"repair_threshold": 2.0}),
         ("config", {"penalties": [1]}),

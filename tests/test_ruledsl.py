@@ -259,6 +259,47 @@ class TestCorpus:
                 assert exc_info.value.offset == entry["error_offset"], source
 
 
+class TestLexerMatchesReference:
+    """The master-regex lexer gives the reference lexer's tokens, or its
+    error message and byte offset, on every input."""
+
+    # letters and non-letters that \w matches, combining marks, lone
+    # surrogates, string escapes, signs glued to digits, whitespace the
+    # grammar does not allow
+    FRAGMENTS = ("é", "ß", "İ", "一", "²", "½", "Ⅻ", "١", "\u0301", "\u20dd", "\ud800", "\udc00",
+                 '"', "\\", "\\u", "\\u00e9", "\\u12", "\\uD83D", "\\u 1_a", "\\n", "\\q",
+                 "-", "-1", "-0.5", "1.", ".5", "12", "\t", "\n", "\r", "\x0b", "\xa0",
+                 "==", "??", "!", "?", "and", "set", "trace", "_x9")
+
+    @given(st.one_of(
+        st.lists(st.one_of(st.sampled_from(FRAGMENTS), st.characters(max_codepoint=127)),
+                 max_size=40).map("".join),
+        st.text(alphabet=st.characters(exclude_categories=())),
+    ))
+    @settings(max_examples=1000, deadline=None)
+    def test_same_tokens_or_same_error(self, source):
+        assert helpers_dsl.lex_outcome(r._tokenize, source) == \
+            helpers_dsl.lex_outcome(helpers_dsl.reference_tokenize, source)
+
+    @pytest.mark.parametrize("source", [
+        "", "   ", "x \t\r\n", "x\x0b", "x²", "x١", "é1_ü", "一二 == 三", "½", "Ⅻ", "x\u0301",
+        "a-1", "a - 1", "--1", "1.5.5", "1..5", "-", "9" * 400, '"ab', '"ab\\', '"a\\"',
+        '"\\u00e9\\n"', '"\\u12"', '"\\u 1_a"', '"\\q"', '"a" "b', "\ud800", "result.x ==\ud800",
+    ])
+    def test_edge_cases(self, source):
+        assert helpers_dsl.lex_outcome(r._tokenize, source) == \
+            helpers_dsl.lex_outcome(helpers_dsl.reference_tokenize, source)
+
+    def test_corpus_and_generated_sources(self):
+        rng = random.Random(7)
+        sources = [entry["source"] for entry in json.loads(CORPUS_PATH.read_text())]
+        sources += [r.predicate_to_source(helpers_dsl.gen_predicate(rng)) for _ in range(200)]
+        sources += [r.modifier_to_source(helpers_dsl.gen_modifier(rng)) for _ in range(200)]
+        for source in sources:
+            assert helpers_dsl.lex_outcome(r._tokenize, source) == \
+                helpers_dsl.lex_outcome(helpers_dsl.reference_tokenize, source), source
+
+
 class TestUntrustedText:
     TOKENS = ("result", "trace", "env", "x", ".", "0", "12", "1.5", "-3", "==", "<", "(", ")",
               "and", "or", "not", "exists", "failed", "set", "=", "+", "-", "*", ";", "??",
