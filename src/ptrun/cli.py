@@ -56,10 +56,11 @@ def _load_json(path: str | Path):
 
 def _input(label: str, path: str | Path, build=lambda raw: raw):
     """Load one JSON input file and build from it; any failure to read,
-    parse or build becomes a UsageError naming the file."""
+    parse or build, JSON nested too deeply included, becomes a UsageError
+    naming the file."""
     try:
         return build(_load_json(path))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise UsageError(f"{label} file {path}: {exc}") from None
 
 
@@ -155,7 +156,7 @@ def cmd_bench(args) -> int:
     cfg, providers = _input("config", args.config, _config)
     try:
         suite = load_suite(args.suite)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise UsageError(f"suite file {args.suite}: {exc}") from None
     kind, _, detail = args.model.partition(":")
     scripted = kind == "scripted"

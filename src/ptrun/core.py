@@ -549,7 +549,8 @@ def check_admissibility(profile: Profile, metadata: Metadata) -> AdmissibilityRe
     as state predicates. An admissible report carries the parsed branch rules.
     """
     violations: list[Violation] = []
-    keys = store_keys(profile.workflow)
+    # Store keys are unique, so a key's position is the step that stores it.
+    positions = {key: position for position, key in enumerate(store_keys(profile.workflow))}
     auto_ids = {rule.id for rule in metadata.constraints.auto_rules}
 
     for index, step in enumerate(profile.workflow.steps, start=1):
@@ -572,7 +573,7 @@ def check_admissibility(profile: Profile, metadata: Metadata) -> AdmissibilityRe
                 if len(parts) < 2 or parts[0] != "result":
                     violations.append(Violation(
                         index, "bad_placeholder", f"placeholder {value.path!r} must start with 'result.<key>'"))
-                elif parts[1] not in keys[: index - 1]:
+                elif positions.get(parts[1], index) >= index - 1:
                     violations.append(Violation(
                         index, "forward_placeholder",
                         f"placeholder {value.path!r} does not reference an earlier step's key"))

@@ -461,12 +461,11 @@ class ReplayReport:
 
 
 def _diverge(section: str, index: int, recorded, recomputed) -> dict:
-    return {
-        "section": section,
-        "index": index,
-        "recorded": strip_volatile(recorded),
-        "recomputed": strip_volatile(recomputed),
-    }
+    try:
+        recorded, recomputed = strip_volatile(recorded), strip_volatile(recomputed)
+    except RecursionError:
+        raise TraceSchemaError(f"{section} record {index} nests values too deeply") from None
+    return {"section": section, "index": index, "recorded": recorded, "recomputed": recomputed}
 
 
 def _read_header(header: dict
@@ -508,9 +507,15 @@ def _section(record: dict) -> str:
 def _compare(recorded: list[dict], recomputed: list[dict]) -> ReplayReport:
     """Compare two record lists in order. The first pair that differs, or the
     first record one list has beyond the other's end, is the divergence: it
-    is named by that record's section and its index inside the section."""
+    is named by that record's section and its index inside the section.
+    TraceSchemaError when a pair nests values too deeply to compare."""
     for position, (rec, new) in enumerate(zip_longest(recorded, recomputed)):
-        if rec is None or new is None or not structurally_equal(rec, new):
+        try:
+            equal = rec is not None and new is not None and structurally_equal(rec, new)
+        except RecursionError:
+            raise TraceSchemaError(
+                f"compared record {position + 1} nests values too deeply") from None
+        if not equal:
             side = recorded if new is None else recomputed
             section = _section(side[position])
             index = sum(_section(r) == section for r in side[:position])
@@ -526,8 +531,8 @@ def replay_trace(source) -> ReplayReport:
     so one that does not is a divergence in section ``incomplete``. Raises
     TraceSchemaError for a malformed trace, including a header whose task,
     metadata, config or environment is missing or malformed, a header whose
-    metadata is invalid and a profile or repair record that holds no usable
-    profile."""
+    metadata is invalid, a profile or repair record that holds no usable
+    profile and a record that nests values too deeply to compare or report."""
     records = read_trace(source)
     if records[-1].get("type") != "report":
         return ReplayReport(False, _diverge("incomplete", len(records) - 1,

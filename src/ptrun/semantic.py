@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field
 
 from .core import Metadata, Profile, Task
@@ -403,23 +404,53 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON value")
 
 
+# Where a JSON object can open: a brace, JSON whitespace, then a key or the
+# closing brace.
+_OBJECT_OPENING = re.compile(r'\{[ \t\n\r]*["}]')
+# Later candidate objects are decoded from a window of the text that starts
+# this wide and grows eightfold while a parse runs into its end.
+_WINDOW = 1024
+# A strict decoder refuses NUL everywhere, so a parse of a window with NUL
+# appended that runs into the window's end fails at most a token's length
+# before it (``-Infinity`` is the longest); a failure further back is one
+# the whole text has too.
+_TOKEN_REACH = 16
+
+
 def extract_first_json_object(text: str) -> dict:
     """First JSON object in the text, tolerating surrounding prose and fences.
 
     NaN and Infinity are refused: a trace, which records the parsed profile,
-    is strict JSON.
+    is strict JSON. JSON nested deeper than the decoder can recurse ends the
+    search with a ProfileParseError. A failed candidate costs about as much
+    as the text its parse read, not the rest of the response.
     """
     decoder = json.JSONDecoder(parse_constant=_reject_constant)
-    for start, ch in enumerate(text):
-        if ch != "{":
-            continue
-        try:
-            obj, _ = decoder.raw_decode(text[start:])
-        except ValueError:
-            continue
-        if isinstance(obj, dict):
+    # Replies usually open with their object: the first candidate is decoded whole.
+    width = len(text)
+    for opening in _OBJECT_OPENING.finditer(text):
+        obj = _decode_object_at(decoder, text, opening.start(), width)
+        if obj is not None:
             return obj
+        width = _WINDOW
     raise ProfileParseError("no JSON object found in the response")
+
+
+def _decode_object_at(decoder: json.JSONDecoder, text: str, start: int, width: int):
+    """The JSON object that opens at ``text[start]``, or None when none does."""
+    while True:
+        end = start + width
+        truncated = end < len(text)
+        try:
+            return decoder.raw_decode(text[start:end] + "\0" if truncated else text[start:])[0]
+        except json.JSONDecodeError as exc:
+            if not truncated or exc.pos < width - _TOKEN_REACH:
+                return None
+        except ValueError:
+            return None
+        except RecursionError:
+            raise ProfileParseError("the response nests JSON too deeply") from None
+        width *= 8
 
 
 def parse_profile_response(text: str) -> Profile:

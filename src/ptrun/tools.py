@@ -39,7 +39,7 @@ class ToolOutcome:
 
     @classmethod
     def success(cls, value) -> "ToolOutcome":
-        size = len(json.dumps(value, sort_keys=True).split())
+        size = len(json.dumps(value).split())
         return cls(ok=True, value=value, output_size=size)
 
     @classmethod

@@ -16,6 +16,8 @@ SCHEMA_VERSION = 1
 # Keys dropped before structural comparison: wall-clock and output-location
 # metadata, never semantic content.
 VOLATILE_KEYS = ("wall_time", "timing", "trace_path")
+_VOLATILE = frozenset(VOLATILE_KEYS)
+_MISSING = object()
 
 
 class TraceSchemaError(ValueError):
@@ -66,8 +68,9 @@ class TraceWriter:
 def read_trace(source: str | Path | list[dict]) -> list[dict]:
     """Records of a trace file (or an in-memory record list), header checked.
 
-    Raises TraceSchemaError for a line that is not a JSON object, naming its
-    1-based line number, and for a missing or unsupported header.
+    Raises TraceSchemaError for a line that is not a JSON object or nests
+    JSON too deeply to decode, naming its 1-based line number, and for a
+    missing or unsupported header.
     """
     if isinstance(source, list):
         records = source
@@ -81,6 +84,8 @@ def read_trace(source: str | Path | list[dict]) -> list[dict]:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise TraceSchemaError(f"line {number} is not valid JSON: {exc}") from None
+                except RecursionError:
+                    raise TraceSchemaError(f"line {number} nests JSON too deeply") from None
                 if not isinstance(record, dict):
                     raise TraceSchemaError(f"line {number} is not a JSON object")
                 records.append(record)
@@ -105,4 +110,31 @@ def strip_volatile(obj):
 
 
 def structurally_equal(a, b) -> bool:
-    return a == b or strip_volatile(a) == strip_volatile(b)
+    """``strip_volatile(a) == strip_volatile(b)``, computed without copying.
+
+    Dicts and lists are walked together. A member pair is first compared with
+    ``x is y or x == y``, the test the containers' own ``==`` applies to their
+    members, and only a pair that still differs is walked: equal subtrees
+    cost one C-level compare and volatile keys are skipped at any depth.
+    """
+    if isinstance(a, dict):
+        if not isinstance(b, dict):
+            return False
+        kept = 0
+        for key, x in a.items():
+            if key in _VOLATILE:
+                continue
+            kept += 1
+            y = b.get(key, _MISSING)
+            if not (x is y or x == y or y is not _MISSING and structurally_equal(x, y)):
+                return False
+        # Every kept key of a is in b, so equal counts mean equal key sets.
+        return kept == len(b) - len(_VOLATILE.intersection(b))
+    if isinstance(a, list):
+        if not isinstance(b, list) or len(a) != len(b):
+            return False
+        for x, y in zip(a, b):
+            if not (x is y or x == y or structurally_equal(x, y)):
+                return False
+        return True
+    return a == b

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,11 @@ def demo_args(tmp_path):
         "script": str(bundled_data("demo_script.json")),
         "trace": str(tmp_path / "trace.jsonl"),
     }
+
+
+# JSON nesting that every supported Python's decoder refuses with a
+# RecursionError (3.13's takes about 10,000 levels, 3.11's about 1,000).
+DEEPER_THAN_ANY_DECODER = 100_000
 
 
 def run_cli(*argv):
@@ -179,7 +185,7 @@ class TestReplayAndVerify:
     @pytest.mark.parametrize("command", ["replay", "verify-trace"])
     def test_corrupt_last_line_exits_2(self, command, demo_args, tmp_path, capsys):
         self.produce_trace(demo_args)
-        text = open(demo_args["trace"], encoding="utf-8").read()
+        text = Path(demo_args["trace"]).read_text(encoding="utf-8")
         cut = tmp_path / "cut.jsonl"
         cut.write_text(text[:-40])
         capsys.readouterr()
@@ -189,9 +195,21 @@ class TestReplayAndVerify:
         assert f"line {text.count(chr(10))} is not valid JSON" in err
 
     @pytest.mark.parametrize("command", ["replay", "verify-trace"])
+    def test_too_deeply_nested_line_exits_2(self, command, demo_args, tmp_path, capsys):
+        self.produce_trace(demo_args)
+        text = Path(demo_args["trace"]).read_text(encoding="utf-8")
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text(text + "[" * DEEPER_THAN_ANY_DECODER + "\n")
+        capsys.readouterr()
+        assert run_cli(command, "--trace", str(deep)) == EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed trace") and err.count("\n") == 1
+        assert f"line {text.count(chr(10)) + 1} nests JSON too deeply" in err
+
+    @pytest.mark.parametrize("command", ["replay", "verify-trace"])
     def test_bad_schema_version_exits_2(self, command, demo_args, tmp_path, capsys):
         self.produce_trace(demo_args)
-        lines = open(demo_args["trace"], encoding="utf-8").read().splitlines()
+        lines = Path(demo_args["trace"]).read_text(encoding="utf-8").splitlines()
         header = json.loads(lines[0])
         header["schema_version"] = 999
         bad = tmp_path / "bad.jsonl"
@@ -202,7 +220,7 @@ class TestReplayAndVerify:
 
     def test_truncated_trace_fails_verification(self, demo_args, tmp_path, capsys):
         self.produce_trace(demo_args)
-        lines = open(demo_args["trace"], encoding="utf-8").read().splitlines()
+        lines = Path(demo_args["trace"]).read_text(encoding="utf-8").splitlines()
         assert [json.loads(line)["type"] for line in lines[-2:]] == ["reason", "report"]
         truncated = tmp_path / "truncated.jsonl"
         truncated.write_text("\n".join(lines[:-2]) + "\n")
@@ -298,7 +316,9 @@ class TestInputFiles:
         assert run_cli(*bench_args(**{"--kb": str(kb)})) == EXIT_USAGE
         assert_one_error_line(capsys, "knowledge-base file")
 
-    @pytest.mark.parametrize("content", [json.dumps([1]), json.dumps({"items": [{}]}), "{"])
+    @pytest.mark.parametrize("content", [
+        json.dumps([1]), json.dumps({"items": [{}]}), "{",
+        pytest.param("[" * DEEPER_THAN_ANY_DECODER, id="nested-too-deeply")])
     def test_bench_with_malformed_suite_exits_2(self, content, tmp_path, capsys):
         suite = tmp_path / "suite.json"
         suite.write_text(content)
@@ -311,7 +331,7 @@ class TestInputFiles:
         assert_one_error_line(capsys, "knowledge-base file", missing)
 
     def test_infinity_in_task_context_exits_2(self, demo_args, tmp_path, capsys):
-        task = json.loads(open(demo_args["task"], encoding="utf-8").read())
+        task = json.loads(Path(demo_args["task"]).read_text(encoding="utf-8"))
         task_path = tmp_path / "task.json"
         task_path.write_text(json.dumps(task)[:-1] + ', "context": {"x": Infinity}}')
         assert run_cli(*run_args(demo_args, **{"--task-file": str(task_path)})) == EXIT_USAGE
@@ -320,6 +340,8 @@ class TestInputFiles:
     @pytest.mark.parametrize("flag, label, content", [
         ("--task-file", "task", json.dumps({"objective": 7})),
         ("--task-file", "task", "{"),
+        pytest.param("--task-file", "task", "[" * DEEPER_THAN_ANY_DECODER,
+                     id="task-nested-too-deeply"),
         ("--metadata", "metadata", json.dumps({"tool_catalog": "kb_search"})),
         ("--metadata", "metadata", json.dumps({"constraints": {
             "auto_rules": [{"id": "a", "expr": "result."}]}})),
@@ -351,7 +373,7 @@ class TestInputFiles:
 class TestMalformedTraceHeader:
     def rewrite_header(self, demo_args, tmp_path, edit):
         TestReplayAndVerify().produce_trace(demo_args)
-        lines = open(demo_args["trace"], encoding="utf-8").read().splitlines()
+        lines = Path(demo_args["trace"]).read_text(encoding="utf-8").splitlines()
         header = json.loads(lines[0])
         edit(header)
         bad = tmp_path / "bad-header.jsonl"
@@ -384,7 +406,8 @@ class TestMalformedProfileRecord:
     @pytest.mark.parametrize("command", ["replay", "verify-trace"])
     def test_malformed_profile_record_exits_2(self, command, edit, demo_args, tmp_path, capsys):
         TestReplayAndVerify().produce_trace(demo_args)
-        records = [json.loads(line) for line in open(demo_args["trace"], encoding="utf-8")]
+        text = Path(demo_args["trace"]).read_text(encoding="utf-8")
+        records = [json.loads(line) for line in text.splitlines()]
         edit(next(r for r in records if r["type"] == "profile"))
         bad = tmp_path / "bad-profile.jsonl"
         bad.write_text("".join(json.dumps(r) + "\n" for r in records))

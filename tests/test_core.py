@@ -269,3 +269,41 @@ class TestCatalogMonotonicity:
             profile = profile_of(*steps)
             report = check_admissibility(profile, metadata)
             assert not report.admissible
+
+
+def slice_rule_violations(profile: Profile) -> list:
+    """Placeholder violations by the rule that scans the keys of the steps
+    before each step; the reference for check_admissibility's key positions."""
+    keys = store_keys(profile.workflow)
+    out = []
+    for index, step in enumerate(profile.workflow.steps, start=1):
+        for value in step.params.values():
+            parts = value.parts()
+            if len(parts) < 2 or parts[0] != "result":
+                out.append((index, "bad_placeholder"))
+            elif parts[1] not in keys[: index - 1]:
+                out.append((index, "forward_placeholder"))
+    return out
+
+
+@st.composite
+def placeholder_workflows(draw):
+    """Workflows whose every param is a placeholder naming a backward, own,
+    forward or absent store key, or a malformed path."""
+    tools = draw(st.lists(st.sampled_from(["search", "lookup"]), min_size=1, max_size=12))
+    keys = store_keys(Workflow(steps=tuple(WorkflowStep(tool_id=t, params={}) for t in tools)))
+    steps = []
+    for tool in tools:
+        key = draw(st.sampled_from(keys + ("search_0", "lookup_99")))
+        path = draw(st.sampled_from([f"result.{key}.top", f"result.{key}", f"env.{key}",
+                                     "result"]))
+        steps.append((tool, {"query" if tool == "search" else "title": PlaceholderParam(path)}))
+    return profile_of(*steps)
+
+
+class TestForwardPlaceholder:
+    @settings(max_examples=200, deadline=None)
+    @given(profile=placeholder_workflows())
+    def test_matches_the_slice_rule(self, profile):
+        report = check_admissibility(profile, make_metadata())
+        assert [(v.step, v.kind) for v in report.violations] == slice_rule_violations(profile)

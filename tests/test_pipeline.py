@@ -17,7 +17,7 @@ from ptrun import ruledsl
 from ptrun.bench import bench_metadata
 from ptrun.core import AutoRuleSpec, Metadata, RecoverySpec, RuleSet, Task
 from ptrun.pipeline import (REPAIR_APPLIED_FLAG, REPAIR_REJECTED_FLAG, RunConfig,
-                            ToolEnvironment, replay_trace, run_ptr)
+                            ToolEnvironment, _compare, replay_trace, run_ptr)
 from ptrun.router import RouteMode
 from ptrun.semantic import (ModelResponse, PriceEntry, ScriptedModel, ScriptExhaustedError, Usage,
                             build_profile_prompt)
@@ -296,6 +296,13 @@ class TestProfileStage:
         assert any(r["type"] == "abort" and r["reason"] == "run_invalid" for r in records)
         assert records[-1]["type"] == "report"
 
+    def test_too_deeply_nested_replies_abort_run_invalid(self):
+        deep = '{"a":' * 100_000  # past the decoder's recursion on every supported Python
+        model = scripted({"role": "profile", "text": deep}, {"role": "profile", "text": deep})
+        report = run_ptr(task(), bench_metadata(), RunConfig(), model, environment())
+        assert report.outcome == "run_invalid"
+        assert model.calls == 2  # the corrective retry was made
+
     def test_inadmissible_profile_retried_with_diagnostic(self):
         inadmissible = {"workflow": {"steps": [{"tool_id": "bogus", "params": {}}]}}
         model = scripted({"role": "profile", "text": json.dumps(inadmissible)},
@@ -548,6 +555,39 @@ class TestReplay:
         edit(next(r for r in records if r["type"] == kind))
         with pytest.raises(TraceSchemaError, match=f"{kind} record is malformed"):
             replay_trace(records)
+
+    # 600 levels decode on every supported Python; whether copying them for
+    # the report recurses too deeply depends on the version. 5,000 levels
+    # (a 3.13 decoder takes them) always do.
+    @pytest.mark.parametrize("depth", [600, 5000])
+    @pytest.mark.parametrize("where", ["step", "last"])
+    def test_deeply_nested_recorded_value_is_a_divergence_or_schema_error(
+            self, where, depth, tmp_path):
+        _, _, path = self.run_and_replay(profile_entry(CLEAN_PROFILE), REASON,
+                                         tmp_path=tmp_path)
+        records = read_trace(path)
+        if where == "step":
+            next(r for r in records if r["type"] == "step")["event"]["outcome"] = nested(depth)
+        else:
+            records[-1]["type"] = nested(depth)
+        try:
+            replay = replay_trace(records)
+        except TraceSchemaError as exc:
+            assert "nests values too deeply" in str(exc)
+        else:
+            assert depth == 600 and not replay.matched
+
+    def test_too_deeply_nested_pair_is_schema_error(self):
+        with pytest.raises(TraceSchemaError, match="compared record 1 nests values too deeply"):
+            _compare([{"type": "step", "event": nested(100_000, 1)}],
+                     [{"type": "step", "event": nested(100_000, 2)}])
+
+
+def nested(depth: int, leaf=0) -> list:
+    value = leaf
+    for _ in range(depth):
+        value = [value]
+    return value
 
 
 @functools.cache

@@ -1,8 +1,11 @@
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ptrun import semantic
 from ptrun.core import Metadata, Profile
 from ptrun.semantic import (BudgetExceededError, BudgetLedger, HttpProviderModel,
                             MissingCredentialsError, ModelRequest, ModelResponse,
@@ -140,6 +143,91 @@ class TestResponseParsing:
     def test_serialize_parse_identity(self):
         profile = golden_profile()
         assert parse_profile_response(json.dumps(profile.to_dict())) == profile
+
+    # Deeper than any supported Python's decoder recurses (3.13's takes
+    # about 10,000 levels, 3.11's about 1,000).
+    @pytest.mark.parametrize("text", ['{"a":' * 100_000, 'x {"a": ' + "[" * 100_000],
+                             ids=["objects", "arrays"])
+    def test_too_deeply_nested_reply_is_parse_error(self, text):
+        with pytest.raises(ProfileParseError, match="too deeply"):
+            extract_first_json_object(text)
+
+    @pytest.mark.parametrize("text", ["{" * 80000, '{"{' * 30000, '{"a":1 ' * 12000],
+                             ids=["braces", "keys", "members"])
+    def test_failed_candidates_do_not_read_the_rest(self, text, monkeypatch):
+        decoded = []
+        raw_decode = json.JSONDecoder.raw_decode
+
+        def counting(self, s, idx=0):
+            decoded.append(len(s) - idx)
+            return raw_decode(self, s, idx)
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode", counting)
+        with pytest.raises(ProfileParseError):
+            extract_first_json_object(text)
+        # The first candidate reads the whole text; each later one a window.
+        assert sum(decoded) <= len(text) + (len(decoded) - 1) * (semantic._WINDOW + 1)
+
+
+def first_object_by_slices(text: str):
+    """First JSON object decoded from the whole rest of the text at every
+    brace; the reference for the windowed search."""
+    decoder = json.JSONDecoder(parse_constant=semantic._reject_constant)
+    for start, ch in enumerate(text):
+        if ch == "{":
+            try:
+                return decoder.raw_decode(text[start:])[0]
+            except ValueError:
+                continue
+    return None
+
+
+JSON_OBJECTS = st.builds(
+    json.dumps,
+    st.dictionaries(
+        st.text(st.sampled_from('a{"'), max_size=2),
+        st.recursive(
+            st.none() | st.booleans() | st.integers(-99, 10**30)
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.text(st.sampled_from('ab"\\{}\u00e9\U0001f600\n'), max_size=24),
+            lambda children: st.lists(children, max_size=3)
+            | st.dictionaries(st.text(st.sampled_from('a{"'), max_size=2), children, max_size=3),
+            max_leaves=8),
+        max_size=4),
+    indent=st.sampled_from([None, 1]))
+
+
+@st.composite
+def replies(draw):
+    """A candidate that fails, then prose, whole and cut JSON objects, and the
+    tokens a cut can split."""
+    pieces = [draw(st.sampled_from(["", '{"x"} ', '{ "a": ]', '{"{']))]
+    for piece in draw(st.lists(JSON_OBJECTS | st.sampled_from([
+            "{", "}", '"', "\\", " ", "\n", ":", ",", "[", "-Infinity", "NaN", "false",
+            "1e", "\\u12", "\\ud83d\\ude00", "plan:", '{"k": ']), max_size=6)):
+        cut = draw(st.integers(0, len(piece)))
+        pieces.append(piece if draw(st.booleans()) else piece[:cut])
+    return "".join(pieces)
+
+
+class TestWindowedSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(text=replies(), window=st.integers(1, 64))
+    def test_matches_decoding_each_whole_rest(self, text, window):
+        expected = first_object_by_slices(text)
+        with mock.patch.object(semantic, "_WINDOW", window):
+            try:
+                found = extract_first_json_object(text)
+            except ProfileParseError:
+                found = None
+        assert found == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=JSON_OBJECTS)
+    def test_a_window_cut_anywhere_grows_to_the_whole_object(self, text):
+        decoder = json.JSONDecoder(parse_constant=semantic._reject_constant)
+        expected = json.loads(text)
+        for width in range(1, len(text) + 1):
+            assert semantic._decode_object_at(decoder, text + " {", 0, width) == expected
 
 
 class TestBudgetLedger:

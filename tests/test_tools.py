@@ -307,6 +307,16 @@ class TestDeterminismAndPurity:
         outcome = ToolOutcome.success({"value": 7})
         assert outcome.output_size == len(json.dumps({"value": 7}, sort_keys=True).split())
 
+    @settings(max_examples=200, deadline=None)
+    @given(value=st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=4), children, max_size=4),
+        max_leaves=16))
+    def test_output_size_does_not_depend_on_key_order(self, value):
+        sorted_count = len(json.dumps(value, sort_keys=True).split())
+        assert ToolOutcome.success(value).output_size == sorted_count
+
     def test_builtin_registry_covers_three_tools(self, kb):
         registry = builtin_registry(kb)
         assert all(registry.has(t) for t in ("kb_search", "kb_lookup", "calc"))

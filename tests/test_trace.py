@@ -1,8 +1,9 @@
 import json
+import math
 
 from hypothesis import given, settings, strategies as st
 
-from ptrun.trace import TraceWriter
+from ptrun.trace import VOLATILE_KEYS, TraceWriter, strip_volatile, structurally_equal
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
@@ -25,3 +26,99 @@ class TestSplicedMember:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines == [json.dumps(record, allow_nan=False)] * 2
         assert writer.records == [record, record]
+
+
+# One NaN object shared by both trees (equal inside a container, as `is`
+# comes first there) and fresh ones (never equal).
+SHARED_NAN = math.nan
+KEYS = st.sampled_from(("a", "b", "c") + VOLATILE_KEYS)
+LEAVES = (st.none() | st.booleans() | st.integers(-1, 2) | st.sampled_from([0.5, SHARED_NAN])
+          | st.builds(float, st.just("nan")) | st.sampled_from(["", "x", "wall_time"]))
+TREES = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=3) | st.tuples(children, children)
+    | st.dictionaries(KEYS, children, min_size=1, max_size=4),
+    max_leaves=10)
+# Trace records: dicts that often hold dicts or lists of dicts.
+RECORDS = st.dictionaries(
+    KEYS, st.dictionaries(KEYS, TREES, max_size=4) | st.lists(TREES, max_size=3) | TREES,
+    min_size=1, max_size=4)
+STAMPS = st.floats(0, 1) | LEAVES
+
+
+@st.composite
+def restamped(draw, tree):
+    """The tree with a new value drawn for every volatile key, at any depth."""
+    if isinstance(tree, dict):
+        return {key: draw(STAMPS) if key in VOLATILE_KEYS else draw(restamped(value))
+                for key, value in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return type(tree)(draw(restamped(item)) for item in tree)
+    return tree
+
+
+@st.composite
+def edited(draw, tree):
+    """The tree with at most one small edit, down a drawn path."""
+    if isinstance(tree, dict) and tree and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(tree)))
+        out = {**tree, key: draw(edited(tree[key]))}
+        if draw(st.booleans()):  # the same members in another key order
+            out = dict(reversed(list(out.items())))
+        return out
+    if isinstance(tree, (list, tuple)) and tree and draw(st.booleans()):
+        index = draw(st.integers(0, len(tree) - 1))
+        items = list(tree)
+        items[index] = draw(edited(items[index]))
+        return type(tree)(items)
+    action = draw(st.sampled_from(["keep", "replace", "add", "drop", "retype"]))
+    if action == "replace":
+        return draw(TREES)
+    if action == "add" and isinstance(tree, dict):
+        return {**tree, draw(KEYS): draw(LEAVES)}
+    if action == "drop" and isinstance(tree, dict) and tree:
+        key = draw(st.sampled_from(sorted(tree)))
+        return {k: v for k, v in tree.items() if k != key}
+    if action == "retype":
+        if isinstance(tree, (list, tuple)):
+            return tuple(tree) if isinstance(tree, list) else list(tree)
+        if tree in (0, 1) and not isinstance(tree, float):
+            return bool(tree) if type(tree) is int else int(tree)
+    return tree
+
+
+@st.composite
+def tree_pairs(draw):
+    a = draw(RECORDS) if draw(st.integers(0, 2)) else draw(TREES)
+    b = draw(edited(a)) if draw(st.integers(0, 3)) else draw(TREES)
+    if draw(st.integers(0, 3)):  # new wall-clock values, mostly
+        b = draw(restamped(b))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+class TestStructurallyEqual:
+    @settings(max_examples=200, deadline=None)
+    @given(pair=tree_pairs())
+    def test_matches_comparing_stripped_copies(self, pair):
+        a, b = pair
+        assert structurally_equal(a, b) == (strip_volatile(a) == strip_volatile(b))
+
+    def test_volatile_keys_are_ignored_at_any_depth(self):
+        recorded = {"type": "step", "event": {"attempts": [{"ok": True, "wall_time": 1.0}],
+                                              "wall_time": 2.0}}
+        recomputed = {"type": "step", "event": {"wall_time": 3.0,
+                                                "attempts": [{"wall_time": 4.0, "ok": True}]}}
+        assert structurally_equal(recorded, recomputed)
+        recomputed["event"]["attempts"][0]["ok"] = 1.0
+        assert structurally_equal(recorded, recomputed)  # 1.0 == True, as in the reference
+        recomputed["event"]["attempts"][0]["ok"] = False
+        assert not structurally_equal(recorded, recomputed)
+
+    def test_tuples_are_compared_whole(self):
+        assert not structurally_equal(({"wall_time": 1},), ({"wall_time": 2},))
+        assert structurally_equal([{"wall_time": 1}], [{"wall_time": 2}])
+
+    def test_a_lone_nan_differs_from_itself(self):
+        assert not structurally_equal(SHARED_NAN, SHARED_NAN)
+        assert structurally_equal([SHARED_NAN], [SHARED_NAN])
+        assert not structurally_equal([SHARED_NAN], [float("nan")])
