@@ -3,17 +3,27 @@
 
 One run makes exactly one profile call and one reason call, plus at most one
 repair call, so completed runs use two or three model calls total. Everything
-between the semantic stages is deterministic and is persisted to a
-self-contained JSONL trace that `replay_trace` can recompute and check.
+between the semantic stages is deterministic and is persisted to a JSONL
+trace that `replay_trace` can recompute and check. The trace header names
+the knowledge base by digest; a traced run stores the articles once per
+directory in a ``kb/<digest>.json`` side file, and replay takes the KB from
+a bounded memo of verified KBs or from that file, after checking its bytes.
 """
 
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
+import os
+import re
+import threading
 import time
+import uuid
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
+from pathlib import Path
 
 from .core import (CompiledBranchRule, Metadata, MetadataReport, Profile, Task,
                    check_admissibility, compile_branch_rule, validate_metadata)
@@ -26,8 +36,8 @@ from .semantic import (BudgetExceededError, BudgetLedger, ModelRequest, PriceEnt
                        ProfileParseError, build_profile_prompt, build_profile_retry_prompt,
                        build_reason_prompt, build_repair_prompt, parse_profile_response)
 from .tools import KnowledgeBase, ToolRegistry, builtin_registry, parse_fault_script
-from .trace import (SCHEMA_VERSION, TraceSchemaError, TraceWriter, digest, read_trace,
-                    structurally_equal, strip_volatile)
+from .trace import (SCHEMA_VERSION, TraceSchemaError, TraceWriter, canonical_json, digest,
+                    read_trace, structurally_equal, strip_volatile)
 from .verifier import PenaltyCoefficients, extract_counters, verify
 
 REPAIR_REJECTED_FLAG = "repair_rejected"
@@ -111,36 +121,80 @@ class RunConfig:
         return digest(self.to_dict())
 
 
+# Verified knowledge bases by digest, least recently used first. Each run
+# adds or refreshes its environment's KB, so the KB of an environment in use
+# stays in the memo and an environment that never runs holds no place in it;
+# replay adds a side file's KB once the file's bytes hash to the digest. A KB
+# is read-only and its key is its content, so an entry never goes stale.
+KB_MEMO_SIZE = 8
+_KB_MEMO: OrderedDict[str, KnowledgeBase] = OrderedDict()
+_KB_MEMO_LOCK = threading.Lock()
+_KB_DIGEST = re.compile(r"[0-9a-f]{64}")
+
+
+def _remember_kb(kb_digest: str, kb: KnowledgeBase) -> None:
+    with _KB_MEMO_LOCK:
+        _KB_MEMO[kb_digest] = kb
+        _KB_MEMO.move_to_end(kb_digest)
+        if len(_KB_MEMO) > KB_MEMO_SIZE:
+            _KB_MEMO.popitem(last=False)
+
+
+def _memoized_kb(kb_digest: str) -> KnowledgeBase | None:
+    with _KB_MEMO_LOCK:
+        kb = _KB_MEMO.get(kb_digest)
+        if kb is not None:
+            _KB_MEMO.move_to_end(kb_digest)
+        return kb
+
+
+def kb_side_file(trace_path, kb_digest: str) -> str:
+    """Where a trace's knowledge base is stored: ``<trace dir>/kb/<digest>.json``."""
+    return os.path.join(os.path.dirname(os.fspath(trace_path)), "kb", f"{kb_digest}.json")
+
+
+def _check_fault_scripts(fault_scripts) -> None:
+    if not isinstance(fault_scripts, dict):
+        raise ValueError("fault scripts must map tool ids to scripts")
+    for script in fault_scripts.values():
+        if script not in ([], ()):  # an empty script injects nothing
+            parse_fault_script(script)
+
+
 @dataclass(frozen=True)
 class ToolEnvironment:
-    """Rebuildable tool setup for a run: knowledge-base articles plus optional
-    per-tool fault scripts. Embedded in the trace header so replay can
-    reconstruct an identical registry.
+    """Tool setup for a run: knowledge-base articles plus optional per-tool
+    fault scripts. Trace headers name the KB by digest and embed the fault
+    scripts, so replay can build an identical registry.
 
-    The inputs are fixed when the environment is built: it keeps its own
-    copy of each article dict (not of the lists inside one) and of the fault
-    scripts, so a caller who later sets a key of an article or edits a
-    fault script changes neither the runs nor their headers. The articles
-    are read once into one read-only KnowledgeBase that serves every run;
-    only the fault injectors are built per run. The header's JSON text is
-    encoded on the first traced run and then held. Malformed articles or
-    fault scripts raise ValueError here."""
+    The inputs are fixed when the environment is built. The articles are
+    read once into one read-only KnowledgeBase that serves every run, and
+    their canonical JSON text (``kb_text``) and its sha256 (``kb_digest``)
+    are computed once; only the fault injectors are built per run. The
+    environment also keeps its own copy of each article dict (not of the
+    lists inside one) and of the fault scripts, so a caller who later
+    changes them changes neither the runs nor their headers. Malformed
+    articles or fault scripts raise ValueError here."""
 
     articles: tuple = ()
     fault_scripts: dict = field(default_factory=dict)
     kb: KnowledgeBase = field(init=False, repr=False, compare=False)
-    _encoded: str | None = field(default=None, init=False, repr=False, compare=False)
+    kb_text: str = field(init=False, repr=False, compare=False)
+    kb_digest: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "kb", KnowledgeBase(self.articles))
-        if not isinstance(self.fault_scripts, dict):
-            raise ValueError("fault scripts must map tool ids to scripts")
-        for script in self.fault_scripts.values():
-            if script not in ([], ()):  # an empty script injects nothing
-                parse_fault_script(script)
-        # copying each article's links list too would triple this copy's cost,
-        # which replay pays once per trace
-        object.__setattr__(self, "articles", tuple(map(dict, self.articles)))
+        kb = KnowledgeBase(self.articles)
+        _check_fault_scripts(self.fault_scripts)
+        articles = tuple(map(dict, self.articles))
+        try:
+            text = canonical_json(articles)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"knowledge base is not JSON: {exc}") from None
+        kb_digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        object.__setattr__(self, "kb", kb)
+        object.__setattr__(self, "kb_text", text)
+        object.__setattr__(self, "kb_digest", kb_digest)
+        object.__setattr__(self, "articles", articles)
         object.__setattr__(self, "fault_scripts", copy.deepcopy(self.fault_scripts))
 
     @classmethod
@@ -152,22 +206,27 @@ class ToolEnvironment:
         return builtin_registry(self.kb, self.fault_scripts)
 
     def describe(self) -> dict:
-        """The header's environment member. It shares the environment's
-        article dicts rather than copying them; they are not to be changed."""
-        return {"kb": list(self.articles),
+        """The header's environment member."""
+        return {"kb_digest": self.kb_digest,
                 "fault_scripts": {k: list(v) for k, v in self.fault_scripts.items()}}
 
-    def encoded(self) -> str:
-        """``describe()`` as the JSON text a trace header holds: encoded on
-        the first call and then held, since the inputs never change."""
-        if self._encoded is None:
-            object.__setattr__(self, "_encoded", json.dumps(self.describe(), allow_nan=False))
-        return self._encoded
-
-    @classmethod
-    def from_description(cls, data: dict) -> "ToolEnvironment":
-        return cls(articles=tuple(data.get("kb", ())),
-                   fault_scripts=data.get("fault_scripts", {}))
+    def store_kb(self, trace_path) -> None:
+        """Write the KB side file of a trace at ``trace_path`` unless it
+        exists. Its bytes are ``kb_text``; they are written to a temporary
+        file that is then moved into place, so a reader never sees a part."""
+        path = kb_side_file(trace_path, self.kb_digest)
+        if os.path.exists(path):
+            return
+        Path(path).parent.mkdir(exist_ok=True)  # the trace's own directory must exist
+        partial = f"{path}.{uuid.uuid4().hex}.tmp"
+        try:
+            with open(partial, "xb") as fh:
+                fh.write(self.kb_text.encode("utf-8"))
+            os.replace(partial, path)
+        except BaseException:
+            if os.path.exists(partial):
+                os.unlink(partial)
+            raise
 
 
 @dataclass
@@ -327,6 +386,9 @@ def run_ptr(task: Task, metadata: Metadata, cfg: RunConfig, model,
         if not registry.has(spec.id):
             raise ValueError(f"registry does not cover catalog tool {spec.id!r}")
 
+    _remember_kb(environment.kb_digest, environment.kb)
+    if trace_path:
+        environment.store_kb(trace_path)
     writer = TraceWriter(trace_path)
     try:
         return _run(task, metadata, checked, cfg, model, registry, environment, writer)
@@ -357,8 +419,7 @@ def _run(task: Task, metadata: Metadata, checked: MetadataReport, cfg: RunConfig
         "config_hash": cfg.config_hash(),
         "environment": environment.describe(),
     }
-    # the environment, which may embed a large KB, is encoded once per environment
-    writer.write(header, environment.encoded() if writer.path else None)
+    writer.write(header)
     ledger = BudgetLedger(limit_micros=cfg.budget_micros)
     timing: dict[str, float] = {}
     repaired, route_dict = False, None
@@ -468,23 +529,71 @@ def _diverge(section: str, index: int, recorded, recomputed) -> dict:
     return {"section": section, "index": index, "recorded": recorded, "recomputed": recomputed}
 
 
-def _read_header(header: dict
-                 ) -> tuple[Task, Metadata, MetadataReport, RunConfig, ToolEnvironment]:
-    """The run inputs a trace header embeds, with the metadata's validation
-    report; TraceSchemaError when one is missing or malformed (a malformed
-    embedded KB and invalid metadata included)."""
+def _read_header(header: dict, source
+                 ) -> tuple[Task, Metadata, MetadataReport, RunConfig, ToolRegistry]:
+    """The run inputs a trace header holds, with the metadata's validation
+    report and a registry over the trace's KB and fault scripts;
+    TraceSchemaError when one is missing or malformed (invalid metadata, a
+    malformed fault script, a version 1 header's malformed embedded KB and a
+    version 2 header's KB that cannot be resolved included)."""
     for key in ("task", "metadata", "config", "environment"):
         if not isinstance(header.get(key), dict):
             raise TraceSchemaError(f"trace header has no {key} object")
+    environment = header["environment"]
+    version = header["schema_version"]
     try:
         task = Task.from_dict(header["task"])
         metadata = Metadata.from_dict(header["metadata"])
         checked = validate_metadata(metadata).require_valid()
         cfg = RunConfig.from_dict(header["config"])
-        env = ToolEnvironment.from_description(header["environment"])
+        fault_scripts = environment.get("fault_scripts", {})
+        _check_fault_scripts(fault_scripts)
+        if version == 1:
+            if "kb_digest" in environment:
+                raise ValueError("a version 1 environment embeds its kb and has no kb_digest")
+            kb = KnowledgeBase(environment.get("kb", ()))
+        else:
+            if "kb" in environment:
+                raise ValueError(f"a version {version} environment names its kb by "
+                                 "kb_digest and does not embed it")
+            kb_digest = environment.get("kb_digest")
+            # checked before the digest names a file, so it cannot name another path
+            if not (isinstance(kb_digest, str) and _KB_DIGEST.fullmatch(kb_digest)):
+                raise ValueError(f"kb_digest {kb_digest!r} is not 64 lowercase hex digits")
+            kb = None
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceSchemaError(f"trace header is malformed: {exc}") from None
-    return task, metadata, checked, cfg, env
+    if kb is None:
+        kb = _resolve_kb(environment["kb_digest"], source)
+    return task, metadata, checked, cfg, builtin_registry(kb, fault_scripts)
+
+
+def _resolve_kb(kb_digest: str, source) -> KnowledgeBase:
+    """The verified KB a version 2 header names: from the memo, else, for a
+    trace file, from its side file once the file's bytes hash to the digest.
+    TraceSchemaError, naming the digest or the file, when neither holds it
+    or the side file is not a valid KB."""
+    kb = _memoized_kb(kb_digest)
+    if kb is not None:
+        return kb
+    if isinstance(source, list):
+        raise TraceSchemaError(f"knowledge base {kb_digest} is not loaded in this process; "
+                               "replay the trace file beside its kb/ directory")
+    path = kb_side_file(source, kb_digest)
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise TraceSchemaError(f"knowledge base {kb_digest} cannot be read from {path}: "
+                               f"{exc.strerror}") from None
+    if hashlib.sha256(data).hexdigest() != kb_digest:
+        raise TraceSchemaError(f"knowledge base file {path} does not hash to its digest")
+    try:
+        kb = KnowledgeBase(json.loads(data))
+    except (ValueError, RecursionError) as exc:
+        raise TraceSchemaError(f"knowledge base file {path} is malformed: {exc}") from None
+    _remember_kb(kb_digest, kb)
+    return kb
 
 
 def _recorded_profile(record: dict, checked: MetadataReport) -> tuple[Profile, RuleBundle]:
@@ -537,12 +646,11 @@ def replay_trace(source) -> ReplayReport:
     if records[-1].get("type") != "report":
         return ReplayReport(False, _diverge("incomplete", len(records) - 1,
                                             records[-1].get("type"), "report"), 0)
-    task, metadata, checked, cfg, env = _read_header(records[0])
+    task, metadata, checked, cfg, registry = _read_header(records[0], source)
     recomputed = TraceWriter()
     profile_record = next((r for r in records if r.get("type") == "profile"), None)
     # A run aborted in the profile stage has no deterministic stage to recompute.
     if profile_record is not None:
-        registry = env.build_registry()
         profile, rules = _recorded_profile(profile_record, checked)
         mode, _ = _route(metadata, profile, cfg, recomputed)
         _, z = _execute(task, metadata, cfg, registry, profile, rules, mode, "initial",

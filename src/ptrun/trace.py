@@ -1,8 +1,10 @@
 """Versioned JSONL run traces: one record object per line.
 
-A trace is self-contained: the header embeds the task, metadata, full run
-configuration, and the tool environment description, so every deterministic
-stage can be recomputed from the trace alone.
+The header embeds the task, metadata and full run configuration, and names
+the tool environment: its fault scripts and, by digest, its knowledge base,
+whose articles live once per directory in a ``kb/<digest>.json`` side file
+next to the trace. A trace and its ``kb/`` directory together are enough to
+recompute every deterministic stage.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ import hashlib
 import json
 from pathlib import Path
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+# Version 1 headers embed the knowledge base; they are still read.
+READABLE_VERSIONS = (1, SCHEMA_VERSION)
 
 # Keys dropped before structural comparison: wall-clock and output-location
 # metadata, never semantic content.
@@ -40,23 +44,11 @@ class TraceWriter:
         self.records: list[dict] = []
         self._fh = open(self.path, "w", encoding="utf-8") if self.path else None
 
-    def write(self, record: dict, last_json: str | None = None) -> None:
-        """Keep the record and, with a path, append it as one JSON line.
-
-        ``last_json``, when given, is the JSON text of the record's last
-        member. It is spliced into the line instead of being encoded again;
-        the line is the same as ``json.dumps(record, allow_nan=False)``.
-        """
+    def write(self, record: dict) -> None:
+        """Keep the record and, with a path, append it as one JSON line."""
         self.records.append(record)
         if self._fh:
-            if last_json is None:
-                line = json.dumps(record, allow_nan=False) + "\n"
-            else:
-                *keys, last = record
-                head = json.dumps({key: record[key] for key in keys}, allow_nan=False)
-                opening = head[:-1] + ", " if keys else "{"
-                line = f"{opening}{json.dumps(last)}: {last_json}}}\n"
-            self._fh.write(line)
+            self._fh.write(json.dumps(record, allow_nan=False) + "\n")
             self._fh.flush()
 
     def close(self) -> None:
@@ -94,7 +86,7 @@ def read_trace(source: str | Path | list[dict]) -> list[dict]:
     header = records[0]
     if header.get("type") != "header":
         raise TraceSchemaError("first trace record must be the header")
-    if header.get("schema_version") != SCHEMA_VERSION:
+    if header.get("schema_version") not in READABLE_VERSIONS:
         raise TraceSchemaError(
             f"unsupported trace schema version {header.get('schema_version')!r}")
     return records

@@ -1,10 +1,15 @@
+import collections
+import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from ptrun import pipeline
 from ptrun.cli import (EXIT_BUDGET, EXIT_DIVERGENCE, EXIT_MODEL_ERROR, EXIT_OK,
                        EXIT_RUN_INVALID, EXIT_USAGE, bundled_data, main)
+from ptrun.tools import KnowledgeBase
 
 
 @pytest.fixture
@@ -388,14 +393,122 @@ class TestMalformedTraceHeader:
         assert_one_error_line(capsys, "malformed trace", "no task object")
 
     @pytest.mark.parametrize("command", ["replay", "verify-trace"])
-    def test_untitled_embedded_article_exits_2(self, command, demo_args, tmp_path, capsys):
+    def test_untitled_embedded_article_exits_2(self, command, tmp_path, capsys):
+        # a version 1 header embeds its KB
         def drop_title(header):
             del header["environment"]["kb"][0]["title"]
 
-        bad = self.rewrite_header(demo_args, tmp_path, drop_title)
-        capsys.readouterr()
-        assert run_cli(command, "--trace", bad) == EXIT_DIVERGENCE
+        bad = tmp_path / "bad-header.jsonl"
+        bad.write_bytes(V1_TRACE.read_bytes())
+        edit_header(bad, drop_title)
+        assert run_cli(command, "--trace", str(bad)) == EXIT_DIVERGENCE
         assert_one_error_line(capsys, "malformed trace", "article 0: title must be a string")
+
+
+V1_TRACE = Path(__file__).parent / "data" / "trace_v1_demo.jsonl"
+
+
+def edit_header(path, edit) -> None:
+    lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
+    header = json.loads(lines[0])
+    edit(header)
+    Path(path).write_text(json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8")
+
+
+def side_file(trace) -> Path:
+    digest = json.loads(Path(trace).read_text(encoding="utf-8").splitlines()[0])[
+        "environment"]["kb_digest"]
+    return Path(trace).parent / "kb" / f"{digest}.json"
+
+
+def flip_byte(trace):
+    path = side_file(trace)
+    content = bytearray(path.read_bytes())
+    content[len(content) // 2] ^= 0x01
+    path.write_bytes(bytes(content))
+
+
+def untitled_side_file(trace):
+    text = json.dumps([{"body": "no title"}], sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    (Path(trace).parent / "kb" / f"{digest}.json").write_text(text, encoding="utf-8")
+    edit_header(trace, lambda header: header["environment"].update(kb_digest=digest))
+
+
+def set_digest(value):
+    return lambda trace: edit_header(
+        trace, lambda header: header["environment"].update(kb_digest=value(
+            header["environment"]["kb_digest"])))
+
+
+# edit of a fresh demo trace -> a fragment of the error line it gives
+KB_TAMPERING = {
+    "flipped-byte": (flip_byte, "does not hash to its digest"),
+    "deleted-side-file": (lambda trace: side_file(trace).unlink(), "cannot be read"),
+    "traversal": (set_digest(lambda digest: "../kb/x"), "not 64 lowercase hex"),
+    "upper-case": (set_digest(str.upper), "not 64 lowercase hex"),
+    "63-chars": (set_digest(lambda digest: digest[:63]), "not 64 lowercase hex"),
+    "untitled-article": (untitled_side_file, "article 0: title must be a string"),
+    "inline-kb": (lambda trace: edit_header(
+        trace, lambda header: header["environment"].update(kb=[])), "does not embed it"),
+}
+
+
+class TestKbSideFile:
+    @pytest.fixture(autouse=True)
+    def empty_kb_memo(self, monkeypatch):
+        # a fresh memo, as in a new process: replay must read the side file
+        monkeypatch.setattr(pipeline, "_KB_MEMO", collections.OrderedDict())
+
+    def test_run_writes_the_side_file_once(self, demo_args, capsys):
+        TestReplayAndVerify().produce_trace(demo_args)
+        path = side_file(demo_args["trace"])
+        # the CLI reads the KB file into a KnowledgeBase, whose articles are in title order
+        kb = KnowledgeBase.load(bundled_data("kb.json")).to_list()
+        text = json.dumps(kb, sort_keys=True, separators=(",", ":"))
+        assert path.read_bytes() == text.encode("utf-8")
+        assert path.name == hashlib.sha256(text.encode("utf-8")).hexdigest() + ".json"
+        before = path.stat()
+        TestReplayAndVerify().produce_trace(demo_args)
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert os.listdir(path.parent) == [path.name]
+
+    @pytest.mark.parametrize("command", ["replay", "verify-trace"])
+    def test_trace_verifies_from_its_side_file(self, command, demo_args, monkeypatch,
+                                               tmp_path, capsys):
+        TestReplayAndVerify().produce_trace(demo_args)
+        pipeline._KB_MEMO.clear()
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        capsys.readouterr()
+        assert run_cli(command, "--trace", demo_args["trace"]) == EXIT_OK
+
+    @pytest.mark.parametrize("case", sorted(KB_TAMPERING))
+    @pytest.mark.parametrize("command", ["replay", "verify-trace"])
+    def test_kb_tampering_exits_2(self, command, case, demo_args, capsys):
+        edit, fragment = KB_TAMPERING[case]
+        TestReplayAndVerify().produce_trace(demo_args)
+        pipeline._KB_MEMO.clear()
+        edit(demo_args["trace"])
+        capsys.readouterr()
+        assert run_cli(command, "--trace", demo_args["trace"]) == EXIT_DIVERGENCE
+        assert_one_error_line(capsys, "malformed trace", fragment)
+
+    @pytest.mark.parametrize("command", ["replay", "verify-trace"])
+    def test_version_1_trace_verifies(self, command, capsys):
+        assert run_cli(command, "--trace", str(V1_TRACE)) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "trace verified: 5 records match" in out or json.loads(out)["matched"] is True
+
+    @pytest.mark.parametrize("command", ["replay", "verify-trace"])
+    def test_version_1_header_with_kb_digest_exits_2(self, command, tmp_path, capsys):
+        bad = tmp_path / "mixed.jsonl"
+        bad.write_bytes(V1_TRACE.read_bytes())
+        edit_header(bad, lambda header: header["environment"].update(kb_digest="0" * 64))
+        assert run_cli(command, "--trace", str(bad)) == EXIT_DIVERGENCE
+        assert_one_error_line(capsys, "malformed trace", "has no kb_digest")
 
 
 class TestMalformedProfileRecord:

@@ -1,6 +1,7 @@
 import collections
 import copy
 import functools
+import hashlib
 import json
 import os
 import random
@@ -10,19 +11,19 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import ptrun
-from ptrun import ruledsl
+from ptrun import pipeline, ruledsl, semantic
 from ptrun.bench import bench_metadata
 from ptrun.core import AutoRuleSpec, Metadata, RecoverySpec, RuleSet, Task
 from ptrun.pipeline import (REPAIR_APPLIED_FLAG, REPAIR_REJECTED_FLAG, RunConfig,
-                            ToolEnvironment, _compare, replay_trace, run_ptr)
+                            ToolEnvironment, _compare, kb_side_file, replay_trace, run_ptr)
 from ptrun.router import RouteMode
 from ptrun.semantic import (ModelResponse, PriceEntry, ScriptedModel, ScriptExhaustedError, Usage,
                             build_profile_prompt)
-from ptrun.trace import (SCHEMA_VERSION, VOLATILE_KEYS, TraceSchemaError, read_trace,
-                         strip_volatile)
+from ptrun.trace import (SCHEMA_VERSION, VOLATILE_KEYS, TraceSchemaError, canonical_json,
+                         read_trace, strip_volatile)
 
 import helpers_dsl
 from helpers_scenarios import build_model, make_scenario
@@ -936,6 +937,10 @@ def articles(draw):
     return result
 
 
+def kb_digest(articles) -> str:
+    return hashlib.sha256(canonical_json(list(articles)).encode("utf-8")).hexdigest()
+
+
 def expected_header_line(cfg, articles, fault_scripts) -> str:
     """The header line as json.dumps writes the whole header record."""
     return json.dumps({
@@ -945,7 +950,7 @@ def expected_header_line(cfg, articles, fault_scripts) -> str:
         "metadata": bench_metadata().to_dict(),
         "config": cfg.to_dict(),
         "config_hash": cfg.config_hash(),
-        "environment": {"kb": [dict(a) for a in articles],
+        "environment": {"kb_digest": kb_digest(articles),
                         "fault_scripts": {k: list(v) for k, v in fault_scripts.items()}},
     }, allow_nan=False)
 
@@ -966,6 +971,14 @@ def role_model():
                       "repair": json.dumps(SEARCH_THEN_CALC), "reason": "done"})
 
 
+@pytest.fixture
+def empty_kb_memo(monkeypatch):
+    """An empty KB memo for one test; the process's own memo is back after it."""
+    memo = collections.OrderedDict()
+    monkeypatch.setattr(pipeline, "_KB_MEMO", memo)
+    return memo
+
+
 class TestEnvironmentHeader:
     @settings(max_examples=80, deadline=None)
     @given(kb=articles(),
@@ -983,32 +996,44 @@ class TestEnvironmentHeader:
                 assert header_line(path) == expected
                 assert json.dumps(read_trace(path)[0], allow_nan=False) == expected
                 assert replay_trace(path).matched
+            side_file = Path(kb_side_file(path, kb_digest(kb)))
+            assert side_file.read_bytes() == canonical_json(kb).encode("utf-8")
+            assert os.listdir(side_file.parent) == [side_file.name]
 
-    def test_environment_is_encoded_once_and_only_for_a_trace_file(self, monkeypatch,
-                                                                    tmp_path):
-        calls = []
-        original = ToolEnvironment.describe
-
-        def counting(self):
-            calls.append(self)
-            return original(self)
-
-        monkeypatch.setattr(ToolEnvironment, "describe", counting)
+    def test_kb_is_encoded_once_and_stored_only_for_a_trace_file(self, monkeypatch,
+                                                                  tmp_path):
+        encoded, replaced = [], []
+        encode, replace_file = pipeline.canonical_json, os.replace
+        monkeypatch.setattr(pipeline, "canonical_json",
+                            lambda obj: encoded.append(obj) or encode(obj))
+        monkeypatch.setattr(os, "replace",
+                            lambda *args: replaced.append(args) or replace_file(*args))
         env = environment()
-        assert calls == []  # building an environment encodes nothing
+        assert len(encoded) == 1  # building the environment encodes its KB
         report = run_ptr(task(), bench_metadata(), RunConfig(), role_model(), env)
         assert report.outcome == "ok"
-        assert len(calls) == 1  # for the header record; an in-memory trace encodes nothing
+        assert not (tmp_path / "kb").exists() and replaced == []
         for name in ("first", "second"):
             run_ptr(task(), bench_metadata(), RunConfig(), role_model(), env,
                     trace_path=str(tmp_path / f"{name}.jsonl"))
-        assert env.encoded() is env.encoded()
-        # one more to encode the first trace file
-        assert len(calls) == 4
+        side_file = Path(kb_side_file(tmp_path / "first.jsonl", env.kb_digest))
+        assert len(replaced) == 1  # the second trace found the side file there
+        side_file.unlink()
+        run_ptr(task(), bench_metadata(), RunConfig(), role_model(), env,
+                trace_path=str(tmp_path / "third.jsonl"))
+        assert len(replaced) == 2 and side_file.read_text(encoding="utf-8") == env.kb_text
+        assert len(encoded) == 1
+        assert sorted(os.listdir(tmp_path / "kb")) == [side_file.name]
+
+    @pytest.mark.parametrize("extra", [{1, 2}, float("nan")], ids=["set", "nan"])
+    def test_article_that_is_not_json_is_value_error(self, extra):
+        with pytest.raises(ValueError, match="knowledge base is not JSON"):
+            ToolEnvironment(articles=({"title": "a", "extra": extra},))
 
     def test_caller_changes_after_build_reach_neither_run_nor_header(self, tmp_path):
         kb = [dict(article, links=["Paris"]) for article in KB]
         scripts = {"kb_search": ["timeout", "ok"]}
+        original = copy.deepcopy(kb)
         expected = expected_header_line(RunConfig(), kb, scripts)
         profile = {"workflow": {"steps": [
             {"tool_id": "kb_search", "params": {"query": "turing machine"}},
@@ -1016,17 +1041,20 @@ class TestEnvironmentHeader:
         model = functools.partial(RoleModel, {"profile": json.dumps(profile),
                                               "repair": json.dumps(profile), "reason": "ok"})
         env = ToolEnvironment(articles=tuple(kb), fault_scripts=scripts)
+        built_kb, built_digest = env.kb, env.kb_digest
+        assert built_digest == kb_digest(original)
 
         def mutate():
             scripts["kb_search"][0] = "ok"
             scripts["kb_search"].append("not_found")
             scripts["kb_lookup"] = ["not_found"]
+            kb[0]["links"].append("France")
             kb[1]["body"] = "changed"
             kb[1]["links"] = ["Alan Turing"]
             kb.append({"title": "Added"})
 
         traces = []
-        for name in ("before", "after"):  # the first run encodes the header
+        for name in ("before", "after"):
             path = str(tmp_path / f"{name}.jsonl")
             run_ptr(task(), bench_metadata(), RunConfig(), model(), env, trace_path=path)
             assert header_line(path) == expected
@@ -1035,6 +1063,9 @@ class TestEnvironmentHeader:
         assert traces[0] == traces[1]
         first_step = next(r for r in traces[0] if r["type"] == "step")
         assert first_step["event"]["error_class"] == "timeout"
+        assert env.kb_digest == built_digest and env.kb is built_kb
+        assert pipeline._KB_MEMO[built_digest].to_list() == original
+        assert json.loads(Path(kb_side_file(path, built_digest)).read_text()) == original
 
         # a change made before the first run does not reach it either
         kb = [dict(article, links=["Paris"]) for article in KB]
@@ -1045,3 +1076,242 @@ class TestEnvironmentHeader:
         run_ptr(task(), bench_metadata(), RunConfig(), model(), env, trace_path=path)
         assert header_line(path) == expected
         assert strip_volatile(read_trace(path)) == traces[0]
+        assert pipeline._KB_MEMO[env.kb_digest].to_list() == original
+
+
+def run_clean(env, path) -> str:
+    """A traced two-call run over `env`; returns the trace path."""
+    report = run_ptr(task(), bench_metadata(), RunConfig(),
+                     scripted(profile_entry(CLEAN_PROFILE), REASON), env, trace_path=str(path))
+    assert report.outcome == "ok"
+    return str(path)
+
+
+def rewrite_header(path, edit) -> None:
+    lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
+    header = json.loads(lines[0])
+    edit(header)
+    Path(path).write_text(json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8")
+
+
+def numbered_kb(tag: str, count: int) -> tuple:
+    return tuple({"title": f"{tag} {i}", "body": f"turing machine {tag} {i}"}
+                 for i in range(count))
+
+
+class TestKbMemo:
+    def test_hit_reads_no_side_file_and_builds_no_kb(self, empty_kb_memo, tmp_path,
+                                                     monkeypatch):
+        env = environment()
+        path = run_clean(env, tmp_path / "run.jsonl")
+        assert list(empty_kb_memo) == [env.kb_digest]
+        os.remove(kb_side_file(path, env.kb_digest))
+
+        def no_rebuild(*args):
+            raise AssertionError("a memo hit rebuilt the KB")
+
+        monkeypatch.setattr(pipeline, "KnowledgeBase", no_rebuild)
+        assert replay_trace(path).matched
+        assert replay_trace(read_trace(path)).matched
+
+    def test_fault_scripts_are_checked_on_a_hit(self, tmp_path):
+        path = run_clean(environment(), tmp_path / "run.jsonl")
+        records = read_trace(path)
+        records[0]["environment"]["fault_scripts"] = {"kb_search": [7]}
+        with pytest.raises(TraceSchemaError, match="bad fault script entry"):
+            replay_trace(records)
+
+    def test_evicted_kb_is_reloaded_from_its_side_file(self, empty_kb_memo, tmp_path):
+        first = environment()
+        path = run_clean(first, tmp_path / "first.jsonl")
+        others = [ToolEnvironment(articles=numbered_kb(f"kb{n}", 2))
+                  for n in range(pipeline.KB_MEMO_SIZE)]
+        assert list(empty_kb_memo) == [first.kb_digest]  # building memoizes nothing
+        for env in others:
+            assert run_ptr(task(), bench_metadata(), RunConfig(), role_model(), env).outcome == "ok"
+        assert len({env.kb_digest for env in others + [first]}) == pipeline.KB_MEMO_SIZE + 1
+        assert list(empty_kb_memo) == [env.kb_digest for env in others]
+        with pytest.raises(TraceSchemaError, match=first.kb_digest):
+            replay_trace(read_trace(path))
+        assert replay_trace(path).matched
+        reloaded = empty_kb_memo[first.kb_digest]
+        assert reloaded is not first.kb and reloaded.to_list() == first.kb.to_list()
+        assert list(empty_kb_memo)[-1] == first.kb_digest
+        assert others[0].kb_digest not in empty_kb_memo
+        assert len(empty_kb_memo) == pipeline.KB_MEMO_SIZE
+        assert replay_trace(read_trace(path)).matched
+
+    def test_each_run_makes_its_kb_the_most_recent(self, empty_kb_memo):
+        envs = [ToolEnvironment(articles=numbered_kb(f"kb{n}", 2))
+                for n in range(pipeline.KB_MEMO_SIZE + 1)]
+        for env in envs[1:] + envs[:1]:
+            run_ptr(task(), bench_metadata(), RunConfig(), role_model(), env)
+        assert list(empty_kb_memo) == [env.kb_digest for env in envs[2:] + envs[:1]]
+
+    def test_header_size_does_not_depend_on_kb_size(self, tmp_path):
+        sizes = []
+        for count in (2, 500):
+            env = ToolEnvironment(articles=numbered_kb("Alan Turing", count))
+            path = run_clean(env, tmp_path / f"kb{count}.jsonl")
+            sizes.append(len(header_line(path)))
+            assert replay_trace(path).matched
+        assert sizes[0] == sizes[1] < 2048
+
+
+class TestKbTamper:
+    """Each edit of the side file or of the header's KB reference is a schema
+    error, never a match."""
+
+    def trace(self, tmp_path):
+        env = environment()
+        path = run_clean(env, tmp_path / "run.jsonl")
+        pipeline._KB_MEMO.clear()
+        return path, env.kb_digest
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_flipped_side_file_byte_is_schema_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "_KB_MEMO", collections.OrderedDict())
+            path, digest = self.trace(Path(tmp))
+            side_file = Path(kb_side_file(path, digest))
+            content = bytearray(side_file.read_bytes())
+            position = data.draw(st.integers(0, len(content) - 1), label="position")
+            content[position] ^= data.draw(st.integers(1, 255), label="mask")
+            side_file.write_bytes(bytes(content))
+            with pytest.raises(TraceSchemaError, match="does not hash to its digest"):
+                replay_trace(path)
+
+    def test_deleted_side_file_is_schema_error(self, empty_kb_memo, tmp_path):
+        path, digest = self.trace(tmp_path)
+        os.remove(kb_side_file(path, digest))
+        with pytest.raises(TraceSchemaError, match=f"knowledge base {digest} cannot be read"):
+            replay_trace(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda digest: "../kb/x",
+        lambda digest: digest.upper(),
+        lambda digest: digest[:63],
+        lambda digest: digest + "\n",
+        lambda digest: None,
+        lambda digest: 7,
+    ], ids=["traversal", "upper-case", "63-chars", "newline", "missing", "number"])
+    def test_malformed_kb_digest_is_schema_error(self, edit, tmp_path):
+        env = environment()
+        path = run_clean(env, tmp_path / "run.jsonl")
+        # a file the traversal would reach, holding the trace's own KB
+        (tmp_path / "kb" / "x.json").write_text(env.kb_text, encoding="utf-8")
+        rewrite_header(path, lambda header: header["environment"].update(
+            kb_digest=edit(env.kb_digest)))
+        with pytest.raises(TraceSchemaError, match="is not 64 lowercase hex digits"):
+            replay_trace(path)
+
+    def test_untitled_article_in_matching_side_file_is_schema_error(self, empty_kb_memo,
+                                                                     tmp_path):
+        path, _ = self.trace(tmp_path)
+        text = canonical_json([{"body": "no title"}])
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        Path(kb_side_file(path, digest)).write_text(text, encoding="utf-8")
+        rewrite_header(path, lambda header: header["environment"].update(kb_digest=digest))
+        with pytest.raises(TraceSchemaError, match="article 0: title must be a string"):
+            replay_trace(path)
+        assert digest not in empty_kb_memo
+
+    def test_side_file_that_is_not_a_kb_is_schema_error(self, empty_kb_memo, tmp_path):
+        path, _ = self.trace(tmp_path)
+        for text in ('{"title": "x"}', "[" * 100_000, "not json"):
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            Path(kb_side_file(path, digest)).write_text(text, encoding="utf-8")
+            rewrite_header(path, lambda header: header["environment"].update(kb_digest=digest))
+            with pytest.raises(TraceSchemaError, match="is malformed"):
+                replay_trace(path)
+
+    def test_version_2_header_with_inline_kb_is_schema_error(self, tmp_path):
+        path = run_clean(environment(), tmp_path / "run.jsonl")
+        rewrite_header(path, lambda header: header["environment"].update(kb=KB))
+        with pytest.raises(TraceSchemaError, match="does not embed it"):
+            replay_trace(path)
+
+    def test_version_1_header_with_kb_digest_is_schema_error(self, tmp_path):
+        path = tmp_path / "v1.jsonl"
+        path.write_bytes(V1_TRACE.read_bytes())
+        rewrite_header(path, lambda header: header["environment"].update(
+            kb_digest=hashlib.sha256(b"").hexdigest()))
+        with pytest.raises(TraceSchemaError, match="has no kb_digest"):
+            replay_trace(path)
+
+
+V1_TRACE = Path(__file__).parent / "data" / "trace_v1_demo.jsonl"
+
+
+class TestVersion1Traces:
+    """A version 1 trace (tests/data/trace_v1_demo.jsonl, the bundled demo run
+    as the version 1 writer wrote it) embeds its KB and still replays."""
+
+    def test_fixture_replays_matched(self, empty_kb_memo):
+        header = read_trace(V1_TRACE)[0]
+        assert header["schema_version"] == 1 and "kb" in header["environment"]
+        replay = replay_trace(V1_TRACE)
+        assert replay.matched and replay.sections_checked == 5
+        assert len(empty_kb_memo) == 0  # an embedded KB is not memoized
+        assert replay_trace(read_trace(V1_TRACE)).matched
+
+    def test_header_line_is_the_whole_record_encoded(self):
+        line = header_line(V1_TRACE)
+        assert json.dumps(json.loads(line), allow_nan=False) == line
+
+    @pytest.mark.parametrize("value", [
+        {"kb": [{"body": "no title"}]},
+        {"kb": [], "fault_scripts": {"kb_search": [7]}},
+        {"kb": 5},
+        {"kb": [], "fault_scripts": {"kb_search": None}},
+        {"kb": [], "fault_scripts": ["kb_search"]},
+    ])
+    def test_malformed_environment_is_schema_error(self, value):
+        records = read_trace(V1_TRACE)
+        records[0]["environment"] = value
+        with pytest.raises(TraceSchemaError, match="trace header is malformed"):
+            replay_trace(records)
+
+    def test_tampered_step_diverges(self):
+        records = read_trace(V1_TRACE)
+        next(r for r in records if r["type"] == "step")["event"]["outcome"] = "failure"
+        replay = replay_trace(records)
+        assert not replay.matched and replay.divergence["section"] == "step[initial]"
+
+
+def limit_reply(limit) -> str:
+    """A profile reply whose search step's `limit` is the given value."""
+    return json.dumps({"workflow": {"steps": [
+        {"tool_id": "kb_search", "params": {"query": "turing machine", "limit": limit}}]}})
+
+
+LIMIT_VALUES = st.lists(st.integers(), max_size=2000) | st.recursive(
+    st.none() | st.booleans() | st.text(max_size=50) | st.floats(allow_nan=False),
+    lambda children: st.lists(children, max_size=20)
+    | st.dictionaries(st.text(max_size=10), children, max_size=20),
+    max_leaves=200)
+
+
+class TestRetryPromptBound:
+    """The corrective retry prompt is at most the base prompt plus a constant,
+    whatever the rejected reply holds."""
+
+    # the retry section's fixed text, the cut marker and the kept diagnostic
+    CONSTANT = 1200
+
+    @settings(max_examples=60, deadline=None)
+    @given(reply=st.text(max_size=5000) | st.builds(limit_reply, LIMIT_VALUES))
+    @example(reply=limit_reply(list(range(20_000))))
+    @example(reply="{" * 50_000)
+    def test_retry_prompt_is_the_base_prompt_plus_a_constant(self, reply):
+        prompts = []
+        model = scripted({"role": "profile", "text": reply}, profile_entry(CLEAN_PROFILE),
+                         REASON)
+        complete = model.complete
+        model.complete = lambda request: prompts.append(request.prompt) or complete(request)
+        report = run_ptr(task(), bench_metadata(), RunConfig(), model, environment())
+        assume(report.raw_model_calls == 3)  # the reply was rejected
+        base, retry = prompts[:2]
+        assert retry.startswith(base)
+        assert len(retry) <= len(base) + self.CONSTANT

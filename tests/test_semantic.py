@@ -51,6 +51,14 @@ class TestProfilePrompt:
         assert retry.startswith(base)
         assert "missing field workflow" in retry
 
+    def test_retry_prompt_cuts_a_long_diagnostic_and_says_how_much(self):
+        base = build_profile_prompt(golden_task(), golden_metadata())
+        kept = build_profile_retry_prompt(base, "d" * semantic.RETRY_DIAGNOSTIC_CHARS)
+        assert "d" * semantic.RETRY_DIAGNOSTIC_CHARS + "\n" in kept and "cut]" not in kept
+        retry = build_profile_retry_prompt(base, "d" * (semantic.RETRY_DIAGNOSTIC_CHARS + 500))
+        assert "d" * semantic.RETRY_DIAGNOSTIC_CHARS + " [500 more characters cut]\n" in retry
+        assert len(retry) == len(kept) + len(" [500 more characters cut]")
+
 
 class TestRepairPrompt:
     def test_embeds_failed_step_error_classes(self):
