@@ -121,36 +121,44 @@ class RunConfig:
         return digest(self.to_dict())
 
 
-# Verified knowledge bases by digest, least recently used first. Each run
-# adds or refreshes its environment's KB, so the KB of an environment in use
-# stays in the memo and an environment that never runs holds no place in it;
-# replay adds a side file's KB once the file's bytes hash to the digest. A KB
-# is read-only and its key is its content, so an entry never goes stale.
+# Verified knowledge bases by digest, least recently used first, each with
+# the size in bytes of its canonical JSON text. Each run adds or refreshes its
+# environment's KB, so the KB of an environment in use stays in the memo and
+# an environment that never runs holds no place in it; replay adds a side
+# file's KB once the file's bytes hash to the digest. A KB is read-only and
+# its key is its content, so an entry never goes stale.
 KB_MEMO_SIZE = 8
-_KB_MEMO: OrderedDict[str, KnowledgeBase] = OrderedDict()
+_KB_MEMO: OrderedDict[str, tuple[KnowledgeBase, int]] = OrderedDict()
 _KB_MEMO_LOCK = threading.Lock()
 _KB_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
-def _remember_kb(kb_digest: str, kb: KnowledgeBase) -> None:
+def _remember_kb(kb_digest: str, kb: KnowledgeBase, size: int) -> None:
     with _KB_MEMO_LOCK:
-        _KB_MEMO[kb_digest] = kb
+        _KB_MEMO[kb_digest] = (kb, size)
         _KB_MEMO.move_to_end(kb_digest)
         if len(_KB_MEMO) > KB_MEMO_SIZE:
             _KB_MEMO.popitem(last=False)
 
 
-def _memoized_kb(kb_digest: str) -> KnowledgeBase | None:
+def _memoized_kb(kb_digest: str) -> tuple[KnowledgeBase, int] | None:
     with _KB_MEMO_LOCK:
-        kb = _KB_MEMO.get(kb_digest)
-        if kb is not None:
+        entry = _KB_MEMO.get(kb_digest)
+        if entry is not None:
             _KB_MEMO.move_to_end(kb_digest)
-        return kb
+        return entry
 
 
 def kb_side_file(trace_path, kb_digest: str) -> str:
     """Where a trace's knowledge base is stored: ``<trace dir>/kb/<digest>.json``."""
     return os.path.join(os.path.dirname(os.fspath(trace_path)), "kb", f"{kb_digest}.json")
+
+
+def _file_size(path: str) -> int | None:
+    try:
+        return os.stat(path).st_size
+    except OSError:
+        return None
 
 
 def _check_fault_scripts(fault_scripts) -> None:
@@ -169,9 +177,9 @@ class ToolEnvironment:
 
     The inputs are fixed when the environment is built. The articles are
     read once into one read-only KnowledgeBase that serves every run, and
-    their canonical JSON text (``kb_text``) and its sha256 (``kb_digest``)
-    are computed once; only the fault injectors are built per run. The
-    environment also keeps its own copy of each article dict (not of the
+    the sha256 (``kb_digest``) and size (``kb_size``) of their canonical
+    JSON text are computed once; only the fault injectors are built per run.
+    The environment also keeps its own copy of each article dict (not of the
     lists inside one) and of the fault scripts, so a caller who later
     changes them changes neither the runs nor their headers. Malformed
     articles or fault scripts raise ValueError here."""
@@ -179,21 +187,20 @@ class ToolEnvironment:
     articles: tuple = ()
     fault_scripts: dict = field(default_factory=dict)
     kb: KnowledgeBase = field(init=False, repr=False, compare=False)
-    kb_text: str = field(init=False, repr=False, compare=False)
     kb_digest: str = field(init=False, repr=False, compare=False)
+    kb_size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kb = KnowledgeBase(self.articles)
         _check_fault_scripts(self.fault_scripts)
         articles = tuple(map(dict, self.articles))
         try:
-            text = canonical_json(articles)
+            data = canonical_json(articles).encode("utf-8")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"knowledge base is not JSON: {exc}") from None
-        kb_digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         object.__setattr__(self, "kb", kb)
-        object.__setattr__(self, "kb_text", text)
-        object.__setattr__(self, "kb_digest", kb_digest)
+        object.__setattr__(self, "kb_digest", hashlib.sha256(data).hexdigest())
+        object.__setattr__(self, "kb_size", len(data))
         object.__setattr__(self, "articles", articles)
         object.__setattr__(self, "fault_scripts", copy.deepcopy(self.fault_scripts))
 
@@ -212,16 +219,23 @@ class ToolEnvironment:
 
     def store_kb(self, trace_path) -> None:
         """Write the KB side file of a trace at ``trace_path`` unless it
-        exists. Its bytes are ``kb_text``; they are written to a temporary
-        file that is then moved into place, so a reader never sees a part."""
+        exists at ``kb_size`` bytes. Its bytes are the articles' canonical
+        JSON text, encoded again here; they are written to a temporary file
+        that is then moved into place, so a reader never sees a part. A
+        ValueError when they no longer hash to ``kb_digest``: a list inside
+        an article was changed in place after the environment was built."""
         path = kb_side_file(trace_path, self.kb_digest)
-        if os.path.exists(path):
+        if _file_size(path) == self.kb_size:
             return
+        data = canonical_json(self.articles).encode("utf-8")
+        if hashlib.sha256(data).hexdigest() != self.kb_digest:
+            raise ValueError("the articles were changed in place after the environment was "
+                             "built; they no longer hash to its kb_digest")
         Path(path).parent.mkdir(exist_ok=True)  # the trace's own directory must exist
         partial = f"{path}.{uuid.uuid4().hex}.tmp"
         try:
             with open(partial, "xb") as fh:
-                fh.write(self.kb_text.encode("utf-8"))
+                fh.write(data)
             os.replace(partial, path)
         except BaseException:
             if os.path.exists(partial):
@@ -386,7 +400,7 @@ def run_ptr(task: Task, metadata: Metadata, cfg: RunConfig, model,
         if not registry.has(spec.id):
             raise ValueError(f"registry does not cover catalog tool {spec.id!r}")
 
-    _remember_kb(environment.kb_digest, environment.kb)
+    _remember_kb(environment.kb_digest, environment.kb, environment.kb_size)
     if trace_path:
         environment.store_kb(trace_path)
     writer = TraceWriter(trace_path)
@@ -571,15 +585,20 @@ def _read_header(header: dict, source
 def _resolve_kb(kb_digest: str, source) -> KnowledgeBase:
     """The verified KB a version 2 header names: from the memo, else, for a
     trace file, from its side file once the file's bytes hash to the digest.
-    TraceSchemaError, naming the digest or the file, when neither holds it
-    or the side file is not a valid KB."""
-    kb = _memoized_kb(kb_digest)
-    if kb is not None:
-        return kb
+    A trace file takes the memo's KB only while its side file is there at
+    the KB's size, a cheap check that a missing or cut side file fails; the
+    bytes of a file of that size are not read or hashed again. TraceSchemaError,
+    naming the digest or the file, when neither holds the KB or the side
+    file is not a valid KB."""
+    entry = _memoized_kb(kb_digest)
     if isinstance(source, list):
-        raise TraceSchemaError(f"knowledge base {kb_digest} is not loaded in this process; "
-                               "replay the trace file beside its kb/ directory")
+        if entry is None:
+            raise TraceSchemaError(f"knowledge base {kb_digest} is not loaded in this process; "
+                                   "replay the trace file beside its kb/ directory")
+        return entry[0]
     path = kb_side_file(source, kb_digest)
+    if entry is not None and _file_size(path) == entry[1]:
+        return entry[0]
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -592,7 +611,7 @@ def _resolve_kb(kb_digest: str, source) -> KnowledgeBase:
         kb = KnowledgeBase(json.loads(data))
     except (ValueError, RecursionError) as exc:
         raise TraceSchemaError(f"knowledge base file {path} is malformed: {exc}") from None
-    _remember_kb(kb_digest, kb)
+    _remember_kb(kb_digest, kb, len(data))
     return kb
 
 

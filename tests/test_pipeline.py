@@ -1000,8 +1000,8 @@ class TestEnvironmentHeader:
             assert side_file.read_bytes() == canonical_json(kb).encode("utf-8")
             assert os.listdir(side_file.parent) == [side_file.name]
 
-    def test_kb_is_encoded_once_and_stored_only_for_a_trace_file(self, monkeypatch,
-                                                                  tmp_path):
+    def test_kb_is_encoded_at_build_and_stored_only_for_a_trace_file(self, monkeypatch,
+                                                                      tmp_path):
         encoded, replaced = [], []
         encode, replace_file = pipeline.canonical_json, os.replace
         monkeypatch.setattr(pipeline, "canonical_json",
@@ -1021,9 +1021,27 @@ class TestEnvironmentHeader:
         side_file.unlink()
         run_ptr(task(), bench_metadata(), RunConfig(), role_model(), env,
                 trace_path=str(tmp_path / "third.jsonl"))
-        assert len(replaced) == 2 and side_file.read_text(encoding="utf-8") == env.kb_text
-        assert len(encoded) == 1
+        assert len(replaced) == 2
+        assert side_file.read_bytes() == canonical_json(KB).encode("utf-8")
+        # building encodes the KB once, and so does each write of its side file
+        assert len(encoded) == 1 + len(replaced)
         assert sorted(os.listdir(tmp_path / "kb")) == [side_file.name]
+        side_file.write_bytes(side_file.read_bytes()[:-1])
+        run_ptr(task(), bench_metadata(), RunConfig(), role_model(), env,
+                trace_path=str(tmp_path / "fourth.jsonl"))
+        assert len(replaced) == 3  # a side file of the wrong size is written again
+        assert len(encoded) == 4
+        assert side_file.read_bytes() == canonical_json(KB).encode("utf-8")
+
+    def test_list_changed_in_place_is_not_stored_under_the_old_digest(self, tmp_path):
+        kb = [dict(article, links=["Paris"]) for article in KB]
+        env = ToolEnvironment(articles=tuple(kb))
+        kb[0]["links"].append("France")
+        path = tmp_path / "run.jsonl"
+        with pytest.raises(ValueError, match="changed in place"):
+            run_ptr(task(), bench_metadata(), RunConfig(), role_model(), env,
+                    trace_path=str(path))
+        assert not path.exists() and not (tmp_path / "kb").exists()
 
     @pytest.mark.parametrize("extra", [{1, 2}, float("nan")], ids=["set", "nan"])
     def test_article_that_is_not_json_is_value_error(self, extra):
@@ -1064,7 +1082,7 @@ class TestEnvironmentHeader:
         first_step = next(r for r in traces[0] if r["type"] == "step")
         assert first_step["event"]["error_class"] == "timeout"
         assert env.kb_digest == built_digest and env.kb is built_kb
-        assert pipeline._KB_MEMO[built_digest].to_list() == original
+        assert pipeline._KB_MEMO[built_digest][0].to_list() == original
         assert json.loads(Path(kb_side_file(path, built_digest)).read_text()) == original
 
         # a change made before the first run does not reach it either
@@ -1076,7 +1094,7 @@ class TestEnvironmentHeader:
         run_ptr(task(), bench_metadata(), RunConfig(), model(), env, trace_path=path)
         assert header_line(path) == expected
         assert strip_volatile(read_trace(path)) == traces[0]
-        assert pipeline._KB_MEMO[env.kb_digest].to_list() == original
+        assert pipeline._KB_MEMO[env.kb_digest][0].to_list() == original
 
 
 def run_clean(env, path) -> str:
@@ -1105,14 +1123,33 @@ class TestKbMemo:
         env = environment()
         path = run_clean(env, tmp_path / "run.jsonl")
         assert list(empty_kb_memo) == [env.kb_digest]
-        os.remove(kb_side_file(path, env.kb_digest))
 
         def no_rebuild(*args):
             raise AssertionError("a memo hit rebuilt the KB")
 
+        def no_read(*args, **kwargs):
+            raise AssertionError("a memo hit read the side file")
+
         monkeypatch.setattr(pipeline, "KnowledgeBase", no_rebuild)
+        monkeypatch.setattr(pipeline, "open", no_read, raising=False)
         assert replay_trace(path).matched
         assert replay_trace(read_trace(path)).matched
+
+    def test_hit_still_needs_the_side_file_at_its_size(self, empty_kb_memo, tmp_path):
+        env = environment()
+        path = run_clean(env, tmp_path / "run.jsonl")
+        side_file = Path(kb_side_file(path, env.kb_digest))
+        content = side_file.read_bytes()
+        side_file.write_bytes(content[:-1])
+        with pytest.raises(TraceSchemaError, match="does not hash to its digest"):
+            replay_trace(path)
+        side_file.unlink()
+        with pytest.raises(TraceSchemaError, match=f"{env.kb_digest} cannot be read"):
+            replay_trace(path)
+        assert list(empty_kb_memo) == [env.kb_digest]
+        assert replay_trace(read_trace(path)).matched  # a record list has no side file
+        side_file.write_bytes(content)
+        assert replay_trace(path).matched
 
     def test_fault_scripts_are_checked_on_a_hit(self, tmp_path):
         path = run_clean(environment(), tmp_path / "run.jsonl")
@@ -1134,7 +1171,7 @@ class TestKbMemo:
         with pytest.raises(TraceSchemaError, match=first.kb_digest):
             replay_trace(read_trace(path))
         assert replay_trace(path).matched
-        reloaded = empty_kb_memo[first.kb_digest]
+        reloaded = empty_kb_memo[first.kb_digest][0]
         assert reloaded is not first.kb and reloaded.to_list() == first.kb.to_list()
         assert list(empty_kb_memo)[-1] == first.kb_digest
         assert others[0].kb_digest not in empty_kb_memo
@@ -1200,7 +1237,8 @@ class TestKbTamper:
         env = environment()
         path = run_clean(env, tmp_path / "run.jsonl")
         # a file the traversal would reach, holding the trace's own KB
-        (tmp_path / "kb" / "x.json").write_text(env.kb_text, encoding="utf-8")
+        (tmp_path / "kb" / "x.json").write_bytes(
+            Path(kb_side_file(path, env.kb_digest)).read_bytes())
         rewrite_header(path, lambda header: header["environment"].update(
             kb_digest=edit(env.kb_digest)))
         with pytest.raises(TraceSchemaError, match="is not 64 lowercase hex digits"):
