@@ -1,8 +1,8 @@
 """Command-line interface: run, replay, bench, verify-trace.
 
 Exit codes: 0 success / full match, 2 usage, divergence, a malformed
-trace or an unusable input file, 3 run_invalid, 4 budget_exceeded,
-5 model_error.
+trace, an unusable input file or a trace that cannot be written,
+3 run_invalid, 4 budget_exceeded, 5 model_error.
 Provider credentials are read from the environment variable named in the
 provider config (default PTRUN_API_KEY) and never appear in traces or
 results.
@@ -76,7 +76,7 @@ def _metadata(raw) -> Metadata:
     return metadata
 
 
-def _build_model(spec: str, cfg: RunConfig, providers: dict, role_script_ok: bool = True):
+def _build_model(spec: str, cfg: RunConfig, providers: dict):
     kind, _, detail = spec.partition(":")
     if kind == "scripted" and detail:
         return _input("script", detail,
@@ -116,7 +116,10 @@ def cmd_run(args) -> int:
     metadata = _input("metadata", args.metadata, _metadata)
     model = _build_model(args.model, cfg, providers)
     environment = _environment(args.kb, args.fault_scripts)
-    report = run_ptr(task, metadata, cfg, model, environment, trace_path=args.trace_out)
+    try:
+        report = run_ptr(task, metadata, cfg, model, environment, trace_path=args.trace_out)
+    except OSError as exc:  # the trace or its kb/ side file cannot be written
+        raise UsageError(f"cannot write trace {args.trace_out}: {exc.strerror or exc}") from None
     print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     return _OUTCOME_EXIT[report.outcome]
 

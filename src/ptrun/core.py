@@ -135,8 +135,8 @@ class RecoverySpec:
 class RuleSet:
     """Deterministic constraint rules shipped with the metadata.
 
-    Constraint predicates are parsed at validation and surfaced to the
-    planner; they have no runtime consumer of their own.
+    Constraint predicates are shown to the planner and evaluated by the
+    verifier over each phase's final state; a false one sets delta_diag.
     """
 
     auto_rules: tuple[AutoRuleSpec, ...] = ()
@@ -441,9 +441,6 @@ class Profile:
         _require(isinstance(aux, dict), "profile.aux_annotations must be an object")
         workflow = Workflow.from_dict(data["workflow"])
         rules = tuple(BranchRule.from_dict(r) for r in rules_raw)
-        for rule in rules:
-            _require(1 <= rule.target_step <= len(workflow),
-                     f"branch rule target step {rule.target_step} outside workflow")
         return cls(
             workflow=workflow,
             confidence=float(confidence),
@@ -494,12 +491,14 @@ class AdmissibilityReport:
 @dataclass(frozen=True)
 class MetadataReport:
     """Verdict of validate_metadata. It also carries the metadata's auto and
-    recovery rules as parsed by the check, so a run parses each rule once; a
-    rule that does not parse is left out and reported as an issue."""
+    recovery rules and constraint predicates as parsed by the check, so a run
+    parses each rule once; a rule that does not parse is left out and
+    reported as an issue."""
 
     issues: tuple[ValidationIssue, ...] = ()
     auto_rules: dict[str, ruledsl.AutoRule] = field(default_factory=dict)
     recovery_rules: tuple[tuple[str, ruledsl.ModifierAst], ...] = ()
+    constraint_predicates: tuple[ruledsl.PredicateAst, ...] = ()
 
     def require_valid(self) -> "MetadataReport":
         """This report; ValueError naming the issues when there are any."""
@@ -531,12 +530,13 @@ def validate_metadata(metadata: Metadata) -> MetadataReport:
             recovery_rules.append((rule.error_class, ruledsl.parse_modifier(rule.modifier)))
         except ruledsl.DslParseError as exc:
             issues.append(ValidationIssue("bad_rule_syntax", f"recovery rule {i}: {exc}"))
+    predicates: list[ruledsl.PredicateAst] = []
     for i, source in enumerate(metadata.constraints.constraint_predicates, start=1):
         try:
-            ruledsl.parse_predicate(source)
+            predicates.append(ruledsl.parse_predicate(source))
         except ruledsl.DslParseError as exc:
             issues.append(ValidationIssue("bad_rule_syntax", f"constraint predicate {i}: {exc}"))
-    return MetadataReport(tuple(issues), auto_rules, tuple(recovery_rules))
+    return MetadataReport(tuple(issues), auto_rules, tuple(recovery_rules), tuple(predicates))
 
 
 def check_admissibility(profile: Profile, metadata: Metadata) -> AdmissibilityReport:
@@ -587,13 +587,10 @@ def check_admissibility(profile: Profile, metadata: Metadata) -> AdmissibilityRe
             if descr.required and slot not in step.params:
                 violations.append(Violation(index, "missing_required_param", f"slot {slot!r} is required"))
 
+    # Profile.__post_init__ keeps every branch target inside the workflow.
     compiled: list[CompiledBranchRule] = []
     for i, rule in enumerate(profile.branch_rules, start=1):
-        target_spec = None
-        if not 1 <= rule.target_step <= len(profile.workflow):
-            violations.append(Violation(None, "bad_branch_target", f"branch rule {i} targets step {rule.target_step}"))
-        else:
-            target_spec = metadata.tool(profile.workflow.steps[rule.target_step - 1].tool_id)
+        target_spec = metadata.tool(profile.workflow.steps[rule.target_step - 1].tool_id)
         try:
             branch = compile_branch_rule(i - 1, rule)
         except ruledsl.DslParseError as exc:

@@ -199,11 +199,13 @@ class ExecutionConfig:
 
 @dataclass(frozen=True)
 class RuleBundle:
-    """Parsed rules a run executes with: auto, recovery, and branch rules."""
+    """Parsed rules a run executes with: auto, recovery, and branch rules,
+    plus the constraint predicates its phases are verified against."""
 
     auto_rules: dict[str, ruledsl.AutoRule] = field(default_factory=dict)
     recovery_rules: tuple[tuple[str, ruledsl.ModifierAst], ...] = ()
     branch_rules: tuple[CompiledBranchRule, ...] = ()
+    constraint_predicates: tuple[ruledsl.PredicateAst, ...] = ()
     _by_step: dict[int, tuple[CompiledBranchRule, ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict)
 
@@ -231,10 +233,12 @@ def compile_rules(metadata: Metadata, profile: Profile) -> RuleBundle:
 
 def bundle_rules(checked: MetadataReport, branch_rules: tuple[CompiledBranchRule, ...]
                  ) -> RuleBundle:
-    """Bundle the auto and recovery rules that metadata validation parsed with
-    branch rules already compiled, as check_admissibility hands them to a run."""
+    """Bundle the auto and recovery rules and constraint predicates that
+    metadata validation parsed with branch rules already compiled, as
+    check_admissibility hands them to a run."""
     return RuleBundle(auto_rules=checked.auto_rules, recovery_rules=checked.recovery_rules,
-                      branch_rules=branch_rules)
+                      branch_rules=branch_rules,
+                      constraint_predicates=checked.constraint_predicates)
 
 
 def resolve_step(params: dict, auto_rules: dict[str, ruledsl.AutoRule], state: ExecutionState) -> dict:
@@ -291,90 +295,59 @@ def execute_step(step, index: int, key: str, config: ExecutionConfig, registry: 
     """Run one step through resolve -> branch -> invoke -> recover -> store.
 
     Returns "success", "soft", or "hard"; the StepEvent is appended either way.
+    A step that cannot go on (_StepAbort) fails hard.
     """
     started = time.perf_counter()
-
-    def finish_aborted(abort: _StepAbort, resolved: dict | None) -> str:
-        state.trace.append(StepEvent(
-            index=index, tool_id=step.tool_id, key=key, resolved_params=resolved,
-            branched_params=None, attempts=[], outcome="failure",
-            error_class=abort.error_class, stored_key=None,
-            wall_time=time.perf_counter() - started,
-        ))
-        state.failure_log.append(FailureEntry(
-            step=index, error_class=abort.error_class, attempt=0, classified="hard"))
-        return "hard"
-
+    resolved = branched = None
+    attempts: list[Attempt] = []
     try:
         resolved = resolve_step(step.params, rules.auto_rules, state)
-    except _StepAbort as abort:
-        return finish_aborted(abort, None)
-
-    try:
         branched, firings = branch_step(resolved, rules.branch_rules_for(index), config.mode, state)
-    except _StepAbort as abort:
-        return finish_aborted(abort, resolved)
-    for firing in firings:
-        firing.step = index
-        state.branch_log.append(firing)
-
-    attempts: list[Attempt] = []
-    if not registry.has(step.tool_id):
-        outcome = ToolOutcome.failure("not_found", f"no tool registered under id {step.tool_id!r}")
-        attempts.append(Attempt(params=branched, outcome=outcome))
-        final_class, classification = "unknown_tool", "hard"
-        state.failure_log.append(FailureEntry(step=index, error_class="unknown_tool",
-                                              attempt=1, classified="hard"))
-        stored_key = None
-        result = "hard"
-    else:
+        for firing in firings:
+            firing.step = index
+            state.branch_log.append(firing)
+        if not registry.has(step.tool_id):
+            message = f"no tool registered under id {step.tool_id!r}"
+            attempts.append(Attempt(params=branched,
+                                    outcome=ToolOutcome.failure("not_found", message)))
+            raise _StepAbort("unknown_tool", message)
         outcome = registry.invoke(step.tool_id, branched, state)
         attempts.append(Attempt(params=branched, outcome=outcome))
-        if not outcome.ok:
-            # The recovery rule is selected by the first error and reused for
-            # every retry; retry params derive from the branched params.
-            recovery = rules.first_recovery_for(outcome.error_class)
-            while not outcome.ok and recovery is not None and len(attempts) <= config.recovery_retries:
-                state.failure_log.append(FailureEntry(
-                    step=index, error_class=outcome.error_class,
-                    attempt=len(attempts), classified="soft"))
-                try:
-                    retry_params = ruledsl.apply_modifier(recovery, branched, state)
-                except ruledsl.ModifierEvalError as exc:
-                    abort = _StepAbort("modifier_error", str(exc))
-                    state.trace.append(StepEvent(
-                        index=index, tool_id=step.tool_id, key=key, resolved_params=resolved,
-                        branched_params=branched if branched != resolved else None,
-                        attempts=attempts, outcome="failure", error_class="modifier_error",
-                        stored_key=None, wall_time=time.perf_counter() - started,
-                    ))
-                    state.failure_log.append(FailureEntry(
-                        step=index, error_class="modifier_error",
-                        attempt=len(attempts), classified="hard"))
-                    return "hard"
-                outcome = registry.invoke(step.tool_id, retry_params, state)
-                attempts.append(Attempt(params=retry_params, outcome=outcome))
+        # The recovery rule is selected by the first error and reused for
+        # every retry; retry params derive from the branched params.
+        recovery = None if outcome.ok else rules.first_recovery_for(outcome.error_class)
+        while not outcome.ok and recovery is not None and len(attempts) <= config.recovery_retries:
+            state.failure_log.append(FailureEntry(
+                step=index, error_class=outcome.error_class,
+                attempt=len(attempts), classified="soft"))
+            try:
+                retry_params = ruledsl.apply_modifier(recovery, branched, state)
+            except ruledsl.ModifierEvalError as exc:
+                raise _StepAbort("modifier_error", str(exc)) from None
+            outcome = registry.invoke(step.tool_id, retry_params, state)
+            attempts.append(Attempt(params=retry_params, outcome=outcome))
+    except _StepAbort as abort:
+        final_class, classification = abort.error_class, "hard"
+    else:
         if outcome.ok:
             state.store(key, outcome.value)
-            stored_key = key
-            final_class, classification, result = None, None, "success"
+            final_class, classification = None, None
         else:
             final_class = outcome.error_class
             classification = _classify_final(final_class)
-            state.failure_log.append(FailureEntry(
-                step=index, error_class=final_class,
-                attempt=len(attempts), classified=classification))
-            stored_key = None
-            result = classification
+    if classification is not None:
+        state.failure_log.append(FailureEntry(
+            step=index, error_class=final_class,
+            attempt=len(attempts), classified=classification))
 
     state.trace.append(StepEvent(
         index=index, tool_id=step.tool_id, key=key, resolved_params=resolved,
         branched_params=branched if branched != resolved else None,
-        attempts=attempts, outcome="success" if result == "success" else "failure",
-        error_class=final_class, stored_key=stored_key,
+        attempts=attempts, outcome="failure" if classification else "success",
+        error_class=final_class, stored_key=None if classification else key,
         wall_time=time.perf_counter() - started,
     ))
-    return result
+    return classification or "success"
 
 
 def run_workflow(workflow: Workflow, config: ExecutionConfig, registry: ToolRegistry,

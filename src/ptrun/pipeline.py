@@ -27,18 +27,19 @@ from pathlib import Path
 
 from .core import (CompiledBranchRule, Metadata, MetadataReport, Profile, Task,
                    check_admissibility, compile_branch_rule, validate_metadata)
-# compile_rules is not called here; it stays importable from this module for
-# callers that compile a profile's rules outside a run.
+# compile_rules and extract_counters are not called here; they stay importable
+# from this module for callers that compile rules or count outside a run.
 from .executor import (ExecutionConfig, RuleBundle, bundle_rules, compile_rules,  # noqa: F401
                        initial_state, run_workflow)
 from .router import RiskWeights, RouteMode, RouteThresholds, decide_route
 from .semantic import (BudgetExceededError, BudgetLedger, ModelRequest, PriceEntry,
                        ProfileParseError, build_profile_prompt, build_profile_retry_prompt,
-                       build_reason_prompt, build_repair_prompt, parse_profile_response)
+                       build_reason_prompt, build_repair_prompt, cap_diagnostic,
+                       parse_profile_response)
 from .tools import KnowledgeBase, ToolRegistry, builtin_registry, parse_fault_script
 from .trace import (SCHEMA_VERSION, TraceSchemaError, TraceWriter, canonical_json, digest,
                     read_trace, structurally_equal, strip_volatile)
-from .verifier import PenaltyCoefficients, extract_counters, verify
+from .verifier import PenaltyCoefficients, extract_counters, verify  # noqa: F401
 
 REPAIR_REJECTED_FLAG = "repair_rejected"
 REPAIR_APPLIED_FLAG = "repair_applied"
@@ -335,7 +336,7 @@ def _obtain_profile(task: Task, metadata: Metadata, cfg: RunConfig, model,
     try:
         return (*_admit(text, metadata), text, 2)
     except ProfileParseError as exc:
-        raise RunInvalidError(exc.diagnostic) from None
+        raise RunInvalidError(cap_diagnostic(exc.diagnostic)) from None
 
 
 def _with_flag(z, flag: str):
@@ -373,13 +374,12 @@ def _execute(task: Task, metadata: Metadata, cfg: RunConfig, registry: ToolRegis
 
     started = time.perf_counter()
     z = verify(state, metadata, profile, cfg.penalties, cfg.repair_threshold,
-               cfg.thin_output_threshold, route_mode=mode)
+               cfg.thin_output_threshold, rules.constraint_predicates, route_mode=mode)
     if phase == "repair":
         z = _with_flag(z, REPAIR_APPLIED_FLAG)
-    counters = extract_counters(state, cfg.thin_output_threshold)
     verify_s = time.perf_counter() - started
     writer.write({"type": "verification", "phase": phase,
-                  "object": z.to_dict(), "counters": counters.to_dict()})
+                  "object": z.to_dict(), "counters": z.counters.to_dict()})
     if timing is not None:
         timing.update(execute=execute_s, verify=verify_s)
     return state, z

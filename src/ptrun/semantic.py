@@ -315,19 +315,23 @@ def build_profile_prompt(task: Task, metadata: Metadata) -> str:
     return "\n".join(parts)
 
 
-# A diagnostic may quote the rejected reply, so the retry prompt embeds at
-# most this many of its characters: a retry prompt is then at most the base
-# prompt plus a constant, whatever the reply.
+# A diagnostic may quote the rejected reply, so the retry prompt and the
+# run_invalid abort record embed at most this many of its characters: each is
+# then bounded by a constant, whatever the reply.
 RETRY_DIAGNOSTIC_CHARS = 1000
 
 
-def build_profile_retry_prompt(base_prompt: str, diagnostic: str) -> str:
+def cap_diagnostic(diagnostic: str) -> str:
     cut = len(diagnostic) - RETRY_DIAGNOSTIC_CHARS
     if cut > 0:
-        diagnostic = f"{diagnostic[:RETRY_DIAGNOSTIC_CHARS]} [{cut} more characters cut]"
+        return f"{diagnostic[:RETRY_DIAGNOSTIC_CHARS]} [{cut} more characters cut]"
+    return diagnostic
+
+
+def build_profile_retry_prompt(base_prompt: str, diagnostic: str) -> str:
     return (
         f"{base_prompt}\n\n## Correction required\n"
-        f"Your previous reply was rejected: {diagnostic}\n"
+        f"Your previous reply was rejected: {cap_diagnostic(diagnostic)}\n"
         "Respond again with exactly one JSON object matching the schema above."
     )
 

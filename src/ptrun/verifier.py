@@ -3,17 +3,18 @@
 The trust score takes a penalty form over counters extracted from the
 completed run state and is monotonically non-increasing in every counter.
 No semantic content is inspected; a run is judged only on whether its trace
-is structurally adequate to support final interpretation.
+is structurally adequate to support final interpretation and on whether
+the metadata's constraint predicates hold over its final state.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from . import ruledsl
 from .core import Metadata, Profile
 from .executor import ExecutionState
-from .ruledsl import is_empty_value
 from .router import RouteMode
 
 
@@ -25,7 +26,9 @@ class VerifyStatus(str, enum.Enum):
 
 @dataclass(frozen=True)
 class TraceCounters:
-    """Structural degradation counters recomputable from any completed state."""
+    """Structural degradation counters recomputable from any completed state.
+    ``false_predicates`` holds the 1-based indices of the constraint
+    predicates that are false; it is not one of the serialized counters."""
 
     n_fail: int
     n_empty: int
@@ -33,6 +36,7 @@ class TraceCounters:
     n_branch: int
     delta_diag: float
     hard_failure: bool
+    false_predicates: tuple[int, ...] = ()
 
     def to_dict(self) -> dict:
         return {"n_fail": self.n_fail, "n_empty": self.n_empty, "n_thin": self.n_thin,
@@ -73,13 +77,15 @@ class Issue:
 
 @dataclass(frozen=True)
 class VerificationObject:
-    """Trust score, status label, issues, reasoner flags, repair indicator."""
+    """Trust score, status label, issues, reasoner flags, repair indicator,
+    and the counters the score came from, which ``to_dict`` leaves out."""
 
     trust: float
     status: VerifyStatus
     issues: tuple[Issue, ...]
     flags: tuple[str, ...]
     repair_recommended: bool
+    counters: TraceCounters | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -98,21 +104,21 @@ _FLAG_TEXTS = {
     "empty_outputs": "some tool outputs were empty collections",
     "thin_outputs": "some tool outputs were unusually thin",
     "branch_firings": "parameters were adapted mid-run by branch rules",
-    "diagnostic_contradiction": "a diagnostic check flagged contradictory stored results",
+    "diagnostic_contradiction": "a constraint predicate was false over the final state",
     "hard_failure": "a hard failure made part of the workflow inexecutable",
     "repair_eligible_route": "the run was routed as repair-eligible on pre-execution risk",
 }
 
 
 def extract_counters(state: ExecutionState, thin_output_threshold: int = 5,
-                     diagnostics: tuple = ()) -> TraceCounters:
+                     predicates: tuple[ruledsl.PredicateAst, ...] = ()) -> TraceCounters:
     """Counters from a completed run state.
 
     n_fail counts steps whose final outcome is failure or skipped; n_empty
     counts successes storing an empty value; n_thin counts successes below the
     thin-output threshold; n_branch counts branch-rule firings. delta_diag is
-    1 when any registered diagnostic check flags the result store as
-    contradictory, else 0.
+    1 when any of the parsed constraint predicates is false over the state,
+    else 0; evaluating a predicate never raises.
     """
     n_fail = sum(1 for event in state.trace if event.outcome in ("failure", "skipped"))
     n_empty = 0
@@ -121,18 +127,20 @@ def extract_counters(state: ExecutionState, thin_output_threshold: int = 5,
         if event.outcome != "success":
             continue
         value = state.result_store.get(event.stored_key)
-        if is_empty_value(value):
+        if ruledsl.is_empty_value(value):
             n_empty += 1
         if event.attempts and event.attempts[-1].outcome.output_size < thin_output_threshold:
             n_thin += 1
-    delta_diag = 1.0 if any(check(state.result_store) for check in diagnostics) else 0.0
+    false_predicates = tuple(i for i, predicate in enumerate(predicates, start=1)
+                             if not ruledsl.eval_predicate(predicate, state))
     return TraceCounters(
         n_fail=n_fail,
         n_empty=n_empty,
         n_thin=n_thin,
         n_branch=len(state.branch_log),
-        delta_diag=delta_diag,
+        delta_diag=1.0 if false_predicates else 0.0,
         hard_failure=state.hard_failure(),
+        false_predicates=false_predicates,
     )
 
 
@@ -156,15 +164,16 @@ def verify(state: ExecutionState, metadata: Metadata, profile: Profile,
            coefficients: PenaltyCoefficients,
            repair_threshold: float = DEFAULT_REPAIR_THRESHOLD,
            thin_output_threshold: int = 5,
-           diagnostics: tuple = (),
+           predicates: tuple[ruledsl.PredicateAst, ...] = (),
            route_mode: RouteMode | None = None) -> VerificationObject:
     """Build the verification object for a completed run state.
 
     The repair indicator is set exactly when trust falls below the repair
     threshold or a hard failure occurred. Every nonzero counter contributes
-    an issue, and each issue class contributes one reasoner flag.
+    an issue, and each issue class contributes one reasoner flag; the
+    constraint issue names the false predicates by 1-based index.
     """
-    counters = extract_counters(state, thin_output_threshold, diagnostics)
+    counters = extract_counters(state, thin_output_threshold, predicates)
     trust = trust_score(counters, coefficients)
 
     issues: list[Issue] = []
@@ -180,8 +189,10 @@ def verify(state: ExecutionState, metadata: Metadata, profile: Profile,
     if counters.n_branch:
         issues.append(Issue("branch_firings", counters.n_branch,
                             f"{counters.n_branch} branch rule firing(s)"))
-    if counters.delta_diag:
-        issues.append(Issue("diagnostic_contradiction", 1, "stored results flagged as contradictory"))
+    if counters.false_predicates:
+        false = counters.false_predicates
+        issues.append(Issue("diagnostic_contradiction", len(false), "constraint predicate(s) "
+                            f"{', '.join(map(str, false))} false over the final state"))
     if counters.hard_failure:
         issues.append(Issue("hard_failure", 1, "at least one failure was classified hard"))
     if route_mode == RouteMode.REPAIR_ELIGIBLE:
@@ -201,4 +212,5 @@ def verify(state: ExecutionState, metadata: Metadata, profile: Profile,
         issues=tuple(issues),
         flags=flags,
         repair_recommended=repair_recommended,
+        counters=counters,
     )

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 from ptrun.bench import bench_metadata
 from ptrun.core import Metadata, Profile, Task
-from ptrun.executor import ExecutionConfig, compile_rules, initial_state, run_workflow
+from ptrun.executor import (ExecutionConfig, ExecutionState, RuleBundle, compile_rules,
+                            initial_state, run_workflow)
 from ptrun.pipeline import RunConfig, ToolEnvironment
-from ptrun.router import RouteThresholds, decide_route
+from ptrun.router import RouteMode, RouteThresholds, decide_route
 from ptrun.semantic import ScriptedModel
+from ptrun.tools import ToolRegistry
 from ptrun.verifier import verify
 
 KB = [
@@ -113,25 +116,40 @@ def gen_config(rng: random.Random) -> RunConfig:
     )
 
 
+def execute_phase(metadata: Metadata, profile: Profile, cfg: RunConfig,
+                  registry: ToolRegistry, task: Task, mode: RouteMode
+                  ) -> tuple[ExecutionState, RuleBundle]:
+    """Execute a profile as one phase of a run does; returns the final state
+    and the rules it ran with. A run's phases share one registry, so fault
+    scripts go on where the last phase left them."""
+    exec_config = ExecutionConfig(recovery_retries=cfg.recovery_retries,
+                                  thin_output_threshold=cfg.thin_output_threshold, mode=mode)
+    state = initial_state(task.context)
+    rules = compile_rules(metadata, profile)
+    run_workflow(profile.workflow, exec_config, registry, state, rules)
+    return state, rules
+
+
 def predict_repair(metadata: Metadata, profile: Profile, cfg: RunConfig,
                    environment: ToolEnvironment, task: Task) -> bool:
     """Deterministically pre-run route + execution + verification on a fresh
     registry to learn whether the pipeline will request a repair call."""
     decision = decide_route(metadata, profile, cfg.weights, cfg.thresholds)
     mode = cfg.mode_override or decision.mode
-    exec_config = ExecutionConfig(recovery_retries=cfg.recovery_retries,
-                                  thin_output_threshold=cfg.thin_output_threshold, mode=mode)
-    state = initial_state(task.context)
-    run_workflow(profile.workflow, exec_config, environment.build_registry(), state,
-                 compile_rules(metadata, profile))
+    state, rules = execute_phase(metadata, profile, cfg, environment.build_registry(), task,
+                                 mode)
     z = verify(state, metadata, profile, cfg.penalties, cfg.repair_threshold,
-               cfg.thin_output_threshold, route_mode=mode)
+               cfg.thin_output_threshold, rules.constraint_predicates, route_mode=mode)
     return z.repair_recommended
 
 
-def make_scenario(rng: random.Random) -> dict:
-    """One complete scripted scenario; see the module docstring."""
+def make_scenario(rng: random.Random, constraint_predicates: tuple[str, ...] = ()) -> dict:
+    """One complete scripted scenario; see the module docstring. The bench
+    metadata gets the given constraint predicates, which draw nothing from
+    ``rng``."""
     metadata = bench_metadata()
+    metadata = replace(metadata, constraints=replace(
+        metadata.constraints, constraint_predicates=tuple(constraint_predicates)))
     task = Task(objective="What does the knowledge base say?", context={"flag": 1})
     length = rng.randint(1, 8)
     profile_dict = gen_profile_dict(rng, length)

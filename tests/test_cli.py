@@ -374,6 +374,18 @@ class TestInputFiles:
         assert run_cli(*run_args(demo_args, **{flag: missing})) == EXIT_USAGE
         assert_one_error_line(capsys, missing)
 
+    def test_trace_into_a_missing_directory_exits_2(self, demo_args, tmp_path, capsys):
+        trace = str(tmp_path / "absent" / "trace.jsonl")
+        assert run_cli(*run_args(demo_args, **{"--trace-out": trace})) == EXIT_USAGE
+        assert_one_error_line(capsys, f"cannot write trace {trace}")
+        assert not (tmp_path / "absent").exists()
+
+    def test_trace_onto_a_directory_exits_2(self, demo_args, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        trace.mkdir()
+        assert run_cli(*run_args(demo_args, **{"--trace-out": str(trace)})) == EXIT_USAGE
+        assert_one_error_line(capsys, f"cannot write trace {trace}")
+
 
 class TestMalformedTraceHeader:
     def rewrite_header(self, demo_args, tmp_path, edit):

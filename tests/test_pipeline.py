@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 import ptrun
 from ptrun import pipeline, ruledsl, semantic
 from ptrun.bench import bench_metadata
-from ptrun.core import AutoRuleSpec, Metadata, RecoverySpec, RuleSet, Task
+from ptrun.core import AutoRuleSpec, Metadata, Profile, RecoverySpec, RuleSet, Task
 from ptrun.pipeline import (REPAIR_APPLIED_FLAG, REPAIR_REJECTED_FLAG, RunConfig,
                             ToolEnvironment, _compare, kb_side_file, replay_trace, run_ptr)
 from ptrun.router import RouteMode
@@ -24,9 +24,10 @@ from ptrun.semantic import (ModelResponse, PriceEntry, ScriptedModel, ScriptExha
                             build_profile_prompt)
 from ptrun.trace import (SCHEMA_VERSION, VOLATILE_KEYS, TraceSchemaError, canonical_json,
                          read_trace, strip_volatile)
+from ptrun.verifier import verify
 
 import helpers_dsl
-from helpers_scenarios import build_model, make_scenario
+from helpers_scenarios import build_model, execute_phase, make_scenario
 
 KB = [
     {"title": "Alan Turing", "body": "Alan Turing introduced the Turing machine and worked "
@@ -734,6 +735,77 @@ class TestTraceKeyOrder:
         assert outputs[0] and outputs[0] == outputs[1]
 
 
+# Constraint predicates over the keys and env of helpers_scenarios runs; each
+# holds on some runs and is false on others.
+PREDICATE_POOL = (
+    "exists(result.kb_search_1)",
+    "exists(result.kb_lookup_1)",
+    "not failed(kb_lookup_1)",
+    "failed(kb_search_1)",
+    "env.flag == 1",
+    "env.flag == 2",
+    "result.kb_search_1.count >= 1",
+    "empty(kb_search_1)",
+    "result.calc_1.value > 5",
+    'trace.0.outcome == "success"',
+    "exists(failure.0) or exists(branch.0)",
+)
+
+
+class TestConstraintPredicates:
+    """The metadata's constraint predicates are the verifier's diagnostics:
+    evaluated over each phase's final state, recorded and replayed."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           sources=st.lists(st.sampled_from(PREDICATE_POOL), max_size=5), data=st.data())
+    def test_false_predicates_set_delta_diag_and_replay(self, seed, sources, data):
+        scenario = make_scenario(random.Random(seed), tuple(sources))
+        metadata, cfg = scenario["metadata"], scenario["cfg"]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.jsonl")
+            report = run_ptr(scenario["task"], metadata, cfg, build_model(scenario),
+                             scenario["environment"], trace_path=path)
+            assert report.outcome == "ok"
+            records = read_trace(path)
+            mode = RouteMode(next(r for r in records if r["type"] == "route")["mode"])
+            profiles = {"initial": next(r for r in records if r["type"] == "profile")["parsed"]}
+            for record in records:
+                if record["type"] == "repair" and record["accepted"]:
+                    profiles["repair"] = record["parsed"]
+            verifications = [r for r in records if r["type"] == "verification"]
+            assert [r["phase"] for r in verifications] == list(profiles)
+            registry = scenario["environment"].build_registry()
+            for record in verifications:
+                profile = Profile.from_dict(profiles[record["phase"]])
+                state, _ = execute_phase(metadata, profile, cfg, registry, scenario["task"], mode)
+                false = [i for i, source in enumerate(sources, start=1)
+                         if not ruledsl.eval_predicate(ruledsl.parse_predicate(source), state)]
+                assert record["counters"]["delta_diag"] == (1.0 if false else 0.0)
+                issues = [i for i in record["object"]["issues"]
+                          if i["kind"] == "diagnostic_contradiction"]
+                assert issues == ([{
+                    "kind": "diagnostic_contradiction", "count": len(false),
+                    "detail": f"constraint predicate(s) {', '.join(map(str, false))} false "
+                              "over the final state"}] if false else [])
+                without = verify(state, metadata, profile, cfg.penalties, cfg.repair_threshold,
+                                 cfg.thin_output_threshold, route_mode=mode)
+                assert record["object"]["trust"] <= without.trust
+                if not false:
+                    assert record["object"]["trust"] == without.trust
+            assert replay_trace(path).matched
+
+            if sources:
+                index = data.draw(st.integers(0, len(sources) - 1))
+                predicates = records[0]["metadata"]["constraints"]["constraint_predicates"]
+                predicates[index] = f"not ({sources[index]})"
+                divergence = replay_trace(records).divergence
+                assert divergence["section"] == "verification[initial]"
+                predicates[index] = "exists("
+                with pytest.raises(TraceSchemaError, match="constraint predicate"):
+                    replay_trace(records)
+
+
 class TestStrictJson:
     def test_overflowing_calc_keeps_the_trace_strict_json(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
@@ -1353,3 +1425,36 @@ class TestRetryPromptBound:
         base, retry = prompts[:2]
         assert retry.startswith(base)
         assert len(retry) <= len(base) + self.CONSTANT
+
+
+class TestRunInvalidTraceBound:
+    """A run_invalid trace holds the two rejected replies, which its
+    model_call records must keep; apart from them its size does not grow
+    with the replies: the retry prompt and the abort record's detail quote
+    a capped diagnostic."""
+
+    @staticmethod
+    def size_without_replies(reply: str, directory: str) -> int | None:
+        path = os.path.join(directory, "run.jsonl")
+        model = scripted({"role": "profile", "text": reply}, {"role": "profile", "text": reply},
+                         REASON)
+        report = run_ptr(task(), bench_metadata(), RunConfig(), model, environment(),
+                         trace_path=path)
+        if report.outcome != "run_invalid":
+            return None
+        replies = sum(len(json.dumps(record["response_text"]))
+                      for record in read_trace(path) if record["type"] == "model_call")
+        return os.path.getsize(path) - replies
+
+    @settings(max_examples=40, deadline=None)
+    @given(reply=st.text(max_size=5000) | st.builds(limit_reply, LIMIT_VALUES))
+    @example(reply=limit_reply(list(range(20_000))))
+    @example(reply="{" * 50_000)
+    def test_trace_less_its_replies_is_bounded(self, reply):
+        with tempfile.TemporaryDirectory() as tmp:
+            base = self.size_without_replies("no profile here", tmp)
+            size = self.size_without_replies(reply, tmp)
+        assume(size is not None)  # both replies were rejected
+        # The retry prompt and the abort detail each add at most the cap in
+        # characters; the trace escapes a character in at most 12 bytes.
+        assert size <= base + 2 * 12 * TestRetryPromptBound.CONSTANT

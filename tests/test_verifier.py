@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ptrun.core import Metadata, Profile, RuleSet, Workflow, WorkflowStep
 from ptrun.executor import ExecutionConfig, initial_state, run_workflow
 from ptrun.router import RouteMode
+from ptrun.ruledsl import parse_predicate
 from ptrun.tools import KnowledgeBase, builtin_registry
 from ptrun.verifier import (PenaltyCoefficients, TraceCounters, VerifyStatus,
                             extract_counters, repair_indicator, trust_score, verify)
@@ -84,9 +85,16 @@ class TestExtractCounters:
         assert counters.hard_failure is True
 
     def test_diagnostics_flag_contradiction(self):
+        # delta_diag is set by a constraint predicate that is false over the
+        # final state, and the counters name it by its 1-based index
         _, state = run_state(("kb_lookup", {"title": "Paris"}))
-        check = lambda store: "kb_lookup_1" in store  # noqa: E731
-        assert extract_counters(state, diagnostics=(check,)).delta_diag == 1.0
+        holds, fails = parse_predicate("exists(result.kb_lookup_1)"), parse_predicate(
+            "failed(kb_lookup_1)")
+        counters = extract_counters(state, predicates=(holds, fails, holds))
+        assert counters.delta_diag == 1.0
+        assert counters.false_predicates == (2,)
+        assert "false_predicates" not in counters.to_dict()
+        assert extract_counters(state, predicates=(holds,)).delta_diag == 0.0
         assert extract_counters(state).delta_diag == 0.0
 
     def test_recomputable(self):
