@@ -13,6 +13,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .core import Metadata, Profile, Task
 
@@ -428,15 +429,25 @@ _WINDOW = 1024
 # before it (``-Infinity`` is the longest); a failure further back is one
 # the whole text has too.
 _TOKEN_REACH = 16
+# Objects and arrays a reply may hold open at once. Every supported Python's
+# decoder recurses further (3.11's about 1,000 levels, 3.13's about 10,000),
+# so a reply past the bound is refused the same way on each of them.
+MAX_JSON_DEPTH = 64
+# A string of text that parsed as JSON: to its closing quote, or to the end
+# where the parse stopped inside it.
+_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
+_BRACKET_STEP = {"{": 1, "[": 1, "}": -1, "]": -1}
+_BRACKETS = re.compile(r"[\[\]{}]")
 
 
 def extract_first_json_object(text: str) -> dict:
     """First JSON object in the text, tolerating surrounding prose and fences.
 
     NaN and Infinity are refused: a trace, which records the parsed profile,
-    is strict JSON. JSON nested deeper than the decoder can recurse ends the
-    search with a ProfileParseError. A failed candidate costs about as much
-    as the text its parse read, not the rest of the response.
+    is strict JSON. A candidate that opens more than MAX_JSON_DEPTH objects
+    and arrays at once ends the search with a ProfileParseError. A failed
+    candidate costs about as much as the text its parse read, not the rest
+    of the response.
     """
     decoder = json.JSONDecoder(parse_constant=_reject_constant)
     # Replies usually open with their object: the first candidate is decoded whole.
@@ -454,16 +465,32 @@ def _decode_object_at(decoder: json.JSONDecoder, text: str, start: int, width: i
     while True:
         end = start + width
         truncated = end < len(text)
+        grow = False
         try:
-            return decoder.raw_decode(text[start:end] + "\0" if truncated else text[start:])[0]
+            obj, read = decoder.raw_decode(text[start:end] + "\0" if truncated else text[start:])
         except json.JSONDecodeError as exc:
-            if not truncated or exc.pos < width - _TOKEN_REACH:
-                return None
+            obj, read = None, exc.pos
+            grow = truncated and exc.pos >= width - _TOKEN_REACH
         except ValueError:
             return None
         except RecursionError:
-            raise ProfileParseError("the response nests JSON too deeply") from None
+            obj, read = None, None
+        # The text a parse read is valid JSON, so its brackets outside strings
+        # are the levels the decoder opened.
+        if read is None or _nests_too_deeply(text, start, start + read):
+            raise ProfileParseError("the response nests JSON too deeply")
+        if not grow:
+            return obj
         width *= 8
+
+
+def _nests_too_deeply(text: str, start: int, end: int) -> bool:
+    """Whether the JSON text ``text[start:end]``, or a prefix of one, holds
+    more than MAX_JSON_DEPTH objects and arrays open at once."""
+    if text.count("{", start, end) + text.count("[", start, end) <= MAX_JSON_DEPTH:
+        return False
+    brackets = _BRACKETS.findall(_JSON_STRING.sub("", text[start:end]))
+    return max(accumulate(map(_BRACKET_STEP.__getitem__, brackets))) > MAX_JSON_DEPTH
 
 
 def parse_profile_response(text: str) -> Profile:

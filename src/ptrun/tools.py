@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -62,9 +62,7 @@ class KnowledgeBase:
     """Read-only titled-article store with case-insensitive exact lookup.
 
     Built once and shared by every run that searches it. Besides the articles
-    it keeps the sorted titles and one search text: each article's
-    lower-cased ``"title body"``, in title order, joined with newlines, plus
-    the offsets where the articles start in it.
+    it keeps the sorted titles and, from the first search on, a token index.
     """
 
     def __init__(self, articles: list[dict]):
@@ -80,11 +78,6 @@ class KnowledgeBase:
             self._by_folded[article.title.casefold()] = article.title
         self.articles = MappingProxyType(table)
         self._titles = tuple(sorted(table))
-        texts = [f"{title} {table[title].body}".lower() for title in self._titles]
-        self._text = "\n".join(texts)
-        # article i spans [starts[i], starts[i + 1] - 1); the last entry is
-        # len(self._text) + 1
-        self._starts = list(accumulate((len(text) + 1 for text in texts), initial=0))
 
     @classmethod
     def load(cls, path: str | Path) -> "KnowledgeBase":
@@ -98,31 +91,27 @@ class KnowledgeBase:
         exact = self._by_folded.get(title.casefold())
         return self.articles[exact] if exact else None
 
+    @cached_property
+    def _postings(self) -> dict[str, list[int]]:
+        """token -> positions in the sorted titles of the articles whose
+        ``"title body"`` holds it, in ascending order."""
+        postings: dict[str, list[int]] = {}
+        for position, title in enumerate(self._titles):
+            for token in set(tokenize(f"{title} {self.articles[title].body}")):
+                postings.setdefault(token, []).append(position)
+        return postings
+
     def rank(self, query_tokens: set[str]) -> list[str]:
         """Titles of the articles sharing a token with the query, ordered by
         (-overlap, title), where overlap counts the distinct query tokens
-        among the article's tokens.
-
-        An article's tokens are substrings of its search text, so a
-        ``str.find`` pass per query token finds every article with overlap
-        > 0; only those candidates are tokenized and scored.
-        """
-        text, starts = self._text, self._starts
-        candidates = set()
+        among the article's tokens."""
+        overlap = Counter()
         for token in query_tokens:
-            position = text.find(token)
-            while position >= 0:
-                index = bisect_right(starts, position) - 1
-                candidates.add(index)
-                position = text.find(token, starts[index + 1])
-        scored = []
-        for index in candidates:
-            tokens = _TOKEN_RE.findall(text, starts[index], starts[index + 1] - 1)
-            overlap = len(query_tokens & set(tokens))
-            if overlap > 0:
-                scored.append((-overlap, self._titles[index]))
-        scored.sort()
-        return [title for _, title in scored]
+            overlap.update(self._postings.get(token, ()))
+        # The sort is stable, so equal overlaps keep ascending positions, and
+        # positions follow the sorted titles.
+        ranked = sorted(sorted(overlap), key=overlap.__getitem__, reverse=True)
+        return [self._titles[position] for position in ranked]
 
     def to_list(self) -> list[dict]:
         return [

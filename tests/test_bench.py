@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,9 @@ from ptrun.bench import (EmptySuiteError, Suite, format_table, load_suite,
 from ptrun.cli import bundled_data
 from ptrun.metrics import BenchmarkItem
 from ptrun.pipeline import RunConfig, ToolEnvironment
+
+# The bundled suite's results file, frozen; `ptrun bench --out` writes these bytes.
+GOLDEN_RESULTS = Path(__file__).parent / "golden" / "bench_results.json"
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +44,11 @@ class TestBundledSuite:
         first = render_results(results_document(suite, cfg, *run_bundled(bundled)))
         second = render_results(results_document(suite, cfg, *run_bundled(bundled)))
         assert first == second
+
+    def test_results_file_matches_golden(self, bundled):
+        suite, _, cfg, _ = bundled
+        rendered = render_results(results_document(suite, cfg, *run_bundled(bundled)))
+        assert rendered == GOLDEN_RESULTS.read_text(encoding="utf-8")
 
     def test_call_bounds_per_item(self, bundled):
         ptr, react, _ = run_bundled(bundled)

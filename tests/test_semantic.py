@@ -160,8 +160,29 @@ class TestResponseParsing:
         with pytest.raises(ProfileParseError, match="too deeply"):
             extract_first_json_object(text)
 
-    @pytest.mark.parametrize("text", ["{" * 80000, '{"{' * 30000, '{"a":1 ' * 12000],
-                             ids=["braces", "keys", "members"])
+    @pytest.mark.parametrize("shape", [
+        lambda d: '{"a":' * d + "1" + "}" * d,
+        lambda d: '{"a": ' + "[" * (d - 1) + "]" * (d - 1) + "}",
+        lambda d: '{"a": "' + "[{" * 200 + '", "b": ' + "[" * (d - 1) + "]" * (d - 1) + "}",
+    ], ids=["objects", "arrays", "brackets-in-strings"])
+    def test_nesting_bound_holds_on_every_python(self, shape):
+        depth = semantic.MAX_JSON_DEPTH
+        assert isinstance(extract_first_json_object(shape(depth)), dict)
+        with pytest.raises(ProfileParseError, match="too deeply"):
+            extract_first_json_object(shape(depth + 1))
+
+    @pytest.mark.parametrize("text", [
+        '{"a":' * 65,
+        'prose ' + '{"a":' * 65 + "1 ]",
+        '{"a": ' + "[" * 64 + " x",
+    ], ids=["unterminated", "fails-past-the-bound", "arrays-then-garbage"])
+    def test_failed_parse_past_the_bound_is_too_deep(self, text):
+        with pytest.raises(ProfileParseError, match="too deeply"):
+            extract_first_json_object(text)
+
+    @pytest.mark.parametrize("text", ["{" * 80000, '{"{' * 30000, '{"a":1 ' * 12000,
+                                      '{"a":' * 4000],
+                             ids=["braces", "keys", "members", "nested-objects"])
     def test_failed_candidates_do_not_read_the_rest(self, text, monkeypatch):
         decoded = []
         raw_decode = json.JSONDecoder.raw_decode

@@ -1,10 +1,16 @@
+import collections
+import functools
 import json
 import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ptrun.core import SlotSpec, ToolSpec
+from ptrun import pipeline
+from ptrun.bench import bench_metadata
+from ptrun.core import SlotSpec, Task, ToolSpec
+from ptrun.pipeline import RunConfig, ToolEnvironment, replay_trace, run_ptr
+from ptrun.semantic import ScriptedModel
 from ptrun.tools import (Article, DuplicateToolError, KnowledgeBase, ToolOutcome, ToolRegistry,
                          builtin_registry, calc, make_fault_injector, make_kb_lookup,
                          make_kb_search, tokenize)
@@ -87,7 +93,7 @@ class TestKbSearch:
 
 def scan_search(kb, query, limit):
     """Reference kb_search: tokenize every article on every call (the oracle
-    for the substring-filtered search)."""
+    for the indexed search)."""
     query_tokens = set(tokenize(query))
     scored = []
     for title in kb.titles():
@@ -103,8 +109,9 @@ def scan_search(kb, query, limit):
 
 
 # Small alphabet so tokens collide and nest; "İ" lower-cases to two code
-# points, "ß" and "é" are letters outside [a-z0-9], the rest split tokens.
-TEXT_ALPHABET = "ab1pinİßé .,-!\n"
+# points, the Kelvin sign "K" to ASCII "k", "ß" and "é" are letters outside
+# [a-z0-9], the rest split tokens.
+TEXT_ALPHABET = "ab1pinİKßé .,-!\n"
 texts = st.text(alphabet=TEXT_ALPHABET, max_size=24)
 
 
@@ -170,6 +177,62 @@ class TestKbSearchMatchesScan:
         search = make_kb_search(kb)
         assert search({"query": "only", "limit": 4}, None).value["titles"] == ["Only"]
         assert search({"query": "onl"}, None).error_class == "empty_result"
+
+    def test_kelvin_sign_matches_ascii_k(self):
+        kb = KnowledgeBase([{"title": "\u212aelvin", "body": "", "links": []},
+                            {"title": "Other", "body": "kelvin scale", "links": []}])
+        outcome = make_kb_search(kb)({"query": "KELVIN"}, None)
+        assert outcome.value["titles"] == ["Other", "\u212aelvin"]
+
+    @pytest.mark.parametrize("query, limit", [("common", 3), ("common 7", 5), ("common 9999", 2)])
+    def test_token_in_every_article_of_a_large_kb(self, query, limit):
+        kb = KnowledgeBase([{"title": f"Common {i}", "body": f"entry {i % 10}", "links": []}
+                            for i in range(10_000)])
+        outcome = make_kb_search(kb)({"query": query, "limit": limit}, None)
+        assert outcome.to_dict() == scan_search(kb, query, limit).to_dict()
+
+
+@pytest.fixture
+def index_builds(monkeypatch):
+    """The KnowledgeBase objects whose token index was built, one entry per build."""
+    builds = []
+    build = KnowledgeBase._postings.func
+
+    def counting(kb):
+        builds.append(kb)
+        return build(kb)
+
+    counted = functools.cached_property(counting)
+    counted.__set_name__(KnowledgeBase, "_postings")
+    monkeypatch.setattr(KnowledgeBase, "_postings", counted)
+    return builds
+
+
+class TestKbIndex:
+    def test_built_once_across_searches_a_run_and_a_memo_hit_replay(
+            self, index_builds, monkeypatch, tmp_path):
+        monkeypatch.setattr(pipeline, "_KB_MEMO", collections.OrderedDict())
+        env = ToolEnvironment(articles=tuple(FIXTURE))
+        search = make_kb_search(env.kb)
+        for query in ("turing", "paris capital", "machine model", "nothing"):
+            search({"query": query}, None)
+        profile = {"workflow": {"steps": [{"tool_id": "kb_search", "params": {"query": "turing"}}]}}
+        model = ScriptedModel([{"role": "profile", "text": json.dumps(profile)},
+                               {"role": "reason", "text": "Alan Turing"}])
+        path = str(tmp_path / "run.jsonl")
+        report = run_ptr(Task(objective="Who was Turing?"), bench_metadata(), RunConfig(),
+                         model, env, trace_path=path)
+        assert report.outcome == "ok"
+        assert list(pipeline._KB_MEMO) == [env.kb_digest]
+        assert replay_trace(path).matched
+        assert index_builds == [env.kb]
+
+    def test_kb_never_searched_builds_no_index(self, index_builds):
+        kb = KnowledgeBase(FIXTURE)
+        assert kb.get("paris").title == "Paris"
+        assert make_kb_lookup(kb)({"title": "Alan Turing"}, None).ok
+        assert kb.titles() and kb.to_list()
+        assert index_builds == []
 
 
 class TestKnowledgeBaseInput:
