@@ -13,7 +13,6 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 from .core import Metadata, Profile, Task
 
@@ -433,11 +432,9 @@ _TOKEN_REACH = 16
 # decoder recurses further (3.11's about 1,000 levels, 3.13's about 10,000),
 # so a reply past the bound is refused the same way on each of them.
 MAX_JSON_DEPTH = 64
-# A string of text that parsed as JSON: to its closing quote, or to the end
-# where the parse stopped inside it.
-_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
-_BRACKET_STEP = {"{": 1, "[": 1, "}": -1, "]": -1}
-_BRACKETS = re.compile(r"[\[\]{}]")
+# Translating with these keeps only quotes and brackets, the brackets as braces.
+_AS_BRACES = bytes.maketrans(b"[]", b"{}")
+_NOT_QUOTE_OR_BRACKET = bytes(sorted(set(range(128)) - set(b'"{}[]')))
 
 
 def extract_first_json_object(text: str) -> dict:
@@ -487,10 +484,26 @@ def _decode_object_at(decoder: json.JSONDecoder, text: str, start: int, width: i
 def _nests_too_deeply(text: str, start: int, end: int) -> bool:
     """Whether the JSON text ``text[start:end]``, or a prefix of one, holds
     more than MAX_JSON_DEPTH objects and arrays open at once."""
-    if text.count("{", start, end) + text.count("[", start, end) <= MAX_JSON_DEPTH:
+    data = text[start:end].encode("ascii", "ignore")
+    if b"\\" in data:
+        # Escaped backslashes and quotes go first, pairing each run of
+        # backslashes from its start as the decoder does.
+        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
+    marks = data.translate(_AS_BRACES, _NOT_QUOTE_OR_BRACKET)
+    if marks.count(b"{") <= MAX_JSON_DEPTH:
         return False
-    brackets = _BRACKETS.findall(_JSON_STRING.sub("", text[start:end]))
-    return max(accumulate(map(_BRACKET_STEP.__getitem__, brackets))) > MAX_JSON_DEPTH
+    # Two adjacent quotes are an empty string, or one string's end and the
+    # next one's start, so dropping them moves no brace into or out of a
+    # string; the quotes left alternate opening and closing.
+    braces = b"".join(marks.replace(b'""', b"").split(b'"')[::2])
+    braces += b"}" * (braces.count(b"{") - braces.count(b"}"))  # close what a prefix left open
+    # Each pass removes the innermost pairs, so balanced braces nested d deep
+    # are gone after d passes.
+    for _ in range(MAX_JSON_DEPTH):
+        braces = braces.replace(b"{}", b"")
+        if not braces:
+            return False
+    return True
 
 
 def parse_profile_response(text: str) -> Profile:

@@ -238,6 +238,44 @@ def replies(draw):
     return "".join(pieces)
 
 
+def open_levels(text: str) -> int:
+    """Most objects and arrays open at once in a JSON text or a prefix of one,
+    read character by character; the reference for the nesting bound."""
+    depth = deepest = 0
+    in_string = escaped = False
+    for ch in text:
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch in "]}":
+            depth -= 1
+    return deepest
+
+
+class TestNestingBound:
+    @settings(max_examples=300, deadline=None)
+    @given(text=JSON_OBJECTS, data=st.data())
+    def test_matches_reading_character_by_character(self, text, data):
+        start = data.draw(st.integers(0, 3))
+        end = start + data.draw(st.integers(0, len(text)))
+        text = json.dumps(json.loads(text), ensure_ascii=data.draw(st.booleans()))
+        end = min(end, start + len(text))
+        text = "x{]"[:start] + text  # the bound reads only from start
+        bound = data.draw(st.integers(0, 6))
+        with mock.patch.object(semantic, "MAX_JSON_DEPTH", bound):
+            assert semantic._nests_too_deeply(text, start, end) == (
+                open_levels(text[start:end]) > bound)
+
+
 class TestWindowedSearch:
     @settings(max_examples=200, deadline=None)
     @given(text=replies(), window=st.integers(1, 64))
