@@ -493,8 +493,9 @@ def _nests_too_deeply(text: str, start: int, end: int) -> bool:
     if marks.count(b"{") <= MAX_JSON_DEPTH:
         return False
     # Two adjacent quotes are an empty string, or one string's end and the
-    # next one's start, so dropping them moves no brace into or out of a
-    # string; the quotes left alternate opening and closing.
+    # next one's start, so dropping them first, which leaves little to split,
+    # moves no brace into or out of a string. The quotes left alternate
+    # opening and closing.
     braces = b"".join(marks.replace(b'""', b"").split(b'"')[::2])
     braces += b"}" * (braces.count(b"{") - braces.count(b"}"))  # close what a prefix left open
     # Each pass removes the innermost pairs, so balanced braces nested d deep
