@@ -26,7 +26,7 @@ from itertools import zip_longest
 from pathlib import Path
 
 from .core import (CompiledBranchRule, Metadata, MetadataReport, Profile, Task,
-                   check_admissibility, compile_branch_rule, validate_metadata)
+                   check_admissibility, validate_metadata)
 # compile_rules and extract_counters are not called here; they stay importable
 # from this module for callers that compile rules or count outside a run.
 from .executor import (ExecutionConfig, RuleBundle, bundle_rules, compile_rules,  # noqa: F401
@@ -318,6 +318,34 @@ def _admit(text: str, metadata: Metadata) -> tuple[Profile, tuple[CompiledBranch
     return profile, report.branch_rules
 
 
+def _reply_record(version: int, kind: str, text: str, profile: Profile | None,
+                  **fields) -> dict:
+    """The ``profile`` or ``repair`` record of a reply, as trace schema
+    ``version`` writes it. From version 3 the reply is stored once, in its
+    ``model_call`` record; earlier versions copy an admitted reply into
+    ``raw`` and its profile into ``parsed``."""
+    record = {"type": kind, **fields}
+    if version < 3 and profile is not None:
+        record.update(raw=text, parsed=profile.to_dict())
+    return record
+
+
+def _admit_repair(text: str, metadata: Metadata, version: int
+                  ) -> tuple[Profile | None, tuple[CompiledBranchRule, ...], dict]:
+    """The patched profile a repair reply holds, None when the patch is
+    rejected, with its branch rules and the repair record."""
+    try:
+        patched, rules = _admit(text, metadata)
+    except InadmissibleProfileError as exc:
+        rejection = exc.diagnostic
+    except ProfileParseError as exc:
+        rejection = f"parse_error: {exc.diagnostic}"
+    else:
+        return patched, rules, _reply_record(version, "repair", text, patched, accepted=True)
+    return None, (), _reply_record(version, "repair", text, None, accepted=False,
+                                   reason=rejection)
+
+
 def _obtain_profile(task: Task, metadata: Metadata, cfg: RunConfig, model,
                     ledger: BudgetLedger, writer: TraceWriter
                     ) -> tuple[Profile, tuple[CompiledBranchRule, ...], str, int]:
@@ -447,8 +475,8 @@ def _run(task: Task, metadata: Metadata, checked: MetadataReport, cfg: RunConfig
         profile, branch_rules, raw_profile, attempts = _obtain_profile(
             task, metadata, cfg, model, ledger, writer)
         timing["profile"] = time.perf_counter() - started
-        writer.write({"type": "profile", "raw": raw_profile,
-                      "parsed": profile.to_dict(), "attempts": attempts})
+        writer.write(_reply_record(SCHEMA_VERSION, "profile", raw_profile, profile,
+                                   attempts=attempts))
 
         # ROUTE, EXECUTE + VERIFY (deterministic)
         route_started = time.perf_counter()
@@ -468,19 +496,12 @@ def _run(task: Task, metadata: Metadata, checked: MetadataReport, cfg: RunConfig
             repaired = True
             prompt = build_repair_prompt(task, metadata, profile, state, z)
             response = _model_call(model, "repair", prompt, cfg, ledger, writer)
-            rejection = None
-            try:
-                patched, repair_rules = _admit(response.text, metadata)
-            except InadmissibleProfileError as exc:
-                rejection = exc.diagnostic
-            except ProfileParseError as exc:
-                rejection = f"parse_error: {exc.diagnostic}"
-            if rejection is not None:
-                writer.write({"type": "repair", "accepted": False, "reason": rejection})
+            patched, repair_rules, record = _admit_repair(response.text, metadata,
+                                                          SCHEMA_VERSION)
+            writer.write(record)
+            if patched is None:
                 final_z = _with_flag(z, REPAIR_REJECTED_FLAG)
             else:
-                writer.write({"type": "repair", "accepted": True, "raw": response.text,
-                              "parsed": patched.to_dict()})
                 final_state, final_z = _execute(task, metadata, cfg, registry, patched,
                                                 bundle_rules(checked, repair_rules), mode,
                                                 "repair", writer)
@@ -520,8 +541,8 @@ def _run(task: Task, metadata: Metadata, checked: MetadataReport, cfg: RunConfig
 
 # --- trace replay -----------------------------------------------------------------
 
-# Record types replay recomputes from the recorded profiles.
-_RECOMPUTED = ("risk", "route", "step", "verification")
+# Record types replay recomputes from the recorded replies.
+_RECOMPUTED = ("profile", "risk", "route", "step", "verification", "repair")
 
 
 @dataclass
@@ -549,7 +570,7 @@ def _read_header(header: dict, source
     report and a registry over the trace's KB and fault scripts;
     TraceSchemaError when one is missing or malformed (invalid metadata, a
     malformed fault script, a version 1 header's malformed embedded KB and a
-    version 2 header's KB that cannot be resolved included)."""
+    later header's KB that cannot be resolved included)."""
     for key in ("task", "metadata", "config", "environment"):
         if not isinstance(header.get(key), dict):
             raise TraceSchemaError(f"trace header has no {key} object")
@@ -583,8 +604,8 @@ def _read_header(header: dict, source
 
 
 def _resolve_kb(kb_digest: str, source) -> KnowledgeBase:
-    """The verified KB a version 2 header names: from the memo, else, for a
-    trace file, from its side file once the file's bytes hash to the digest.
+    """The verified KB a version 2 or 3 header names: from the memo, else,
+    for a trace file, from its side file once the file's bytes hash to the digest.
     A trace file takes the memo's KB only while its side file is there at
     the KB's size, a cheap check that a missing or cut side file fails; the
     bytes of a file of that size are not read or hashed again. TraceSchemaError,
@@ -615,16 +636,38 @@ def _resolve_kb(kb_digest: str, source) -> KnowledgeBase:
     return kb
 
 
-def _recorded_profile(record: dict, checked: MetadataReport) -> tuple[Profile, RuleBundle]:
-    """The profile a profile or repair record holds, with its branch rules
-    compiled and bundled with the metadata's; TraceSchemaError when the record
-    holds no usable profile."""
-    try:
-        profile = Profile.from_dict(record.get("parsed"))
-        return profile, bundle_rules(checked, tuple(
-            compile_branch_rule(i, rule) for i, rule in enumerate(profile.branch_rules)))
-    except (TypeError, ValueError) as exc:
-        raise TraceSchemaError(f"{record['type']} record is malformed: {exc}") from None
+def _recorded_replies(records: list[dict], budget_micros: int) -> dict[str, list[str]]:
+    """The profile and repair replies of the recorded model calls, by role
+    and in order, up to the call whose cost took the run over its budget:
+    the run stopped there and recorded no stage for that reply.
+    TraceSchemaError for a model_call record whose reply is not a string or
+    whose cost is not an integer."""
+    replies: dict[str, list[str]] = {"profile": [], "repair": []}
+    total = 0
+    for index, record in enumerate(r for r in records if r.get("type") == "model_call"):
+        text, cost = record.get("response_text"), record.get("cost_micros")
+        if not (isinstance(text, str) and type(cost) is int):
+            raise TraceSchemaError(f"model_call record {index} is malformed: it needs a "
+                                   "response_text string and a cost_micros integer")
+        total += cost
+        if total > budget_micros:
+            break
+        role = record.get("role")
+        if role in ("profile", "repair"):
+            replies[role].append(text)
+    return replies
+
+
+def _first_admitted(replies: list[str], metadata: Metadata
+                    ) -> tuple[Profile, tuple[CompiledBranchRule, ...], str, int] | None:
+    """What ``_obtain_profile`` returns for these profile replies, or None
+    when neither of the first two is admitted."""
+    for attempts, text in enumerate(replies[:2], start=1):
+        try:
+            return (*_admit(text, metadata), text, attempts)
+        except ProfileParseError:
+            pass
+    return None
 
 
 def _section(record: dict) -> str:
@@ -652,30 +695,41 @@ def _compare(recorded: list[dict], recomputed: list[dict]) -> ReplayReport:
 
 
 def replay_trace(source) -> ReplayReport:
-    """Recompute the deterministic segment from the recorded profile(s) and
-    compare its risk, route, step and verification records with the
-    recorded ones; wall-clock fields are ignored. Reports the first
-    divergence or a full match. Every run_ptr trace ends in a report record,
-    so one that does not is a divergence in section ``incomplete``. Raises
+    """Recompute the run's deterministic stages from its recorded replies and
+    compare the recomputed profile, risk, route, step, verification and
+    repair records with the recorded ones; wall-clock fields are ignored.
+
+    The profile and repair replies come from the ``model_call`` records, by
+    role and in order, and are admitted as the run admits them, up to the
+    call that took the run over its budget. Reports the first divergence or
+    a full match. Every run_ptr trace ends in a report record, so one that
+    does not is a divergence in section ``incomplete``. Raises
     TraceSchemaError for a malformed trace, including a header whose task,
     metadata, config or environment is missing or malformed, a header whose
-    metadata is invalid, a profile or repair record that holds no usable
-    profile and a record that nests values too deeply to compare or report."""
+    metadata is invalid, a malformed model_call record and a record that
+    nests values too deeply to compare or report."""
     records = read_trace(source)
     if records[-1].get("type") != "report":
         return ReplayReport(False, _diverge("incomplete", len(records) - 1,
                                             records[-1].get("type"), "report"), 0)
-    task, metadata, checked, cfg, registry = _read_header(records[0], source)
+    header = records[0]
+    task, metadata, checked, cfg, registry = _read_header(header, source)
+    version = header["schema_version"]
+    replies = _recorded_replies(records, cfg.budget_micros)
     recomputed = TraceWriter()
-    profile_record = next((r for r in records if r.get("type") == "profile"), None)
-    # A run aborted in the profile stage has no deterministic stage to recompute.
-    if profile_record is not None:
-        profile, rules = _recorded_profile(profile_record, checked)
+    admitted = _first_admitted(replies["profile"], metadata)
+    # A run aborted in the profile stage has no stage to recompute.
+    if admitted is not None:
+        profile, branch_rules, text, attempts = admitted
+        recomputed.write(_reply_record(version, "profile", text, profile, attempts=attempts))
         mode, _ = _route(metadata, profile, cfg, recomputed)
-        _, z = _execute(task, metadata, cfg, registry, profile, rules, mode, "initial",
-                        recomputed)
-        repair = next((r for r in records if r.get("type") == "repair"), None)
-        if z.repair_recommended and repair is not None and repair.get("accepted") is True:
-            patched, rules = _recorded_profile(repair, checked)
-            _execute(task, metadata, cfg, registry, patched, rules, mode, "repair", recomputed)
+        _, z = _execute(task, metadata, cfg, registry, profile,
+                        bundle_rules(checked, branch_rules), mode, "initial", recomputed)
+        if z.repair_recommended and replies["repair"]:
+            patched, repair_rules, record = _admit_repair(replies["repair"][0], metadata,
+                                                          version)
+            recomputed.write(record)
+            if patched is not None:
+                _execute(task, metadata, cfg, registry, patched,
+                         bundle_rules(checked, repair_rules), mode, "repair", recomputed)
     return _compare([r for r in records if r.get("type") in _RECOMPUTED], recomputed.records)

@@ -417,9 +417,14 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON value")
 
 
+# One strict decoder serves every search.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 # Where a JSON object can open: a brace, JSON whitespace, then a key or the
 # closing brace.
 _OBJECT_OPENING = re.compile(r'\{[ \t\n\r]*["}]')
+# A JSON string, to its closing quote or to the end of a text cut inside it,
+# or a bracket.
+_STRING_OR_BRACKET = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[{}\[\]]', re.DOTALL)
 # Later candidate objects are decoded from a window of the text that starts
 # this wide and grows eightfold while a parse runs into its end.
 _WINDOW = 1024
@@ -440,36 +445,44 @@ _NOT_QUOTE_OR_BRACKET = bytes(sorted(set(range(128)) - set(b'"{}[]')))
 def extract_first_json_object(text: str) -> dict:
     """First JSON object in the text, tolerating surrounding prose and fences.
 
-    NaN and Infinity are refused: a trace, which records the parsed profile,
+    NaN and Infinity are refused: a profile's values reach the trace, which
     is strict JSON. A candidate that opens more than MAX_JSON_DEPTH objects
     and arrays at once ends the search with a ProfileParseError. A failed
     candidate costs about as much as the text its parse read, not the rest
-    of the response.
+    of the response, and a candidate that a failed parse held open where it
+    failed is not decoded: its own parse would read the same text and fail
+    there.
     """
-    decoder = json.JSONDecoder(parse_constant=_reject_constant)
     # Replies usually open with their object: the first candidate is decoded whole.
     width = len(text)
+    held_open: set[int] = set()
     for opening in _OBJECT_OPENING.finditer(text):
-        obj = _decode_object_at(decoder, text, opening.start(), width)
+        start = opening.start()
+        if start in held_open:
+            continue
+        obj, stopped = _decode_object_at(text, start, width)
         if obj is not None:
             return obj
+        if stopped is not None:
+            held_open.update(_open_objects(text, start, stopped))
         width = _WINDOW
     raise ProfileParseError("no JSON object found in the response")
 
 
-def _decode_object_at(decoder: json.JSONDecoder, text: str, start: int, width: int):
-    """The JSON object that opens at ``text[start]``, or None when none does."""
+def _decode_object_at(text: str, start: int, width: int) -> tuple[dict | None, int | None]:
+    """The JSON object that opens at ``text[start]``, or None when none does,
+    with where its parse stopped (None when the decoder gives no position)."""
     while True:
         end = start + width
         truncated = end < len(text)
         grow = False
         try:
-            obj, read = decoder.raw_decode(text[start:end] + "\0" if truncated else text[start:])
+            obj, read = _DECODER.raw_decode(text[start:end] + "\0" if truncated else text[start:])
         except json.JSONDecodeError as exc:
             obj, read = None, exc.pos
             grow = truncated and exc.pos >= width - _TOKEN_REACH
         except ValueError:
-            return None
+            return None, None
         except RecursionError:
             obj, read = None, None
         # The text a parse read is valid JSON, so its brackets outside strings
@@ -477,8 +490,21 @@ def _decode_object_at(decoder: json.JSONDecoder, text: str, start: int, width: i
         if read is None or _nests_too_deeply(text, start, start + read):
             raise ProfileParseError("the response nests JSON too deeply")
         if not grow:
-            return obj
+            return obj, start + read
         width *= 8
+
+
+def _open_objects(text: str, start: int, end: int) -> list[int]:
+    """Where the objects begin that the JSON text ``text[start:end]``, a
+    prefix of one, leaves open at its end."""
+    opened = []
+    for mark in _STRING_OR_BRACKET.finditer(text, start, end):
+        at = mark.start()
+        if text[at] in "{[":
+            opened.append(at)
+        elif text[at] != '"':
+            opened.pop()
+    return [at for at in opened if text[at] == "{"]
 
 
 def _nests_too_deeply(text: str, start: int, end: int) -> bool:

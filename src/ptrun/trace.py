@@ -13,9 +13,10 @@ import hashlib
 import json
 from pathlib import Path
 
-SCHEMA_VERSION = 2
-# Version 1 headers embed the knowledge base; they are still read.
-READABLE_VERSIONS = (1, SCHEMA_VERSION)
+SCHEMA_VERSION = 3
+# Version 1 headers embed the knowledge base, and versions 1 and 2 copy each
+# profile and repair reply into its stage record; both are still read.
+READABLE_VERSIONS = (1, 2, SCHEMA_VERSION)
 
 # Keys dropped before structural comparison: wall-clock and output-location
 # metadata, never semantic content.

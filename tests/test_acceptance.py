@@ -73,7 +73,9 @@ def test_criterion_1_tool_call_bound(tmp_path):
         assert len(repair_records) <= 1, "a trace may contain at most one repair record"
         repaired_length = 0
         if repair_records and repair_records[0]["accepted"]:
-            repaired_length = len(repair_records[0]["parsed"]["workflow"]["steps"])
+            reply = next(r["response_text"] for r in records
+                         if r["type"] == "model_call" and r["role"] == "repair")
+            repaired_length = len(json.loads(reply)["workflow"]["steps"])
         bound = (scenario["length"] + repaired_length) * (1 + scenario["cfg"].recovery_retries)
         calls = tool_calls_in_trace(records)
         assert calls <= bound, f"{calls} tool calls exceed bound {bound}"

@@ -418,6 +418,7 @@ class TestMalformedTraceHeader:
 
 
 V1_TRACE = Path(__file__).parent / "data" / "trace_v1_demo.jsonl"
+V2_TRACE = Path(__file__).parent / "data" / "trace_v2_demo.jsonl"
 
 
 def edit_header(path, edit) -> None:
@@ -512,7 +513,18 @@ class TestKbSideFile:
     def test_version_1_trace_verifies(self, command, capsys):
         assert run_cli(command, "--trace", str(V1_TRACE)) == EXIT_OK
         out = capsys.readouterr().out
-        assert "trace verified: 5 records match" in out or json.loads(out)["matched"] is True
+        assert "trace verified: 6 records match" in out or json.loads(out)["matched"] is True
+
+    @pytest.mark.parametrize("command", ["replay", "verify-trace"])
+    def test_version_2_trace_verifies_beside_its_kb_directory_only(self, command, tmp_path,
+                                                                   capsys):
+        assert run_cli(command, "--trace", str(V2_TRACE)) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "trace verified: 10 records match" in out or json.loads(out)["matched"] is True
+        alone = tmp_path / V2_TRACE.name
+        alone.write_bytes(V2_TRACE.read_bytes())
+        assert run_cli(command, "--trace", str(alone)) == EXIT_DIVERGENCE
+        assert_one_error_line(capsys, "malformed trace", "cannot be read")
 
     @pytest.mark.parametrize("command", ["replay", "verify-trace"])
     def test_version_1_header_with_kb_digest_exits_2(self, command, tmp_path, capsys):
@@ -523,19 +535,27 @@ class TestKbSideFile:
         assert_one_error_line(capsys, "malformed trace", "has no kb_digest")
 
 
-class TestMalformedProfileRecord:
-    @pytest.mark.parametrize("edit", [
-        lambda record: record.update(parsed={"workflow": 5}),
-        lambda record: record.pop("parsed"),
-    ], ids=["workflow-not-an-object", "no-parsed"])
+class TestUnadmittedProfileReply:
+    """Replay admits the recorded profile reply again, so a reply edited until
+    it no longer admits is a divergence at the profile record."""
+
+    @pytest.mark.parametrize("reply", [json.dumps({"workflow": 5}), "{}"],
+                             ids=["workflow-not-an-object", "no-workflow"])
     @pytest.mark.parametrize("command", ["replay", "verify-trace"])
-    def test_malformed_profile_record_exits_2(self, command, edit, demo_args, tmp_path, capsys):
+    def test_reply_that_no_longer_admits_exits_2(self, command, reply, demo_args, tmp_path,
+                                                 capsys):
         TestReplayAndVerify().produce_trace(demo_args)
         text = Path(demo_args["trace"]).read_text(encoding="utf-8")
         records = [json.loads(line) for line in text.splitlines()]
-        edit(next(r for r in records if r["type"] == "profile"))
+        next(r for r in records
+             if r["type"] == "model_call" and r["role"] == "profile")["response_text"] = reply
         bad = tmp_path / "bad-profile.jsonl"
         bad.write_text("".join(json.dumps(r) + "\n" for r in records))
         capsys.readouterr()
         assert run_cli(command, "--trace", str(bad)) == EXIT_DIVERGENCE
-        assert_one_error_line(capsys, "malformed trace", "profile record is malformed")
+        out, err = capsys.readouterr()
+        assert err == ""
+        if command == "verify-trace":
+            assert out == "trace diverged at profile (index 0)\n"
+        else:
+            assert json.loads(out)["divergence"]["section"] == "profile"

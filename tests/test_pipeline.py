@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from ptrun.trace import (SCHEMA_VERSION, VOLATILE_KEYS, TraceSchemaError, canoni
 from ptrun.verifier import verify
 
 import helpers_dsl
-from helpers_scenarios import build_model, execute_phase, make_scenario
+from helpers_scenarios import KB as SCENARIO_KB, build_model, execute_phase, make_scenario
 
 KB = [
     {"title": "Alan Turing", "body": "Alan Turing introduced the Turing machine and worked "
@@ -62,7 +63,13 @@ BAD_PATCH = {
 
 
 # Record types replay recomputes and compares.
-RECOMPUTED = ("risk", "route", "step", "verification")
+RECOMPUTED = ("profile", "risk", "route", "step", "verification", "repair")
+
+
+def replies(records: list[dict], role: str) -> list[str]:
+    """The replies of a trace's model calls of one role, in order."""
+    return [r["response_text"] for r in records
+            if r["type"] == "model_call" and r["role"] == role]
 
 
 def environment(fault_scripts=None):
@@ -266,8 +273,8 @@ class TestApplyRepair:
 
     def test_valid_patch_admitted(self, tmp_path):
         record, records = self.repair_record(GOOD_PATCH, tmp_path)
-        assert record["accepted"] is True
-        assert len(record["parsed"]["workflow"]["steps"]) == 1
+        assert record == {"type": "repair", "accepted": True}
+        assert len(json.loads(replies(records, "repair")[0])["workflow"]["steps"]) == 1
         assert sum(1 for r in records if r["type"] == "step" and r["phase"] == "repair") == 1
 
     def test_unknown_tool_patch_not_admissible(self, tmp_path):
@@ -509,14 +516,14 @@ class TestReplay:
             profile_entry(FAILING_PROFILE),
             {"role": "repair", "text": json.dumps(GOOD_PATCH)}, REASON, tmp_path=tmp_path)
         compared = [r["type"] for r in read_trace(path) if r["type"] in RECOMPUTED]
-        assert compared == ["risk", "route", "step", "step", "verification", "step",
-                            "verification"]
+        assert compared == ["profile", "risk", "route", "step", "step", "verification",
+                            "repair", "step", "verification"]
         assert replay.sections_checked == len(compared)
 
     @pytest.mark.parametrize("edit, section, index", [
         ("flip route.override", "route", 0),
         ("duplicate risk", "route", 0),
-        ("duplicate verification[initial]", "step[repair]", 0),
+        ("duplicate verification[initial]", "repair", 0),
         ("delete verification[repair]", "verification[repair]", 0),
     ])
     def test_record_count_and_override_edits_diverge(self, edit, section, index, tmp_path):
@@ -542,21 +549,67 @@ class TestReplay:
         assert not replay.matched
         assert (replay.divergence["section"], replay.divergence["index"]) == (section, index)
 
-    @pytest.mark.parametrize("edit", [
-        lambda record: record.update(parsed={"workflow": 5}),
-        lambda record: record.pop("parsed"),
-        lambda record: record["parsed"].update(branch_rules=[
-            {"predicate": "exists(", "modifier": "", "target_step": 1}]),
-    ], ids=["workflow-not-an-object", "no-parsed", "unparseable-branch-rule"])
-    @pytest.mark.parametrize("kind", ["profile", "repair"])
-    def test_malformed_profile_record_is_schema_error(self, kind, edit, tmp_path):
+    @pytest.mark.parametrize("reply", [
+        json.dumps({"workflow": 5}),
+        "{}",
+        json.dumps(dict(GOOD_PATCH, branch_rules=[
+            {"predicate": "exists(", "modifier": "", "target_step": 1}])),
+    ], ids=["workflow-not-an-object", "no-workflow", "unparseable-branch-rule"])
+    @pytest.mark.parametrize("role", ["profile", "repair"])
+    def test_reply_that_no_longer_admits_diverges(self, role, reply, tmp_path):
         _, _, path = self.run_and_replay(
             profile_entry(FAILING_PROFILE),
             {"role": "repair", "text": json.dumps(GOOD_PATCH)}, REASON, tmp_path=tmp_path)
         records = read_trace(path)
-        edit(next(r for r in records if r["type"] == kind))
-        with pytest.raises(TraceSchemaError, match=f"{kind} record is malformed"):
+        next(r for r in records
+             if r["type"] == "model_call" and r["role"] == role)["response_text"] = reply
+        replay = replay_trace(records)
+        assert not replay.matched
+        assert (replay.divergence["section"], replay.divergence["index"]) == (role, 0)
+
+    @pytest.mark.parametrize("edit", [
+        lambda record: record.update(response_text=5),
+        lambda record: record.update(cost_micros="1"),
+        lambda record: record.pop("cost_micros"),
+    ], ids=["reply-not-a-string", "cost-not-an-integer", "no-cost"])
+    def test_malformed_model_call_is_schema_error(self, edit, tmp_path):
+        _, _, path = self.run_and_replay(profile_entry(CLEAN_PROFILE), REASON,
+                                         tmp_path=tmp_path)
+        records = read_trace(path)
+        edit([r for r in records if r["type"] == "model_call"][1])
+        with pytest.raises(TraceSchemaError, match="model_call record 1 is malformed"):
             replay_trace(records)
+
+    def test_each_reply_is_stored_once(self, tmp_path):
+        _, replay, path = self.run_and_replay(
+            profile_entry(FAILING_PROFILE),
+            {"role": "repair", "text": json.dumps(GOOD_PATCH)}, REASON, tmp_path=tmp_path)
+        assert replay.matched
+        records = read_trace(path)
+        text = Path(path).read_text(encoding="utf-8")
+        for role in ("profile", "repair"):
+            (reply,) = replies(records, role)
+            assert text.count(json.dumps(reply)[1:-1]) == 1
+        assert [r for r in records if r["type"] in ("profile", "repair")] == [
+            {"type": "profile", "attempts": 1}, {"type": "repair", "accepted": True}]
+
+    @pytest.mark.parametrize("patch", [GOOD_PATCH, BAD_PATCH], ids=["accepted", "rejected"])
+    @pytest.mark.parametrize("calls", [1, 2, 3])
+    def test_budget_abort_replays_matched_and_its_records_are_checked(self, calls, patch,
+                                                                      tmp_path):
+        # the budget admits calls - 1 calls of 1,000 micro-dollars each
+        path = str(tmp_path / "run.jsonl")
+        model = FixedCostModel([profile_entry(FAILING_PROFILE),
+                                {"role": "repair", "text": json.dumps(patch)}, REASON])
+        cfg = RunConfig(budget_micros=1000 * (calls - 1))
+        report = run_ptr(task(), bench_metadata(), cfg, model, environment(), trace_path=path)
+        assert report.outcome == "budget_exceeded" and model.calls == calls
+        records = read_trace(path)
+        assert replay_trace(records).matched
+        stages = [r for r in records if r["type"] in ("profile", "repair")]
+        assert len(stages) == min(calls - 1, 2)
+        for stage in stages:
+            assert not replay_trace([r for r in records if r is not stage]).matched
 
     # 600 levels decode on every supported Python; whether copying them for
     # the report recurses too deeply depends on the version. 5,000 levels
@@ -583,6 +636,13 @@ class TestReplay:
         with pytest.raises(TraceSchemaError, match="compared record 1 nests values too deeply"):
             _compare([{"type": "step", "event": nested(100_000, 1)}],
                      [{"type": "step", "event": nested(100_000, 2)}])
+
+
+class FixedCostModel(ScriptedModel):
+    """A scripted model whose every call costs 1,000 micro-dollars."""
+
+    def complete(self, request):
+        return replace(super().complete(request), cost_micros=1000)
 
 
 def nested(depth: int, leaf=0) -> list:
@@ -630,6 +690,25 @@ def edited(value):
     return "x"
 
 
+def rerun_without_prompts(records: list[dict]) -> list[dict]:
+    """The records a scenario run writes from a trace's header inputs and
+    recorded replies, wall-clock fields and model-call prompts left out."""
+    header = records[0]
+    environment = ToolEnvironment(articles=tuple(SCENARIO_KB),
+                                  fault_scripts=header["environment"]["fault_scripts"])
+    model = ScriptedModel([{"role": r["role"], "text": r["response_text"]}
+                           for r in records if r["type"] == "model_call"])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rerun.jsonl")
+        run_ptr(Task.from_dict(header["task"]), Metadata.from_dict(header["metadata"]),
+                RunConfig.from_dict(header["config"]), model, environment, trace_path=path)
+        return without_prompts(read_trace(path))
+
+
+def without_prompts(records: list[dict]) -> list[dict]:
+    return [strip_volatile({k: v for k, v in r.items() if k != "prompt"}) for r in records]
+
+
 class TestReplayTampering:
     @given(st.data())
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -637,13 +716,23 @@ class TestReplayTampering:
         records = copy.deepcopy(data.draw(st.sampled_from(scenario_traces())))
         positions = [i for i, r in enumerate(records) if r["type"] in RECOMPUTED]
         i = data.draw(st.sampled_from(positions))
-        kind = data.draw(st.sampled_from(("edit", "delete", "duplicate", "swap")))
-        if kind == "edit":
-            *parents, last = data.draw(st.sampled_from(list(leaf_paths(records[i]))))
-            node = records[i]
+        kind = data.draw(st.sampled_from(("edit", "delete", "duplicate", "swap", "reply")))
+        if kind in ("edit", "reply"):
+            if kind == "reply":
+                # one leaf of a profile or repair reply's JSON, re-serialized
+                call = data.draw(st.sampled_from([
+                    r for r in records
+                    if r["type"] == "model_call" and r["role"] in ("profile", "repair")]))
+                root = json.loads(call["response_text"])
+            else:
+                root = records[i]
+            *parents, last = data.draw(st.sampled_from(list(leaf_paths(root))))
+            node = root
             for key in parents:
                 node = node[key]
             node[last] = edited(node[last])
+            if kind == "reply":
+                call["response_text"] = json.dumps(root)
         elif kind == "delete":
             del records[i]
         elif kind == "duplicate":
@@ -653,7 +742,13 @@ class TestReplayTampering:
                 j for j in positions
                 if strip_volatile(records[j]) != strip_volatile(records[i])]))
             records[i], records[j] = records[j], records[i]
-        assert not replay_trace(records).matched
+        if replay_trace(records).matched:
+            # Only a reply edited where the run never acts on it (a fragile
+            # point's wording, a skipped step's params) may match: the trace is
+            # then the one a run given that reply writes, but for a later
+            # prompt quoting the reply, which replay takes on trust.
+            assert kind == "reply"
+            assert rerun_without_prompts(records) == without_prompts(records)
 
 
 class TestUntrustedRuleText:
@@ -769,10 +864,10 @@ class TestConstraintPredicates:
             assert report.outcome == "ok"
             records = read_trace(path)
             mode = RouteMode(next(r for r in records if r["type"] == "route")["mode"])
-            profiles = {"initial": next(r for r in records if r["type"] == "profile")["parsed"]}
+            profiles = {"initial": json.loads(replies(records, "profile")[0])}
             for record in records:
                 if record["type"] == "repair" and record["accepted"]:
-                    profiles["repair"] = record["parsed"]
+                    profiles["repair"] = json.loads(replies(records, "repair")[0])
             verifications = [r for r in records if r["type"] == "verification"]
             assert [r["phase"] for r in verifications] == list(profiles)
             registry = scenario["environment"].build_registry()
@@ -1362,7 +1457,7 @@ class TestVersion1Traces:
         header = read_trace(V1_TRACE)[0]
         assert header["schema_version"] == 1 and "kb" in header["environment"]
         replay = replay_trace(V1_TRACE)
-        assert replay.matched and replay.sections_checked == 5
+        assert replay.matched and replay.sections_checked == 6
         assert len(empty_kb_memo) == 0  # an embedded KB is not memoized
         assert replay_trace(read_trace(V1_TRACE)).matched
 
@@ -1388,6 +1483,38 @@ class TestVersion1Traces:
         next(r for r in records if r["type"] == "step")["event"]["outcome"] = "failure"
         replay = replay_trace(records)
         assert not replay.matched and replay.divergence["section"] == "step[initial]"
+
+
+V2_TRACE = Path(__file__).parent / "data" / "trace_v2_demo.jsonl"
+
+
+class TestVersion2Traces:
+    """A version 2 trace (tests/data/trace_v2_demo.jsonl, the bundled suite's
+    item q07, which repairs, as the version 2 writer wrote it beside its kb/
+    directory) copies each reply into its profile or repair record; replay
+    checks the copies against the replies instead of trusting them."""
+
+    def test_fixture_replays_matched(self, empty_kb_memo):
+        records = read_trace(V2_TRACE)
+        assert records[0]["schema_version"] == 2
+        assert [r["accepted"] for r in records if r["type"] == "repair"] == [True]
+        replay = replay_trace(V2_TRACE)
+        assert replay.matched and replay.sections_checked == 10
+        assert list(empty_kb_memo) == [records[0]["environment"]["kb_digest"]]
+
+    @pytest.mark.parametrize("kind, edit", [
+        ("profile", lambda record: record.update(raw=record["raw"] + " ")),
+        ("profile", lambda record: record["parsed"].update(confidence=0.5)),
+        ("repair", lambda record: record["parsed"]["workflow"]["steps"][0]["params"].update(
+            limit=4)),
+    ], ids=["profile-raw", "profile-parsed", "repair-parsed"])
+    def test_edited_copy_diverges(self, kind, edit, empty_kb_memo):
+        assert replay_trace(V2_TRACE).matched  # puts the trace's KB in the memo
+        records = read_trace(V2_TRACE)
+        edit(next(r for r in records if r["type"] == kind))
+        replay = replay_trace(records)
+        assert not replay.matched
+        assert (replay.divergence["section"], replay.divergence["index"]) == (kind, 0)
 
 
 def limit_reply(limit) -> str:

@@ -291,10 +291,87 @@ class TestWindowedSearch:
     @settings(max_examples=100, deadline=None)
     @given(text=JSON_OBJECTS)
     def test_a_window_cut_anywhere_grows_to_the_whole_object(self, text):
-        decoder = json.JSONDecoder(parse_constant=semantic._reject_constant)
         expected = json.loads(text)
         for width in range(1, len(text) + 1):
-            assert semantic._decode_object_at(decoder, text + " {", 0, width) == expected
+            assert semantic._decode_object_at(text + " {", 0, width) == (expected, len(text))
+
+
+def count_decoded(monkeypatch) -> list[int]:
+    """The length of each text the decoder is handed from now on."""
+    decoded = []
+    raw_decode = json.JSONDecoder.raw_decode
+
+    def counting(self, s, idx=0):
+        decoded.append(len(s) - idx)
+        return raw_decode(self, s, idx)
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", counting)
+    return decoded
+
+
+class TestHeldOpenCandidates:
+    """A candidate that a failed parse held open where it failed would fail
+    there too, so the search does not decode it."""
+
+    @pytest.mark.parametrize("size", [16 * 1024, 64 * 1024, 320 * 1024])
+    def test_nested_candidates_before_a_long_tail_are_decoded_once(self, size, monkeypatch):
+        text = '{"a":' * 63 + "["
+        text += "1," * ((size - len(text)) // 2)
+        decoded = count_decoded(monkeypatch)
+        with pytest.raises(ProfileParseError, match="no JSON object found"):
+            extract_first_json_object(text)
+        assert sum(decoded) <= 4 * len(text)
+
+    def test_objects_closed_before_the_failure_are_still_tried(self):
+        assert extract_first_json_object('{"a": {"b": 1}, "c": [{"d": 2}') == {"b": 1}
+        assert extract_first_json_object('{"a": "{}", "c": ') == {}
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.lists(
+        st.sampled_from(['{"a":', "[", '{"k": "{}"', ", ", "1,", "]", "}", "x"])
+        | replies(), max_size=12).map("".join), window=st.integers(1, 64))
+    def test_same_result_as_decoding_every_candidate(self, text, window):
+        with mock.patch.object(semantic, "_WINDOW", window):
+            assert search_outcome(extract_first_json_object, text) == search_outcome(
+                search_every_candidate, text)
+
+
+def search_outcome(search, text: str):
+    try:
+        return "object", search(text)
+    except ProfileParseError as exc:
+        return "error", str(exc)
+
+
+def search_every_candidate(text: str) -> dict:
+    """The windowed search decoding every candidate, held open by a failed
+    parse or not; the reference for skipping held-open candidates."""
+    width = len(text)
+    for opening in semantic._OBJECT_OPENING.finditer(text):
+        start = opening.start()
+        while True:
+            end = start + width
+            truncated = end < len(text)
+            grow = False
+            try:
+                obj, read = semantic._DECODER.raw_decode(
+                    text[start:end] + "\0" if truncated else text[start:])
+            except json.JSONDecodeError as exc:
+                obj, read = None, exc.pos
+                grow = truncated and exc.pos >= width - semantic._TOKEN_REACH
+            except ValueError:
+                obj = None
+                break
+            except RecursionError:
+                obj, read = None, None
+            if read is None or semantic._nests_too_deeply(text, start, start + read):
+                raise ProfileParseError("the response nests JSON too deeply")
+            if not grow:
+                break
+            width *= 8
+        if obj is not None:
+            return obj
+        width = semantic._WINDOW
+    raise ProfileParseError("no JSON object found in the response")
 
 
 class TestBudgetLedger:
