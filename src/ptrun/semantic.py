@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 from dataclasses import dataclass, field
 
 from .core import Metadata, Profile, Task
@@ -425,6 +426,15 @@ _OBJECT_OPENING = re.compile(r'\{[ \t\n\r]*["}]')
 # A JSON string, to its closing quote or to the end of a text cut inside it,
 # or a bracket.
 _STRING_OR_BRACKET = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[{}\[\]]', re.DOTALL)
+# A JSON string, or a token the strict decoder refuses with a plain
+# ValueError, which names no position: a NaN or Infinity constant, or an
+# integer part of more digits than any limit Python sets on int() (640 at
+# least) that no fraction or exponent follows.
+_STRING_OR_REFUSED = re.compile(
+    r'"[^"\\]*(?:\\.[^"\\]*)*"?|-?Infinity|NaN'
+    r'|(?<![0-9.eE+-])-?(?P<digits>[0-9]{641,})(?![0-9]|\.[0-9]|[eE][-+]?[0-9])', re.DOTALL)
+# Python releases before 3.10.7 convert integers of any length.
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 # Later candidate objects are decoded from a window of the text that starts
 # this wide and grows eightfold while a parse runs into its end.
 _WINDOW = 1024
@@ -463,15 +473,14 @@ def extract_first_json_object(text: str) -> dict:
         obj, stopped = _decode_object_at(text, start, width)
         if obj is not None:
             return obj
-        if stopped is not None:
-            held_open.update(_open_objects(text, start, stopped))
+        held_open.update(_open_objects(text, start, stopped))
         width = _WINDOW
     raise ProfileParseError("no JSON object found in the response")
 
 
-def _decode_object_at(text: str, start: int, width: int) -> tuple[dict | None, int | None]:
+def _decode_object_at(text: str, start: int, width: int) -> tuple[dict | None, int]:
     """The JSON object that opens at ``text[start]``, or None when none does,
-    with where its parse stopped (None when the decoder gives no position)."""
+    with where its parse stopped."""
     while True:
         end = start + width
         truncated = end < len(text)
@@ -482,7 +491,7 @@ def _decode_object_at(text: str, start: int, width: int) -> tuple[dict | None, i
             obj, read = None, exc.pos
             grow = truncated and exc.pos >= width - _TOKEN_REACH
         except ValueError:
-            return None, None
+            obj, read = None, _refused_at(text, start) - start
         except RecursionError:
             obj, read = None, None
         # The text a parse read is valid JSON, so its brackets outside strings
@@ -492,6 +501,18 @@ def _decode_object_at(text: str, start: int, width: int) -> tuple[dict | None, i
         if not grow:
             return obj, start + read
         width *= 8
+
+
+def _refused_at(text: str, start: int) -> int:
+    """Where the token begins that the strict decoder refused with a plain
+    ValueError in the JSON text from ``text[start]``. The text before it is
+    valid JSON, so it is the first such token outside a string."""
+    limit = _int_max_str_digits()
+    for mark in _STRING_OR_REFUSED.finditer(text, start):
+        digits = mark["digits"]
+        if text[mark.start()] != '"' and (digits is None or 0 < limit < len(digits)):
+            return mark.start()
+    raise AssertionError("the decoder refused no token")
 
 
 def _open_objects(text: str, start: int, end: int) -> list[int]:

@@ -5,12 +5,19 @@ the tool environment: its fault scripts and, by digest, its knowledge base,
 whose articles live once per directory in a ``kb/<digest>.json`` side file
 next to the trace. A trace and its ``kb/`` directory together are enough to
 recompute every deterministic stage.
+
+A trace file is written once, when its run ends: the writer opens the path
+without truncating it, keeps the encoded lines, and at close writes them in
+one write and cuts the file there. Until then the path keeps what it held,
+so a process killed mid-run leaves an existing path's previous content, or
+an empty file at a new path.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 SCHEMA_VERSION = 3
@@ -29,8 +36,14 @@ class TraceSchemaError(ValueError):
     pass
 
 
+# Each encodes as the json.dumps call with the same options does.
+_encode_line = json.JSONEncoder(allow_nan=False).encode
+_encode_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                     allow_nan=False).encode
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _encode_canonical(obj)
 
 
 def digest(obj) -> str:
@@ -38,24 +51,34 @@ def digest(obj) -> str:
 
 
 class TraceWriter:
-    """Collects records in memory and, when given a path, appends JSONL lines."""
+    """Collects records in memory and, when given a path, writes them to it
+    as JSONL lines when closed."""
 
     def __init__(self, path: str | Path | None = None):
         self.path = str(path) if path else None
         self.records: list[dict] = []
-        self._fh = open(self.path, "w", encoding="utf-8") if self.path else None
+        self._lines: list[str] = []
+        # No O_TRUNC: the path keeps its content until close() replaces it.
+        self._fh = (open(os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666), "wb")
+                    if self.path else None)
 
     def write(self, record: dict) -> None:
-        """Keep the record and, with a path, append it as one JSON line."""
+        """Keep the record and, with a path, its JSON line for close()."""
         self.records.append(record)
         if self._fh:
-            self._fh.write(json.dumps(record, allow_nan=False) + "\n")
-            self._fh.flush()
+            self._lines.append(_encode_line(record) + "\n")
 
     def close(self) -> None:
+        """Write the lines in one write, cut off whatever the file held past
+        them, and close it."""
         if self._fh:
-            self._fh.close()
-            self._fh = None
+            fh, self._fh = self._fh, None
+            try:
+                fh.write("".join(self._lines).encode("utf-8"))
+                if fh.seekable():
+                    fh.truncate()
+            finally:
+                fh.close()
 
 
 def read_trace(source: str | Path | list[dict]) -> list[dict]:

@@ -386,6 +386,13 @@ class TestInputFiles:
         assert run_cli(*run_args(demo_args, **{"--trace-out": str(trace)})) == EXIT_USAGE
         assert_one_error_line(capsys, f"cannot write trace {trace}")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_trace_whose_write_fails_exits_2(self, demo_args, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        trace.symlink_to("/dev/full")  # every write to it fails with ENOSPC
+        assert run_cli(*run_args(demo_args, **{"--trace-out": str(trace)})) == EXIT_USAGE
+        assert_one_error_line(capsys, f"cannot write trace {trace}: No space left on device")
+
 
 class TestMalformedTraceHeader:
     def rewrite_header(self, demo_args, tmp_path, edit):

@@ -1029,6 +1029,41 @@ class TestModelErrors:
             assert_model_error(report, path, script[fail_at]["role"])
 
 
+class TestRunsThatEndAbnormally:
+    """The trace file is written when the run ends, however it ends."""
+
+    def test_interrupt_at_the_reason_call_keeps_the_records_before_it(self, tmp_path):
+        path, full = tmp_path / "run.jsonl", tmp_path / "full.jsonl"
+        model = RaisingModel((profile_entry(CLEAN_PROFILE),), 1, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            run_ptr(task(), bench_metadata(), RunConfig(), model, environment(),
+                    trace_path=str(path))
+        run_ptr(task(), bench_metadata(), RunConfig(), scripted(profile_entry(CLEAN_PROFILE),
+                                                                REASON),
+                environment(), trace_path=str(full))
+        written = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        whole = read_trace(str(full))
+        assert [r["type"] for r in whole[len(written):]] == ["model_call", "reason", "report"]
+        assert strip_volatile(written) == strip_volatile(whole[:len(written)])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_failed_final_write_raises_and_closes_the_file(self, tmp_path, monkeypatch):
+        opened = []
+
+        class RecordingWriter(pipeline.TraceWriter):
+            def __init__(self, path=None):
+                super().__init__(path)
+                opened.append(self._fh)
+        monkeypatch.setattr(pipeline, "TraceWriter", RecordingWriter)
+        path = tmp_path / "run.jsonl"
+        path.symlink_to("/dev/full")  # every write to it fails with ENOSPC
+        with pytest.raises(OSError, match="No space left on device"):
+            run_ptr(task(), bench_metadata(), RunConfig(),
+                    scripted(profile_entry(CLEAN_PROFILE), REASON), environment(),
+                    trace_path=str(path))
+        assert len(opened) == 1 and opened[0].closed
+
+
 class TestStatePathIndexes:
     """A list index in a placeholder is ASCII digits; anything else is a
     missing placeholder, recorded in the trace like any other."""

@@ -1,4 +1,7 @@
+import bisect
 import json
+import re
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -20,6 +23,8 @@ from helpers_fixtures import (failing_state, failing_verification, golden_metada
                               golden_profile, golden_task)
 
 GOLDEN = Path(__file__).parent / "golden"
+# An integer the decoder refuses to convert, as it does NaN and Infinity.
+OVERSIZED_INT = "9" * (sys.get_int_max_str_digits() + 1)
 
 
 class TestProfilePrompt:
@@ -175,7 +180,10 @@ class TestResponseParsing:
         '{"a":' * 65,
         'prose ' + '{"a":' * 65 + "1 ]",
         '{"a": ' + "[" * 64 + " x",
-    ], ids=["unterminated", "fails-past-the-bound", "arrays-then-garbage"])
+        '{"a":' * 65 + "NaN",
+        '{"a":' * 65 + "-" + OVERSIZED_INT,
+    ], ids=["unterminated", "fails-past-the-bound", "arrays-then-garbage", "refused-constant",
+            "refused-integer"])
     def test_failed_parse_past_the_bound_is_too_deep(self, text):
         with pytest.raises(ProfileParseError, match="too deeply"):
             extract_first_json_object(text)
@@ -308,6 +316,13 @@ def count_decoded(monkeypatch) -> list[int]:
     return decoded
 
 
+# Nested candidates, what can follow them, and tokens the decoder refuses.
+HELD_OPEN_TEXTS = st.lists(
+    st.sampled_from(['{"a":', "[", '{"k": "{}"', ", ", "1,", "]", "}", "x", "NaN", "Infinity",
+                     "-Infinity", '"NaN"', "-", OVERSIZED_INT, ".5", "e"])
+    | replies(), max_size=12).map("".join)
+
+
 class TestHeldOpenCandidates:
     """A candidate that a failed parse held open where it failed would fail
     there too, so the search does not decode it."""
@@ -321,18 +336,55 @@ class TestHeldOpenCandidates:
             extract_first_json_object(text)
         assert sum(decoded) <= 4 * len(text)
 
+    @pytest.mark.parametrize("size", [16 * 1024, 64 * 1024, 320 * 1024])
+    @pytest.mark.parametrize("refused", ["NaN", "Infinity", "-Infinity", OVERSIZED_INT],
+                             ids=["nan", "infinity", "minus-infinity", "oversized-integer"])
+    @pytest.mark.parametrize("rest", ["", "]" + "}" * 63], ids=["cut", "closed"])
+    def test_nested_candidates_before_a_refused_token_are_decoded_once(self, size, refused,
+                                                                       rest, monkeypatch):
+        text = '{"a":' * 63 + "["
+        text += "1," * ((size - len(text) - len(refused) - len(rest)) // 2) + refused + rest
+        decoded = count_decoded(monkeypatch)
+        with pytest.raises(ProfileParseError, match="no JSON object found"):
+            extract_first_json_object(text)
+        assert sum(decoded) <= 4 * len(text)
+
     def test_objects_closed_before_the_failure_are_still_tried(self):
         assert extract_first_json_object('{"a": {"b": 1}, "c": [{"d": 2}') == {"b": 1}
         assert extract_first_json_object('{"a": "{}", "c": ') == {}
 
     @settings(max_examples=300, deadline=None)
-    @given(text=st.lists(
-        st.sampled_from(['{"a":', "[", '{"k": "{}"', ", ", "1,", "]", "}", "x"])
-        | replies(), max_size=12).map("".join), window=st.integers(1, 64))
+    @given(text=HELD_OPEN_TEXTS, window=st.integers(1, 64))
     def test_same_result_as_decoding_every_candidate(self, text, window):
         with mock.patch.object(semantic, "_WINDOW", window):
             assert search_outcome(extract_first_json_object, text) == search_outcome(
                 search_every_candidate, text)
+
+    @pytest.mark.parametrize("accepted", [
+        "", '"NaN", ', OVERSIZED_INT + ".5, ", OVERSIZED_INT + "e1, ", "1e" + OVERSIZED_INT + ", ",
+        "1e-" + OVERSIZED_INT + ", ", "-0." + OVERSIZED_INT + ", "],
+        ids=["none", "string", "fraction", "exponent", "long-exponent", "signed-exponent",
+             "long-fraction"])
+    @pytest.mark.parametrize("refused", ["NaN", "-Infinity", OVERSIZED_INT, "-" + OVERSIZED_INT,
+                                         OVERSIZED_INT + "e"],
+                             ids=["nan", "minus-infinity", "integer", "negative", "bare-e"])
+    def test_the_refused_token_is_found_past_accepted_ones(self, accepted, refused):
+        text = '{"a": [' + accepted
+        assert semantic._refused_at(text + refused + "]}", 0) == len(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=HELD_OPEN_TEXTS)
+    def test_a_refused_parse_stops_at_the_token_it_refuses(self, text):
+        for opening in semantic._OBJECT_OPENING.finditer(text):
+            start = opening.start()
+            try:
+                semantic._DECODER.raw_decode(text[start:])
+            except json.JSONDecodeError:
+                pass
+            except ValueError:
+                refused = text[semantic._refused_at(text, start):
+                               start + refused_prefix(text, start)]
+                assert re.fullmatch(r"NaN|-?Infinity|-?[0-9]+", refused)
 
 
 def search_outcome(search, text: str):
@@ -359,8 +411,7 @@ def search_every_candidate(text: str) -> dict:
                 obj, read = None, exc.pos
                 grow = truncated and exc.pos >= width - semantic._TOKEN_REACH
             except ValueError:
-                obj = None
-                break
+                obj, read = None, refused_prefix(text, start)
             except RecursionError:
                 obj, read = None, None
             if read is None or semantic._nests_too_deeply(text, start, start + read):
@@ -372,6 +423,22 @@ def search_every_candidate(text: str) -> dict:
             return obj
         width = semantic._WINDOW
     raise ProfileParseError("no JSON object found in the response")
+
+
+def refused_prefix(text: str, start: int) -> int:
+    """Length of the shortest text from ``text[start]`` that the strict
+    decoder refuses, NUL appended, with a plain ValueError: a parse refused
+    that way reads valid JSON up to the token it refuses, so shorter texts
+    fail on the NUL and longer ones on the token."""
+    def refused(length):
+        try:
+            semantic._DECODER.raw_decode(text[start:start + length] + "\0")
+        except json.JSONDecodeError:
+            return False
+        except ValueError:
+            return True
+        return False
+    return bisect.bisect_left(range(len(text) - start + 1), True, key=refused)
 
 
 class TestBudgetLedger:

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptrun.trace import VOLATILE_KEYS, TraceWriter, strip_volatile, structurally_equal
@@ -13,9 +15,12 @@ JSON_VALUES = st.recursive(
     max_leaves=12)
 
 
+RECORDS_TO_WRITE = st.dictionaries(st.text(max_size=8), JSON_VALUES, min_size=1, max_size=5)
+
+
 class TestTraceWriter:
     @settings(max_examples=200, deadline=None)
-    @given(record=st.dictionaries(st.text(max_size=8), JSON_VALUES, min_size=1, max_size=5))
+    @given(record=RECORDS_TO_WRITE)
     def test_line_equals_the_whole_record_encoded(self, record, tmp_path_factory):
         path = tmp_path_factory.mktemp("trace") / "t.jsonl"
         writer = TraceWriter(path)
@@ -25,6 +30,61 @@ class TestTraceWriter:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines == [json.dumps(record, allow_nan=False)] * 2
         assert writer.records == [record, record]
+
+    @settings(max_examples=100, deadline=None)
+    @given(runs=st.lists(st.lists(RECORDS_TO_WRITE, max_size=6), min_size=2, max_size=4))
+    def test_each_trace_replaces_the_last_without_a_stale_tail(self, runs, tmp_path_factory):
+        path = tmp_path_factory.mktemp("trace") / "t.jsonl"
+        # Forth and back again: each length follows a longer and a shorter one.
+        for records in runs + runs[::-1]:
+            writer = TraceWriter(path)
+            for record in records:
+                writer.write(record)
+            writer.close()
+            assert path.read_text(encoding="utf-8") == "".join(
+                json.dumps(record, allow_nan=False) + "\n" for record in records)
+
+    def test_a_file_is_unchanged_until_close(self, tmp_path):
+        old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+        old.write_bytes(b'{"type": "header"}\n' * 50)
+        writers = [TraceWriter(old), TraceWriter(new)]
+        for writer in writers:
+            writer.write({"type": "header"})
+            writer.write({"type": "report"})
+        assert old.read_bytes() == b'{"type": "header"}\n' * 50
+        assert new.read_bytes() == b""
+        for writer in writers:
+            writer.close()
+        assert old.read_bytes() == new.read_bytes() == b'{"type": "header"}\n{"type": "report"}\n'
+
+    def test_a_non_finite_float_is_refused_when_written(self, tmp_path):
+        writer = TraceWriter(tmp_path / "t.jsonl")
+        with pytest.raises(ValueError, match="Out of range float"):
+            writer.write({"x": math.inf})
+        writer.close()
+
+    def test_a_symlinked_path_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+        target.write_text("stale\n" * 20)
+        link.symlink_to(target)
+        writer = TraceWriter(link)
+        writer.write({"type": "header"})
+        writer.close()
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_text() == '{"type": "header"}\n'
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_is_written_and_not_cut(self, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            writer = TraceWriter(pipe)
+            writer.write({"type": "header"})
+            writer.close()
+            assert os.read(reader, 4096) == b'{"type": "header"}\n'
+        finally:
+            os.close(reader)
 
 
 # One NaN object shared by both trees (equal inside a container, as `is`
