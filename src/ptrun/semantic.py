@@ -433,8 +433,6 @@ _STRING_OR_BRACKET = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[{}\[\]]', re.DOTALL
 _STRING_OR_REFUSED = re.compile(
     r'"[^"\\]*(?:\\.[^"\\]*)*"?|-?Infinity|NaN'
     r'|(?<![0-9.eE+-])-?(?P<digits>[0-9]{641,})(?![0-9]|\.[0-9]|[eE][-+]?[0-9])', re.DOTALL)
-# Python releases before 3.10.7 convert integers of any length.
-_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 # Later candidate objects are decoded from a window of the text that starts
 # this wide and grows eightfold while a parse runs into its end.
 _WINDOW = 1024
@@ -491,7 +489,12 @@ def _decode_object_at(text: str, start: int, width: int) -> tuple[dict | None, i
             obj, read = None, exc.pos
             grow = truncated and exc.pos >= width - _TOKEN_REACH
         except ValueError:
-            obj, read = None, _refused_at(text, start) - start
+            refused = _refused_token(text, start, end if truncated else len(text))
+            obj, read = None, (refused.start() if refused else start) - start
+            # The window's end can cut a number into an integer the decoder
+            # refuses; a token that ends well inside the window is refused in
+            # the whole text too.
+            grow = truncated and (refused is None or refused.end() > end - _TOKEN_REACH)
         except RecursionError:
             obj, read = None, None
         # The text a parse read is valid JSON, so its brackets outside strings
@@ -503,16 +506,17 @@ def _decode_object_at(text: str, start: int, width: int) -> tuple[dict | None, i
         width *= 8
 
 
-def _refused_at(text: str, start: int) -> int:
-    """Where the token begins that the strict decoder refused with a plain
-    ValueError in the JSON text from ``text[start]``. The text before it is
-    valid JSON, so it is the first such token outside a string."""
-    limit = _int_max_str_digits()
-    for mark in _STRING_OR_REFUSED.finditer(text, start):
+def _refused_token(text: str, start: int, end: int) -> re.Match | None:
+    """The token that the strict decoder refused with a plain ValueError in
+    the JSON text ``text[start:end]``, NUL appended, or None when it holds
+    none. The text before that token is valid JSON, so it is the first such
+    token outside a string."""
+    limit = sys.get_int_max_str_digits()
+    for mark in _STRING_OR_REFUSED.finditer(text, start, end):
         digits = mark["digits"]
         if text[mark.start()] != '"' and (digits is None or 0 < limit < len(digits)):
-            return mark.start()
-    raise AssertionError("the decoder refused no token")
+            return mark
+    return None
 
 
 def _open_objects(text: str, start: int, end: int) -> list[int]:

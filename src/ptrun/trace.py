@@ -8,9 +8,10 @@ recompute every deterministic stage.
 
 A trace file is written once, when its run ends: the writer opens the path
 without truncating it, keeps the encoded lines, and at close writes them in
-one write and cuts the file there. Until then the path keeps what it held,
-so a process killed mid-run leaves an existing path's previous content, or
-an empty file at a new path.
+one write and cuts the file there. Until then a file that held something
+starts with UNFINISHED_LINE, so a process killed mid-run leaves a file that
+no reader takes for a trace: an existing one marked unfinished, or an empty
+file at a new path.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ READABLE_VERSIONS = (1, 2, SCHEMA_VERSION)
 VOLATILE_KEYS = ("wall_time", "timing", "trace_path")
 _VOLATILE = frozenset(VOLATILE_KEYS)
 _MISSING = object()
+# The first line of a trace file while its run writes it: no JSON, so no
+# earlier content behind it reads as the run's trace.
+UNFINISHED_LINE = "unfinished: this trace is written when its run ends\n"
 
 
 class TraceSchemaError(ValueError):
@@ -58,9 +62,7 @@ class TraceWriter:
         self.path = str(path) if path else None
         self.records: list[dict] = []
         self._lines: list[str] = []
-        # No O_TRUNC: the path keeps its content until close() replaces it.
-        self._fh = (open(os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666), "wb")
-                    if self.path else None)
+        self._fh, self._held = _open_unfinished(self.path) if self.path else (None, 0)
 
     def write(self, record: dict) -> None:
         """Keep the record and, with a path, its JSON line for close()."""
@@ -74,19 +76,38 @@ class TraceWriter:
         if self._fh:
             fh, self._fh = self._fh, None
             try:
-                fh.write("".join(self._lines).encode("utf-8"))
-                if fh.seekable():
+                data = "".join(self._lines).encode("utf-8")
+                fh.write(data)
+                if self._held > len(data):
                     fh.truncate()
             finally:
                 fh.close()
+
+
+def _open_unfinished(path: str):
+    """The file at the path, opened without truncating it (on ext4 that
+    costs several times writing over it) and, when it holds something,
+    marked unfinished at its start; with the bytes it then holds. Pipes
+    and devices hold none."""
+    fh = open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb")
+    try:
+        held = os.fstat(fh.fileno()).st_size
+        if held:
+            held = max(held, fh.write(UNFINISHED_LINE.encode("ascii")))
+            fh.seek(0)  # flushes the mark first
+    except BaseException:
+        fh.close()
+        raise
+    return fh, held
 
 
 def read_trace(source: str | Path | list[dict]) -> list[dict]:
     """Records of a trace file (or an in-memory record list), header checked.
 
     Raises TraceSchemaError for a line that is not a JSON object or nests
-    JSON too deeply to decode, naming its 1-based line number, and for a
-    missing or unsupported header.
+    JSON too deeply to decode, naming its 1-based line number, for a file
+    whose run has not written it (UNFINISHED_LINE) and for a missing or
+    unsupported header.
     """
     if isinstance(source, list):
         records = source
@@ -99,6 +120,9 @@ def read_trace(source: str | Path | list[dict]) -> list[dict]:
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
+                    if number == 1 and line == UNFINISHED_LINE:
+                        raise TraceSchemaError(
+                            "trace is unfinished: its run was killed or is still running") from None
                     raise TraceSchemaError(f"line {number} is not valid JSON: {exc}") from None
                 except RecursionError:
                     raise TraceSchemaError(f"line {number} nests JSON too deeply") from None

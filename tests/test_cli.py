@@ -2,10 +2,14 @@ import collections
 import hashlib
 import json
 import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ptrun
 from ptrun import pipeline
 from ptrun.cli import (EXIT_BUDGET, EXIT_DIVERGENCE, EXIT_MODEL_ERROR, EXIT_OK,
                        EXIT_RUN_INVALID, EXIT_USAGE, bundled_data, main)
@@ -392,6 +396,41 @@ class TestInputFiles:
         trace.symlink_to("/dev/full")  # every write to it fails with ENOSPC
         assert run_cli(*run_args(demo_args, **{"--trace-out": str(trace)})) == EXIT_USAGE
         assert_one_error_line(capsys, f"cannot write trace {trace}: No space left on device")
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+    def test_a_killed_run_leaves_no_trace_that_verifies(self, demo_args, capsys):
+        assert run_cli(*run_args(demo_args)) == EXIT_OK
+        assert run_cli("verify-trace", "--trace", demo_args["trace"]) == EXIT_OK
+        capsys.readouterr()
+        # The same run again, killed at its reason call: it would have
+        # written the same trace as the one at the path.
+        path = os.pathsep.join([str(Path(ptrun.__file__).parents[1]),
+                                os.environ.get("PYTHONPATH", "")])
+        killed = subprocess.run([sys.executable, "-c", KILLED_AT_REASON, *run_args(demo_args)],
+                                capture_output=True, env=dict(os.environ, PYTHONPATH=path))
+        assert killed.returncode == -signal.SIGKILL
+        assert run_cli("verify-trace", "--trace", demo_args["trace"]) == EXIT_DIVERGENCE
+        assert_one_error_line(capsys, "trace is unfinished")
+
+
+# Runs the CLI on its arguments, with the scripted model killing the process
+# when the reason call comes.
+KILLED_AT_REASON = """
+import os, signal, sys
+from ptrun import cli, semantic
+
+complete = semantic.ScriptedModel.complete
+
+
+def complete_unless_reasoning(self, request):
+    if request.role == "reason":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return complete(self, request)
+
+
+semantic.ScriptedModel.complete = complete_unless_reasoning
+cli.main(sys.argv[1:])
+"""
 
 
 class TestMalformedTraceHeader:

@@ -317,9 +317,11 @@ def count_decoded(monkeypatch) -> list[int]:
 
 
 # Nested candidates, what can follow them, and tokens the decoder refuses.
+# Oversized integers in a row, then an exponent, make a number that a grown
+# window can cut into an integer the decoder refuses.
 HELD_OPEN_TEXTS = st.lists(
     st.sampled_from(['{"a":', "[", '{"k": "{}"', ", ", "1,", "]", "}", "x", "NaN", "Infinity",
-                     "-Infinity", '"NaN"', "-", OVERSIZED_INT, ".5", "e"])
+                     "-Infinity", '"NaN"', "-", OVERSIZED_INT, ".5", "e", "e-9"])
     | replies(), max_size=12).map("".join)
 
 
@@ -370,7 +372,22 @@ class TestHeldOpenCandidates:
                              ids=["nan", "minus-infinity", "integer", "negative", "bare-e"])
     def test_the_refused_token_is_found_past_accepted_ones(self, accepted, refused):
         text = '{"a": [' + accepted
-        assert semantic._refused_at(text + refused + "]}", 0) == len(text)
+        whole = text + refused + "]}"
+        assert semantic._refused_token(whole, 0, len(whole)).start() == len(text)
+
+    @pytest.mark.parametrize("window", [9, 1024])
+    @pytest.mark.parametrize("rest", ["", " NaN", "}}} -Infinity", " " + OVERSIZED_INT],
+                             ids=["none", "nan", "braces-then-infinity", "oversized-integer"])
+    def test_a_number_a_window_cuts_into_a_refused_integer_grows_the_window(self, window,
+                                                                             rest):
+        # The windows grow to 4,608 and 8,192 characters, and each ends inside
+        # the integer part past the digits int() converts; the exponent that
+        # makes it a float follows.
+        number = "1" * 9000 + "e-8990"
+        text = '{"z": x} {"b": ' + number + "}" + rest
+        with mock.patch.object(semantic, "_WINDOW", window):
+            assert extract_first_json_object(text) == {"b": float(number)}
+        assert search_every_candidate(text) == {"b": float(number)}
 
     @settings(max_examples=300, deadline=None)
     @given(text=HELD_OPEN_TEXTS)
@@ -382,7 +399,7 @@ class TestHeldOpenCandidates:
             except json.JSONDecodeError:
                 pass
             except ValueError:
-                refused = text[semantic._refused_at(text, start):
+                refused = text[semantic._refused_token(text, start, len(text)).start():
                                start + refused_prefix(text, start)]
                 assert re.fullmatch(r"NaN|-?Infinity|-?[0-9]+", refused)
 
@@ -395,33 +412,23 @@ def search_outcome(search, text: str):
 
 
 def search_every_candidate(text: str) -> dict:
-    """The windowed search decoding every candidate, held open by a failed
-    parse or not; the reference for skipping held-open candidates."""
-    width = len(text)
+    """The search decoding every candidate from the whole rest of the text,
+    held open by a failed parse or not; the reference for windows and for
+    skipping held-open candidates."""
     for opening in semantic._OBJECT_OPENING.finditer(text):
         start = opening.start()
-        while True:
-            end = start + width
-            truncated = end < len(text)
-            grow = False
-            try:
-                obj, read = semantic._DECODER.raw_decode(
-                    text[start:end] + "\0" if truncated else text[start:])
-            except json.JSONDecodeError as exc:
-                obj, read = None, exc.pos
-                grow = truncated and exc.pos >= width - semantic._TOKEN_REACH
-            except ValueError:
-                obj, read = None, refused_prefix(text, start)
-            except RecursionError:
-                obj, read = None, None
-            if read is None or semantic._nests_too_deeply(text, start, start + read):
-                raise ProfileParseError("the response nests JSON too deeply")
-            if not grow:
-                break
-            width *= 8
+        try:
+            obj, read = semantic._DECODER.raw_decode(text[start:])
+        except json.JSONDecodeError as exc:
+            obj, read = None, exc.pos
+        except ValueError:
+            obj, read = None, refused_prefix(text, start)
+        except RecursionError:
+            obj, read = None, None
+        if read is None or semantic._nests_too_deeply(text, start, start + read):
+            raise ProfileParseError("the response nests JSON too deeply")
         if obj is not None:
             return obj
-        width = semantic._WINDOW
     raise ProfileParseError("no JSON object found in the response")
 
 

@@ -5,7 +5,8 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptrun.trace import VOLATILE_KEYS, TraceWriter, strip_volatile, structurally_equal
+from ptrun.trace import (UNFINISHED_LINE, VOLATILE_KEYS, TraceSchemaError, TraceWriter,
+                         read_trace, strip_volatile, structurally_equal)
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
@@ -44,18 +45,33 @@ class TestTraceWriter:
             assert path.read_text(encoding="utf-8") == "".join(
                 json.dumps(record, allow_nan=False) + "\n" for record in records)
 
-    def test_a_file_is_unchanged_until_close(self, tmp_path):
+    def test_a_file_is_marked_unfinished_until_close(self, tmp_path):
         old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
-        old.write_bytes(b'{"type": "header"}\n' * 50)
+        previous = b'{"type": "header", "schema_version": 3}\n' * 50
+        old.write_bytes(previous)
         writers = [TraceWriter(old), TraceWriter(new)]
         for writer in writers:
             writer.write({"type": "header"})
             writer.write({"type": "report"})
-        assert old.read_bytes() == b'{"type": "header"}\n' * 50
+        mark = UNFINISHED_LINE.encode()
+        assert old.read_bytes() == mark + previous[len(mark):]
         assert new.read_bytes() == b""
+        for path, message in ((old, "trace is unfinished"), (new, "trace is empty")):
+            with pytest.raises(TraceSchemaError, match=message):
+                read_trace(path)
         for writer in writers:
             writer.close()
         assert old.read_bytes() == new.read_bytes() == b'{"type": "header"}\n{"type": "report"}\n'
+
+    def test_a_file_shorter_than_the_mark_is_marked_unfinished(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b"{}\n")
+        writer = TraceWriter(path)
+        assert path.read_text() == UNFINISHED_LINE
+        with pytest.raises(TraceSchemaError, match="trace is unfinished"):
+            read_trace(path)
+        writer.close()
+        assert path.read_bytes() == b""
 
     def test_a_non_finite_float_is_refused_when_written(self, tmp_path):
         writer = TraceWriter(tmp_path / "t.jsonl")
