@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -48,10 +49,18 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not valid JSON")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} overflows to {value}")
+    return value
+
+
 def _load_json(path: str | Path):
-    """Strict JSON: NaN and Infinity are refused, as traces refuse them."""
+    """Strict JSON: NaN, Infinity and numbers that overflow to either
+    infinity, such as 1e400, are refused, as traces refuse them."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_reject_constant)
+        return json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
 
 
 def _input(label: str, path: str | Path, build=lambda raw: raw):

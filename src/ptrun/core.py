@@ -8,6 +8,7 @@ docs/schemas.md and is what the planner model is asked to emit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import ruledsl
@@ -276,6 +277,9 @@ def decode_param(value) -> object:
             return AutoParam(rule_id=value["auto"])
         if "placeholder" in value and isinstance(value["placeholder"], str):
             return PlaceholderParam(path=value["placeholder"])
+    if isinstance(value, float) and not math.isfinite(value):
+        # json.loads reads 1e400 as inf; a trace cannot hold it
+        raise ProfileFormatError(f"param value {value!r} is not a finite number")
     if value is None or isinstance(value, (str, bool, int, float)):
         return value
     raise ProfileFormatError(f"unsupported param value: {value!r}")
@@ -380,12 +384,33 @@ class CompiledBranchRule:
     target_step: int
 
 
-def compile_branch_rule(rule_index: int, rule: BranchRule) -> CompiledBranchRule:
-    """Parse one branch rule's predicate and modifier; raises DslParseError."""
+def parse_once():
+    """A parse(parser, source) that runs each DSL parser on each distinct text
+    once: rules that share a text share its frozen AST, or its DslParseError."""
+    results: dict = {}
+
+    def parse(parser, source: str):
+        key = (parser, source)
+        if key not in results:
+            try:
+                results[key] = parser(source)
+            except ruledsl.DslParseError as exc:
+                results[key] = exc
+        result = results[key]
+        if isinstance(result, ruledsl.DslParseError):
+            raise result.with_traceback(None)
+        return result
+
+    return parse
+
+
+def compile_branch_rule(rule_index: int, rule: BranchRule, parse) -> CompiledBranchRule:
+    """Parse one branch rule's predicate and modifier through a parse_once()
+    function; raises DslParseError."""
     return CompiledBranchRule(
         rule_index=rule_index,
-        predicate=ruledsl.parse_predicate(rule.predicate),
-        modifier=ruledsl.parse_modifier(rule.modifier),
+        predicate=parse(ruledsl.parse_predicate, rule.predicate),
+        modifier=parse(ruledsl.parse_modifier, rule.modifier),
         target_step=rule.target_step,
     )
 
@@ -477,8 +502,8 @@ class Violation:
 @dataclass(frozen=True)
 class AdmissibilityReport:
     """Verdict of check_admissibility. An admissible report also carries the
-    profile's branch rules as parsed by the check, so a run parses each rule
-    once; an inadmissible one carries none."""
+    profile's branch rules as parsed by the check, so a run parses each
+    distinct rule text once per admission; an inadmissible one carries none."""
 
     admissible: bool
     violations: tuple[Violation, ...] = ()
@@ -492,8 +517,8 @@ class AdmissibilityReport:
 class MetadataReport:
     """Verdict of validate_metadata. It also carries the metadata's auto and
     recovery rules and constraint predicates as parsed by the check, so a run
-    parses each rule once; a rule that does not parse is left out and
-    reported as an issue."""
+    parses each distinct rule text once per validation; a rule that does not
+    parse is left out and reported as an issue."""
 
     issues: tuple[ValidationIssue, ...] = ()
     auto_rules: dict[str, ruledsl.AutoRule] = field(default_factory=dict)
@@ -510,6 +535,7 @@ class MetadataReport:
 def validate_metadata(metadata: Metadata) -> MetadataReport:
     """Structural checks on metadata: unique tool ids and parseable rule sources."""
     issues: list[ValidationIssue] = []
+    parse = parse_once()
     seen: set[str] = set()
     for spec in metadata.tool_catalog:
         if spec.id in seen:
@@ -518,7 +544,7 @@ def validate_metadata(metadata: Metadata) -> MetadataReport:
     auto_rules: dict[str, ruledsl.AutoRule] = {}
     for rule in metadata.constraints.auto_rules:
         try:
-            auto_rules[rule.id] = ruledsl.AutoRule(id=rule.id, expr=ruledsl.parse_auto_expr(rule.expr))
+            auto_rules[rule.id] = ruledsl.AutoRule(id=rule.id, expr=parse(ruledsl.parse_auto_expr, rule.expr))
         except ruledsl.DslParseError as exc:
             issues.append(ValidationIssue("bad_rule_syntax", f"auto rule {rule.id!r}: {exc}"))
     recovery_rules: list[tuple[str, ruledsl.ModifierAst]] = []
@@ -527,13 +553,13 @@ def validate_metadata(metadata: Metadata) -> MetadataReport:
             issues.append(ValidationIssue(
                 "bad_error_class", f"recovery rule {i}: unknown error class {rule.error_class!r}"))
         try:
-            recovery_rules.append((rule.error_class, ruledsl.parse_modifier(rule.modifier)))
+            recovery_rules.append((rule.error_class, parse(ruledsl.parse_modifier, rule.modifier)))
         except ruledsl.DslParseError as exc:
             issues.append(ValidationIssue("bad_rule_syntax", f"recovery rule {i}: {exc}"))
     predicates: list[ruledsl.PredicateAst] = []
     for i, source in enumerate(metadata.constraints.constraint_predicates, start=1):
         try:
-            predicates.append(ruledsl.parse_predicate(source))
+            predicates.append(parse(ruledsl.parse_predicate, source))
         except ruledsl.DslParseError as exc:
             issues.append(ValidationIssue("bad_rule_syntax", f"constraint predicate {i}: {exc}"))
     return MetadataReport(tuple(issues), auto_rules, tuple(recovery_rules), tuple(predicates))
@@ -546,9 +572,11 @@ def check_admissibility(profile: Profile, metadata: Metadata) -> AdmissibilityRe
     or deferred (auto marker on an auto-resolvable slot, placeholder referencing
     a strictly earlier step's store key); and, per profile: branch rules parse
     and bind to existing steps with schema-known slots, replan conditions parse
-    as state predicates. An admissible report carries the parsed branch rules.
+    as state predicates. Each distinct rule text is parsed once per call. An
+    admissible report carries the parsed branch rules.
     """
     violations: list[Violation] = []
+    parse = parse_once()
     # Store keys are unique, so a key's position is the step that stores it.
     positions = {key: position for position, key in enumerate(store_keys(profile.workflow))}
     auto_ids = {rule.id for rule in metadata.constraints.auto_rules}
@@ -592,7 +620,7 @@ def check_admissibility(profile: Profile, metadata: Metadata) -> AdmissibilityRe
     for i, rule in enumerate(profile.branch_rules, start=1):
         target_spec = metadata.tool(profile.workflow.steps[rule.target_step - 1].tool_id)
         try:
-            branch = compile_branch_rule(i - 1, rule)
+            branch = compile_branch_rule(i - 1, rule, parse)
         except ruledsl.DslParseError as exc:
             violations.append(Violation(rule.target_step, "unevaluable_branch_rule", f"branch rule {i}: {exc}"))
             continue
@@ -606,7 +634,7 @@ def check_admissibility(profile: Profile, metadata: Metadata) -> AdmissibilityRe
 
     for i, source in enumerate(profile.replan_conditions, start=1):
         try:
-            ruledsl.parse_predicate(source)
+            parse(ruledsl.parse_predicate, source)
         except ruledsl.DslParseError as exc:
             violations.append(Violation(None, "unevaluable_replan_condition", f"replan condition {i}: {exc}"))
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 from . import ruledsl
 from .core import (AutoParam, CompiledBranchRule, Metadata, MetadataReport, PlaceholderParam,
-                   Profile, Workflow, compile_branch_rule, store_keys, validate_metadata)
+                   Profile, Workflow, compile_branch_rule, parse_once, store_keys,
+                   validate_metadata)
 from .router import RouteMode
 from .tools import ToolOutcome, ToolRegistry
 
@@ -226,8 +227,9 @@ class RuleBundle:
 def compile_rules(metadata: Metadata, profile: Profile) -> RuleBundle:
     """Parse every rule source of a metadata and a profile once; call only
     after admissibility passed. Raises ValueError for invalid metadata."""
+    parse = parse_once()
     return bundle_rules(validate_metadata(metadata).require_valid(),
-                        tuple(compile_branch_rule(i, rule)
+                        tuple(compile_branch_rule(i, rule, parse)
                               for i, rule in enumerate(profile.branch_rules)))
 
 

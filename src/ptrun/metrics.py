@@ -44,11 +44,14 @@ def _extract_yes_no(text: str) -> str:
 
 
 def canonical_number(token: str) -> str:
-    """Decimal-exact canonical form: trailing fractional zeros stripped."""
+    """Decimal-exact canonical form: trailing fractional zeros stripped, and
+    negative zero spelled as zero."""
     try:
         value = Decimal(token)
     except InvalidOperation:
         raise ExtractionFailedError(f"not a number: {token!r}") from None
+    if value.is_zero():
+        return "0"
     return format(value.normalize(), "f")
 
 

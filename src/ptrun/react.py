@@ -60,7 +60,8 @@ def build_react_prompt(task: Task, metadata: Metadata, transcript: list[str]) ->
 def run_react_baseline(task: Task, metadata: Metadata, cfg: RunConfig, model,
                        environment: ToolEnvironment) -> RunReport:
     """Run the reactive loop; stops at finish or at the iteration cap (then the
-    last response text stands as the best-effort answer)."""
+    last response text stands as the best-effort answer). A model that raises
+    ends the run as ``model_error``, one over budget as ``budget_exceeded``."""
     import json
 
     registry = environment.build_registry()
@@ -70,21 +71,27 @@ def run_react_baseline(task: Task, metadata: Metadata, cfg: RunConfig, model,
     last_text = ""
     started = time.perf_counter()
 
+    def report(outcome: str, answer: str | None) -> RunReport:
+        return RunReport(
+            outcome=outcome, answer=answer, trace_path=None, verification=None,
+            ledger=ledger.summary(), route=None, repaired=False,
+            timing={"react": time.perf_counter() - started},
+            model_calls=sum(ledger.stage_counts.values()),
+            raw_model_calls=len(ledger.entries),
+        )
+
     for _ in range(MAX_ITERATIONS):
         prompt = build_react_prompt(task, metadata, transcript)
         request = ModelRequest(role="react", prompt=prompt, temperature=0.0, seed=cfg.seed)
-        response = model.complete(request)
         ledger.count_stage("react")
+        try:
+            response = model.complete(request)
+        except Exception:  # a raising model ends the run, as it ends run_ptr
+            return report("model_error", None)
         try:
             ledger.record_and_check("react", response)
         except BudgetExceededError:
-            return RunReport(
-                outcome="budget_exceeded", answer=None, trace_path=None, verification=None,
-                ledger=ledger.summary(), route=None, repaired=False,
-                timing={"react": time.perf_counter() - started},
-                model_calls=sum(ledger.stage_counts.values()),
-                raw_model_calls=len(ledger.entries),
-            )
+            return report("budget_exceeded", None)
         last_text = response.text
         transcript.append(response.text)
         action = parse_action(response.text)
@@ -107,13 +114,4 @@ def run_react_baseline(task: Task, metadata: Metadata, cfg: RunConfig, model,
             observation = f"ERROR({outcome.error_class}): {outcome.message}"
         transcript.append(f"Observation: {observation}")
 
-    if answer is None:
-        answer = last_text
-
-    return RunReport(
-        outcome="ok", answer=answer, trace_path=None, verification=None,
-        ledger=ledger.summary(), route=None, repaired=False,
-        timing={"react": time.perf_counter() - started},
-        model_calls=sum(ledger.stage_counts.values()),
-        raw_model_calls=len(ledger.entries),
-    )
+    return report("ok", last_text if answer is None else answer)

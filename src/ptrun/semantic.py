@@ -260,8 +260,84 @@ class HttpProviderModel:
 # --- prompt builders -------------------------------------------------------------
 
 
+_quote = json.encoder.encode_basestring_ascii
+_INFINITY = float("inf")
+
+
+def _float_text(value: float) -> str:
+    """A float as json spells it, NaN and the infinities included."""
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key_text(key) -> str:
+    """A dict key as json converts it to a string."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write(obj, out: list, newline: str) -> None:
+    """Append obj's JSON text to out; newline starts the line obj ends on."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in obj:
+            out.append(separator)
+            _write(item, out, inner)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(separator + _quote(_key_text(key)) + ": ")
+            _write(value, out, inner)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """The text of json.dumps(obj, sort_keys=True, indent=2). With an indent,
+    json runs its pure-Python encoder; this writes the same text directly."""
+    out: list[str] = []
+    _write(obj, out, "\n")
+    return "".join(out)
 
 
 def _tool_lines(metadata: Metadata) -> list[str]:

@@ -111,3 +111,16 @@ class TestSuiteLoading:
         entry = ptr.per_item[0]
         assert entry["em"] == 0
         assert entry["reason"] is not None
+
+    def test_raising_model_is_model_error_for_both_frameworks(self, bundled):
+        _, _, cfg, env = bundled
+        suite = Suite(name="x", answer_kind="free_text",
+                      items=(BenchmarkItem(id="q1", question="Who introduced the Turing machine?",
+                                           gold=("Alan Turing",), answer_kind="free_text"),))
+        # each framework's script runs out before its run can end
+        book = {"q1": {"ptr": [], "react": [{"role": "react",
+                                             "text": "Action: kb_search[turing]"}]}}
+        ptr, react, _ = run_bench(suite, cfg, scripted_model_factory(book), env)
+        for result in (ptr, react):
+            assert result.per_item[0]["reason"] == "model_error"
+            assert result.per_item[0]["em"] == 0

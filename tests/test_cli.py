@@ -346,6 +346,15 @@ class TestInputFiles:
         assert run_cli(*run_args(demo_args, **{"--task-file": str(task_path)})) == EXIT_USAGE
         assert_one_error_line(capsys, "task file", "Infinity")
 
+    @pytest.mark.parametrize("number", ["1e400", "-1e400", "1.5e999"])
+    def test_budget_that_overflows_to_infinity_exits_2(self, number, demo_args, tmp_path,
+                                                       capsys):
+        config = json.loads(Path(demo_args["config"]).read_text(encoding="utf-8"))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config)[:-1] + f', "budget_micros": {number}}}')
+        assert run_cli(*run_args(demo_args, **{"--config": str(config_path)})) == EXIT_USAGE
+        assert_one_error_line(capsys, f"config file {config_path}", number)
+
     @pytest.mark.parametrize("flag, label, content", [
         ("--task-file", "task", json.dumps({"objective": 7})),
         ("--task-file", "task", "{"),

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -124,6 +125,17 @@ class TestValidateMetadata:
         ))
         kinds = sorted(i.kind for i in validate_metadata(metadata).issues)
         assert kinds == ["bad_error_class", "bad_rule_syntax", "bad_rule_syntax"]
+
+
+    @pytest.mark.parametrize("number", ["1e400", "-1e400"])
+    def test_param_that_overflows_to_infinity_is_refused(self, number):
+        step = json.loads('{"tool_id": "search", "params": {"limit": %s}}' % number)
+        with pytest.raises(ProfileFormatError, match="not a finite number"):
+            WorkflowStep.from_dict(step)
+
+    def test_finite_float_param_is_kept(self):
+        step = WorkflowStep.from_dict({"tool_id": "search", "params": {"limit": 1e300}})
+        assert step.params == {"limit": 1e300}
 
 
 class TestAdmissibility:

@@ -80,6 +80,14 @@ class TestNormalization:
         assert canonical_number("-0.460") == "-0.46"
         assert canonical_number("100") == "100"
 
+    @pytest.mark.parametrize("token", ["0", "-0", "-0.0", "0.000", "-0e5", "+0"])
+    def test_canonical_number_spells_every_zero_as_zero(self, token):
+        assert canonical_number(token) == "0"
+
+    def test_negative_zero_answer_matches_gold_zero(self):
+        gold = item(["0"], kind="numeric")
+        assert exact_match("-0", gold) == exact_match("0.0", gold) == 1
+
     def test_choice_parenthesized(self):
         assert normalize_answer("The answer is (C).", "choice_a_e") == "C"
 

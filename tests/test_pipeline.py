@@ -203,8 +203,80 @@ class TestParseOnce:
         report = run_ptr(task(), bench_metadata(), RunConfig(), model, environment())
         assert report.model_calls == 3
         assert REPAIR_APPLIED_FLAG in report.verification["flags"]
-        rules = len(failing["branch_rules"]) + len(patch["branch_rules"])
-        assert calls == {"parse_predicate": rules, "parse_modifier": rules}
+        # one parse per distinct text per admission: the failing profile's
+        # two rules with an empty modifier share its parse
+        assert calls == {name: sum(len({rule[key] for rule in profile["branch_rules"]})
+                                   for profile in (failing, patch))
+                         for name, key in (("parse_predicate", "predicate"),
+                                           ("parse_modifier", "modifier"))}
+        assert calls == {"parse_predicate": 5, "parse_modifier": 4}
+
+    SHARED_PREDICATE = 'env.audience == "nobody"'
+    SHARED_MODIFIER = "set limit = 3"
+    BAD_PREDICATE = "result.kb_search_1.count <"
+    SHARED_TEXTS_PROFILE = {
+        "workflow": {"steps": [
+            {"tool_id": "kb_search", "params": {"query": "turing machine", "limit": 2}},
+            {"tool_id": "kb_lookup",
+             "params": {"title": {"placeholder": "result.kb_search_1.top_title"}}},
+            {"tool_id": "kb_search", "params": {"query": "paris", "limit": 1}},
+        ]},
+        "confidence": 0.9,
+        "replan_conditions": [SHARED_PREDICATE],
+        "branch_rules": [
+            {"predicate": SHARED_PREDICATE, "modifier": SHARED_MODIFIER, "target_step": 1},
+            {"predicate": SHARED_PREDICATE, "modifier": 'set title = "Paris"', "target_step": 2},
+            {"predicate": "exists(result.kb_search_1)", "modifier": SHARED_MODIFIER,
+             "target_step": 3},
+            {"predicate": SHARED_PREDICATE, "modifier": SHARED_MODIFIER, "target_step": 3},
+        ],
+    }
+
+    def test_rules_that_share_a_text_share_its_parse(self, monkeypatch, tmp_path):
+        calls: collections.Counter = collections.Counter()
+        for name in ("parse_predicate", "parse_modifier"):
+            original = getattr(ruledsl, name)
+
+            def counting(source, _name=name, _original=original):
+                calls[_name, source] += 1
+                return _original(source)
+
+            monkeypatch.setattr(ruledsl, name, counting)
+        good = self.SHARED_TEXTS_PROFILE
+        report = pipeline.check_admissibility(Profile.from_dict(good), bench_metadata())
+        assert report.admissible
+        compiled = report.branch_rules
+        assert [(r.rule_index, r.target_step) for r in compiled] == [(0, 1), (1, 2), (2, 3), (3, 3)]
+        assert compiled[0].predicate is compiled[1].predicate is compiled[3].predicate
+        assert compiled[0].modifier is compiled[2].modifier is compiled[3].modifier
+        assert set(calls.values()) == {1}
+        # two distinct predicates, the replan condition's among them, and two modifiers
+        assert len(calls) == 4
+
+        # the unparseable text, carried by two rules, is parsed once and
+        # gives one violation per rule
+        bad_rules = [dict(rule, predicate=self.BAD_PREDICATE) for rule in good["branch_rules"][:2]]
+        bad = dict(good, branch_rules=good["branch_rules"][:1] + bad_rules[:1]
+                   + good["branch_rules"][1:] + bad_rules[1:])
+        calls.clear()
+        report = pipeline.check_admissibility(Profile.from_dict(bad), bench_metadata())
+        assert not report.admissible and report.branch_rules == ()
+        assert [(v.step, v.kind, v.detail.split(":")[0]) for v in report.violations] == [
+            (1, "unevaluable_branch_rule", "branch rule 2"),
+            (2, "unevaluable_branch_rule", "branch rule 6")]
+        assert report.violations[0].detail[len("branch rule 2"):] == \
+            report.violations[1].detail[len("branch rule 6"):]
+        assert calls["parse_predicate", self.BAD_PREDICATE] == 1
+        assert set(calls.values()) == {1}
+
+        # a run whose first reply carries the bad rules retries with the
+        # good profile, and its trace replays
+        path = str(tmp_path / "run.jsonl")
+        model = scripted(profile_entry(bad), profile_entry(good), REASON)
+        run = run_ptr(task(), bench_metadata(), RunConfig(), model, environment(),
+                      trace_path=path)
+        assert run.outcome == "ok" and run.raw_model_calls == 3
+        assert replay_trace(path).matched
 
     def test_each_rule_source_is_parsed_once_per_run_and_per_replay(self, monkeypatch,
                                                                       tmp_path):
@@ -304,6 +376,32 @@ class TestProfileStage:
         records = read_trace(path)
         assert any(r["type"] == "abort" and r["reason"] == "run_invalid" for r in records)
         assert records[-1]["type"] == "report"
+
+    @pytest.mark.parametrize("number", ["1e400", "-1e400"])
+    def test_param_that_overflows_to_infinity_takes_the_retry(self, number, tmp_path):
+        overflowing = json.dumps(CLEAN_PROFILE).replace('"limit": 2', f'"limit": {number}')
+        assert number in overflowing
+        path = str(tmp_path / "run.jsonl")
+        model = scripted({"role": "profile", "text": overflowing},
+                         profile_entry(CLEAN_PROFILE), REASON)
+        report = run_ptr(task(), bench_metadata(), RunConfig(), model, environment(),
+                         trace_path=path)
+        assert report.outcome == "ok"
+        assert report.raw_model_calls == 3
+        retry_prompt = [r["prompt"] for r in read_trace(path) if r["type"] == "model_call"][1]
+        assert "is not a finite number" in retry_prompt
+        assert replay_trace(path).matched
+
+    def test_param_that_overflows_twice_aborts_run_invalid(self, tmp_path):
+        overflowing = {"role": "profile", "text": json.dumps(CLEAN_PROFILE).replace(
+            '"limit": 2', '"limit": 1e400')}
+        path = str(tmp_path / "run.jsonl")
+        report = run_ptr(task(), bench_metadata(), RunConfig(),
+                         scripted(overflowing, overflowing), environment(), trace_path=path)
+        assert report.outcome == "run_invalid"
+        abort = next(r for r in read_trace(path) if r["type"] == "abort")
+        assert "is not a finite number" in abort["detail"]
+        assert replay_trace(path).matched
 
     def test_too_deeply_nested_replies_abort_run_invalid(self):
         deep = '{"a":' * 100_000  # past the decoder's recursion on every supported Python

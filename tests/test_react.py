@@ -116,6 +116,16 @@ class TestLoop:
         assert report.outcome == "budget_exceeded"
         assert report.answer is None
 
+    def test_raising_model_ends_the_run_as_model_error(self):
+        # a one-entry script runs out at the second iteration
+        model = ScriptedModel([{"role": "react", "text": "Action: kb_search[turing]"}])
+        report = run_react_baseline(task(), bench_metadata(), RunConfig(), model, environment())
+        assert report.outcome == "model_error"
+        assert report.answer is None
+        assert report.raw_model_calls == 1  # the ledger holds the call that answered
+        assert report.ledger["raw_calls_by_role"] == {"react": 1}
+        assert report.model_calls == 2  # the call that raised counts as a stage
+
     def test_same_registry_tools_as_pipeline(self):
         model = ScriptedModel([
             {"role": "react", "text": "Action: calc[3 + 4 * 2]"},

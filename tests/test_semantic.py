@@ -6,7 +6,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ptrun import semantic
 from ptrun.core import Metadata, Profile
@@ -116,6 +116,73 @@ class TestReasonPrompt:
         prompt = build_reason_prompt(golden_task(), golden_metadata(), state,
                                      failing_verification(state))
         assert prompt == (GOLDEN / "reason_prompt.txt").read_text()
+
+
+def json_text(obj):
+    """What json.dumps(sort_keys=True, indent=2) writes for obj, or the
+    class of the error it raises."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def dump_text(obj):
+    try:
+        return semantic._dump(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+JSON_STRINGS = st.text(alphabet=st.one_of(
+    st.characters(exclude_categories=()),  # lone surrogates included
+    st.sampled_from(["\ud800", "\udfff", "\x00", "\x1f", "\x7f", " ", "é",
+                     "\U0001f600", '"', "\\", "/", "\n", "\t"])))
+JSON_NUMBERS = st.one_of(
+    st.integers(),
+    st.integers(min_value=-10 ** 700, max_value=10 ** 700),
+    st.floats(),  # nan, the infinities and -0.0 included
+    st.sampled_from([-0.0, 1e300, -1e-300, 5e-324, float("inf"), float("nan")]))
+JSON_KEYS = st.one_of(JSON_STRINGS, JSON_NUMBERS, st.booleans(), st.none())
+JSON_TREES = st.recursive(
+    st.one_of(st.none(), st.booleans(), JSON_NUMBERS, JSON_STRINGS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(JSON_STRINGS, children, max_size=4),
+        # one key type per dict, so the keys sort
+        st.sampled_from([st.integers(), st.floats(), st.booleans(), st.none()]).flatmap(
+            lambda keys: st.dictionaries(keys, children, max_size=4)),
+        # any keys, mixed types among them
+        st.dictionaries(JSON_KEYS, children, max_size=3)),
+    max_leaves=20)
+
+
+class TestPromptJson:
+    """Prompts embed JSON as json.dumps(sort_keys=True, indent=2) writes it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_TREES)
+    @example({"b": [1, (2.5, "é")], "a": {"": [], "x": {}, "y": ()}})
+    @example(["\ud800", "\udfff\ud800", "\x00\x1f\x7f ", "\U0001f600"])
+    @example([10 ** 699, -(10 ** 699), 0, -0.0, 1e300, 1e16, float("inf"), float("-inf"),
+              float("nan"), True, False, None])
+    @example({1: "int", 2.5: "float", float("nan"): "nan"})
+    @example({True: 1, False: 0})
+    @example({None: "null"})
+    @example({1: "int", "1": "str"})
+    @example({None: 1, 0: 2})
+    @example({10: "a", 9: "b"})  # sorted by raw key, so not as strings
+    @example({True: 1, 0: 2})
+    @example([[], {}, (), [[[]]], {"k": {"k": {}}}])
+    @example({(1, 2): "tuple key"})
+    @example([{1, 2}])
+    @example({"bytes": b"x"})
+    @example({"x": object()})
+    @example("top-level string")
+    @example(7)
+    def test_writer_matches_json(self, obj):
+        assert dump_text(obj) == json_text(obj)
 
 
 class TestResponseParsing:
