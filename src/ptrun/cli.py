@@ -23,7 +23,7 @@ from .core import Metadata, Task, validate_metadata
 from .pipeline import ReplayReport, RunConfig, ToolEnvironment, replay_trace, run_ptr
 from .semantic import HttpProviderModel, ScriptedModel
 from .tools import KnowledgeBase
-from .trace import TraceSchemaError
+from .trace import TraceSchemaError, reject_constant
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -45,10 +45,6 @@ class UsageError(Exception):
     on one line and exits 2."""
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"{name} is not valid JSON")
-
-
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -60,7 +56,7 @@ def _load_json(path: str | Path):
     """Strict JSON: NaN, Infinity and numbers that overflow to either
     infinity, such as 1e400, are refused, as traces refuse them."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
+        return json.load(fh, parse_constant=reject_constant, parse_float=_finite_float)
 
 
 def _input(label: str, path: str | Path, build=lambda raw: raw):

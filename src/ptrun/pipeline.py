@@ -4,7 +4,8 @@
 One run makes exactly one profile call and one reason call, plus at most one
 repair call, so completed runs use two or three model calls total. Everything
 between the semantic stages is deterministic and is persisted to a JSONL
-trace that `replay_trace` can recompute and check. The trace header names
+trace; `replay_trace` runs the same stages again with the recorded model
+replies and checks every record they write. The trace header names
 the knowledge base by digest; a traced run stores the articles once per
 directory in a ``kb/<digest>.json`` side file, and replay takes the KB from
 a bounded memo of verified KBs or from that file, after checking its bytes.
@@ -13,6 +14,7 @@ a bounded memo of verified KBs or from that file, after checking its bytes.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import os
@@ -32,10 +34,10 @@ from .core import (CompiledBranchRule, Metadata, MetadataReport, Profile, Task,
 from .executor import (ExecutionConfig, RuleBundle, bundle_rules, compile_rules,  # noqa: F401
                        initial_state, run_workflow)
 from .router import RiskWeights, RouteMode, RouteThresholds, decide_route
-from .semantic import (BudgetExceededError, BudgetLedger, ModelRequest, PriceEntry,
-                       ProfileParseError, build_profile_prompt, build_profile_retry_prompt,
-                       build_reason_prompt, build_repair_prompt, cap_diagnostic,
-                       parse_profile_response)
+from .semantic import (BudgetExceededError, BudgetLedger, ModelRequest, ModelResponse,
+                       PriceEntry, ProfileParseError, Usage, build_profile_prompt,
+                       build_profile_retry_prompt, build_reason_prompt, build_repair_prompt,
+                       cap_diagnostic, parse_profile_response)
 from .tools import KnowledgeBase, ToolRegistry, builtin_registry, parse_fault_script
 from .trace import (SCHEMA_VERSION, TraceSchemaError, TraceWriter, canonical_json, digest,
                     read_trace, structurally_equal, strip_volatile)
@@ -272,29 +274,6 @@ class RunReport:
         }
 
 
-def _model_call(model, role: str, prompt: str, cfg: RunConfig, ledger: BudgetLedger,
-                writer: TraceWriter):
-    """One raw model call: persisted to the trace, then budget-checked. Any
-    exception the model raises becomes a ModelCallError."""
-    request = ModelRequest(role=role, prompt=prompt, temperature=0.0, seed=cfg.seed)
-    try:
-        response = model.complete(request)
-    except Exception as exc:
-        raise ModelCallError(f"{role} call raised {type(exc).__name__}: {exc}") from exc
-    writer.write({
-        "type": "model_call",
-        "role": role,
-        "prompt": prompt,
-        "response_text": response.text,
-        "usage": response.usage.to_dict(),
-        "cost_micros": response.cost_micros,
-        # provider credentials travel in transport headers only
-        "credentials_redacted": True,
-    })
-    ledger.record_and_check(role, response)
-    return response
-
-
 class InadmissibleProfileError(ProfileParseError):
     """A reply that parses as a profile the metadata does not admit."""
 
@@ -346,21 +325,20 @@ def _admit_repair(text: str, metadata: Metadata, version: int
                                    reason=rejection)
 
 
-def _obtain_profile(task: Task, metadata: Metadata, cfg: RunConfig, model,
-                    ledger: BudgetLedger, writer: TraceWriter
+def _obtain_profile(task: Task, metadata: Metadata, call
                     ) -> tuple[Profile, tuple[CompiledBranchRule, ...], str, int]:
     """Profile stage: one call, then at most one corrective retry before abort.
 
     Returns the profile, the branch rules admissibility compiled for it, the
     admitted reply and the number of attempts.
     """
-    prompt = build_profile_prompt(task, metadata)
-    text = _model_call(model, "profile", prompt, cfg, ledger, writer).text
+    prompt = functools.cache(lambda: build_profile_prompt(task, metadata))
+    text = call("profile", prompt).text
     try:
         return (*_admit(text, metadata), text, 1)
     except ProfileParseError as exc:
-        prompt = build_profile_retry_prompt(prompt, exc.diagnostic)
-    text = _model_call(model, "profile", prompt, cfg, ledger, writer).text
+        diagnostic = exc.diagnostic
+    text = call("profile", lambda: build_profile_retry_prompt(prompt(), diagnostic)).text
     try:
         return (*_admit(text, metadata), text, 2)
     except ProfileParseError as exc:
@@ -433,38 +411,60 @@ def run_ptr(task: Task, metadata: Metadata, cfg: RunConfig, model,
         environment.store_kb(trace_path)
     writer = TraceWriter(trace_path)
     try:
-        return _run(task, metadata, checked, cfg, model, registry, environment, writer)
+        writer.write({
+            "type": "header",
+            "schema_version": SCHEMA_VERSION,
+            "task": task.to_dict(),
+            "metadata": metadata.to_dict(),
+            "config": cfg.to_dict(),
+            "config_hash": cfg.config_hash(),
+            "environment": environment.describe(),
+        })
+        return _run(task, metadata, checked, cfg, _model_caller(model, cfg, writer), registry,
+                    writer, SCHEMA_VERSION)
     finally:
         writer.close()
 
 
-def _abort_report(writer: TraceWriter, outcome: str, detail: str, ledger: BudgetLedger,
-                  timing: dict, repaired: bool, route: dict | None) -> RunReport:
-    writer.write({"type": "abort", "reason": outcome, "detail": detail})
-    report = RunReport(
-        outcome=outcome, answer=None, trace_path=writer.path, verification=None,
-        ledger=ledger.summary(), route=route, repaired=repaired, timing=timing,
-        model_calls=sum(ledger.stage_counts.values()), raw_model_calls=len(ledger.entries),
-    )
-    writer.write({"type": "report", "report": report.to_dict()})
-    return report
+def _model_caller(model, cfg: RunConfig, writer: TraceWriter):
+    """The run's model call: builds the prompt, asks the model and writes
+    the call's ``model_call`` record. Any exception the model raises becomes
+    a ModelCallError."""
+    def call(role: str, prompt) -> ModelResponse:
+        text = prompt()
+        request = ModelRequest(role=role, prompt=text, temperature=0.0, seed=cfg.seed)
+        try:
+            response = model.complete(request)
+        except Exception as exc:
+            raise ModelCallError(f"{role} call raised {type(exc).__name__}: {exc}") from exc
+        writer.write({
+            "type": "model_call",
+            "role": role,
+            "prompt": text,
+            "response_text": response.text,
+            "usage": response.usage.to_dict(),
+            "cost_micros": response.cost_micros,
+            # provider credentials travel in transport headers only
+            "credentials_redacted": True,
+        })
+        return response
+    return call
 
 
-def _run(task: Task, metadata: Metadata, checked: MetadataReport, cfg: RunConfig, model,
-         registry: ToolRegistry, environment: ToolEnvironment, writer: TraceWriter) -> RunReport:
-    header = {
-        "type": "header",
-        "schema_version": SCHEMA_VERSION,
-        "task": task.to_dict(),
-        "metadata": metadata.to_dict(),
-        "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
-        "environment": environment.describe(),
-    }
-    writer.write(header)
+def _run(task: Task, metadata: Metadata, checked: MetadataReport, cfg: RunConfig, call,
+         registry: ToolRegistry, writer: TraceWriter, version: int) -> RunReport:
+    """The stages of a run after its header, for run and replay alike. The
+    model's replies come from ``call(role, prompt)``, where ``prompt`` builds
+    the call's prompt when called; ``version`` is the trace schema version
+    the stage records follow."""
     ledger = BudgetLedger(limit_micros=cfg.budget_micros)
     timing: dict[str, float] = {}
-    repaired, route_dict = False, None
+    repaired, route_dict, answer, verification = False, None, None, None
+
+    def budgeted_call(role: str, prompt) -> ModelResponse:
+        response = call(role, prompt)
+        ledger.record_and_check(role, response)
+        return response
 
     # Each semantic stage may abort the run; `stage` and `started` name the
     # stage in progress, whose time the abort report records.
@@ -472,11 +472,10 @@ def _run(task: Task, metadata: Metadata, checked: MetadataReport, cfg: RunConfig
     try:
         # PROFILE (semantic call #1; one corrective retry inside the same stage)
         ledger.count_stage("profile")
-        profile, branch_rules, raw_profile, attempts = _obtain_profile(
-            task, metadata, cfg, model, ledger, writer)
+        profile, branch_rules, raw_profile, attempts = _obtain_profile(task, metadata,
+                                                                       budgeted_call)
         timing["profile"] = time.perf_counter() - started
-        writer.write(_reply_record(SCHEMA_VERSION, "profile", raw_profile, profile,
-                                   attempts=attempts))
+        writer.write(_reply_record(version, "profile", raw_profile, profile, attempts=attempts))
 
         # ROUTE, EXECUTE + VERIFY (deterministic)
         route_started = time.perf_counter()
@@ -494,10 +493,9 @@ def _run(task: Task, metadata: Metadata, checked: MetadataReport, cfg: RunConfig
             stage, started = "repair", time.perf_counter()
             ledger.count_stage("repair")
             repaired = True
-            prompt = build_repair_prompt(task, metadata, profile, state, z)
-            response = _model_call(model, "repair", prompt, cfg, ledger, writer)
-            patched, repair_rules, record = _admit_repair(response.text, metadata,
-                                                          SCHEMA_VERSION)
+            text = budgeted_call(
+                "repair", lambda: build_repair_prompt(task, metadata, profile, state, z)).text
+            patched, repair_rules, record = _admit_repair(text, metadata, version)
             writer.write(record)
             if patched is None:
                 final_z = _with_flag(z, REPAIR_REJECTED_FLAG)
@@ -510,8 +508,8 @@ def _run(task: Task, metadata: Metadata, checked: MetadataReport, cfg: RunConfig
         # REASON (semantic call #2 or #3)
         stage, started = "reason", time.perf_counter()
         ledger.count_stage("reason")
-        prompt = build_reason_prompt(task, metadata, final_state, final_z)
-        response = _model_call(model, "reason", prompt, cfg, ledger, writer)
+        answer = budgeted_call(
+            "reason", lambda: build_reason_prompt(task, metadata, final_state, final_z)).text
         timing["reason"] = time.perf_counter() - started
     except BudgetExceededError as exc:
         outcome, detail = "budget_exceeded", str(exc)
@@ -520,36 +518,28 @@ def _run(task: Task, metadata: Metadata, checked: MetadataReport, cfg: RunConfig
     except ModelCallError as exc:
         outcome, detail = "model_error", str(exc)
     else:
-        writer.write({"type": "reason", "answer": response.text})
-        report = RunReport(
-            outcome="ok",
-            answer=response.text,
-            trace_path=writer.path,
-            verification=final_z.to_dict(),
-            ledger=ledger.summary(),
-            route=route_dict,
-            repaired=repaired,
-            timing=timing,
-            model_calls=sum(ledger.stage_counts.values()),
-            raw_model_calls=len(ledger.entries),
-        )
-        writer.write({"type": "report", "report": report.to_dict()})
-        return report
-    timing[stage] = time.perf_counter() - started
-    return _abort_report(writer, outcome, detail, ledger, timing, repaired, route_dict)
+        outcome, verification = "ok", final_z.to_dict()
+        writer.write({"type": "reason", "answer": answer})
+    if outcome != "ok":
+        timing[stage] = time.perf_counter() - started
+        writer.write({"type": "abort", "reason": outcome, "detail": detail})
+    report = RunReport(
+        outcome=outcome, answer=answer, trace_path=writer.path, verification=verification,
+        ledger=ledger.summary(), route=route_dict, repaired=repaired, timing=timing,
+        model_calls=sum(ledger.stage_counts.values()), raw_model_calls=len(ledger.entries),
+    )
+    writer.write({"type": "report", "report": report.to_dict()})
+    return report
 
 
 # --- trace replay -----------------------------------------------------------------
-
-# Record types replay recomputes from the recorded replies.
-_RECOMPUTED = ("profile", "risk", "route", "step", "verification", "repair")
 
 
 @dataclass
 class ReplayReport:
     matched: bool
     divergence: dict | None
-    sections_checked: int  # recomputed records compared
+    sections_checked: int  # records compared: all after the header but model_call
 
     def to_dict(self) -> dict:
         return {"matched": self.matched, "divergence": self.divergence,
@@ -596,7 +586,7 @@ def _read_header(header: dict, source
             if not (isinstance(kb_digest, str) and _KB_DIGEST.fullmatch(kb_digest)):
                 raise ValueError(f"kb_digest {kb_digest!r} is not 64 lowercase hex digits")
             kb = None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TraceSchemaError(f"trace header is malformed: {exc}") from None
     if kb is None:
         kb = _resolve_kb(environment["kb_digest"], source)
@@ -636,38 +626,41 @@ def _resolve_kb(kb_digest: str, source) -> KnowledgeBase:
     return kb
 
 
-def _recorded_replies(records: list[dict], budget_micros: int) -> dict[str, list[str]]:
-    """The profile and repair replies of the recorded model calls, by role
-    and in order, up to the call whose cost took the run over its budget:
-    the run stopped there and recorded no stage for that reply.
-    TraceSchemaError for a model_call record whose reply is not a string or
-    whose cost is not an integer."""
-    replies: dict[str, list[str]] = {"profile": [], "repair": []}
-    total = 0
-    for index, record in enumerate(r for r in records if r.get("type") == "model_call"):
-        text, cost = record.get("response_text"), record.get("cost_micros")
-        if not (isinstance(text, str) and type(cost) is int):
-            raise TraceSchemaError(f"model_call record {index} is malformed: it needs a "
-                                   "response_text string and a cost_micros integer")
-        total += cost
-        if total > budget_micros:
-            break
-        role = record.get("role")
-        if role in ("profile", "repair"):
-            replies[role].append(text)
-    return replies
+class _Stop(Exception):
+    """The recomputed run asked for a model call the trace does not hold next."""
 
 
-def _first_admitted(replies: list[str], metadata: Metadata
-                    ) -> tuple[Profile, tuple[CompiledBranchRule, ...], str, int] | None:
-    """What ``_obtain_profile`` returns for these profile replies, or None
-    when neither of the first two is admitted."""
-    for attempts, text in enumerate(replies[:2], start=1):
-        try:
-            return (*_admit(text, metadata), text, attempts)
-        except ProfileParseError:
-            pass
-    return None
+class _RecordedCalls:
+    """Replay's model call: the reply, usage and cost of the trace's next
+    ``model_call`` record, which must be of the role asked for; the prompt
+    is never built. Past the last record, the ModelCallError of a recorded
+    ``model_error`` abort for that role. Otherwise the recomputation stops."""
+
+    def __init__(self, records: list[dict]):
+        self.records = [r for r in records if r.get("type") == "model_call"]
+        self.abort = records[-2] if records[-2].get("type") == "abort" else {}
+        self.used = 0
+
+    def __call__(self, role: str, prompt) -> ModelResponse:
+        if self.used == len(self.records):
+            detail = self.abort.get("detail")
+            if (self.abort.get("reason") == "model_error"
+                    and str(detail).startswith(f"{role} call raised ")):
+                raise ModelCallError(detail)
+            raise _Stop
+        record = self.records[self.used]
+        if record.get("role") != role:
+            raise _Stop
+        text, usage, cost = (record.get("response_text"), record.get("usage"),
+                             record.get("cost_micros"))
+        if not (isinstance(text, str) and type(cost) is int and isinstance(usage, dict)
+                and usage.keys() == {"input_tokens", "output_tokens"}
+                and all(type(n) is int and n >= 0 for n in usage.values())):
+            raise TraceSchemaError(
+                f"model_call record {self.used} is malformed: it needs a response_text "
+                "string, a usage object of two token counts and a cost_micros integer")
+        self.used += 1
+        return ModelResponse(text, Usage(**usage), cost)
 
 
 def _section(record: dict) -> str:
@@ -695,41 +688,31 @@ def _compare(recorded: list[dict], recomputed: list[dict]) -> ReplayReport:
 
 
 def replay_trace(source) -> ReplayReport:
-    """Recompute the run's deterministic stages from its recorded replies and
-    compare the recomputed profile, risk, route, step, verification and
-    repair records with the recorded ones; wall-clock fields are ignored.
-
-    The profile and repair replies come from the ``model_call`` records, by
-    role and in order, and are admitted as the run admits them, up to the
-    call that took the run over its budget. Reports the first divergence or
-    a full match. Every run_ptr trace ends in a report record, so one that
-    does not is a divergence in section ``incomplete``. Raises
-    TraceSchemaError for a malformed trace, including a header whose task,
-    metadata, config or environment is missing or malformed, a header whose
-    metadata is invalid, a malformed model_call record and a record that
-    nests values too deeply to compare or report."""
+    """Re-run the trace's run with ``_run``, from its header inputs and its
+    recorded model calls, and compare every record after the header but the
+    ``model_call`` records with the recomputed ones; wall-clock fields are
+    ignored. Reports the first divergence or a full match. A ``model_call``
+    record left unused is a divergence in section ``model_call``, and a
+    trace that does not end in a report record one in section
+    ``incomplete``. Raises TraceSchemaError for a malformed trace, including
+    a header whose task, metadata, config or environment is missing or
+    malformed, a header whose metadata is invalid, a malformed model_call
+    record and a record that nests values too deeply to compare or report."""
     records = read_trace(source)
     if records[-1].get("type") != "report":
         return ReplayReport(False, _diverge("incomplete", len(records) - 1,
                                             records[-1].get("type"), "report"), 0)
     header = records[0]
     task, metadata, checked, cfg, registry = _read_header(header, source)
-    version = header["schema_version"]
-    replies = _recorded_replies(records, cfg.budget_micros)
-    recomputed = TraceWriter()
-    admitted = _first_admitted(replies["profile"], metadata)
-    # A run aborted in the profile stage has no stage to recompute.
-    if admitted is not None:
-        profile, branch_rules, text, attempts = admitted
-        recomputed.write(_reply_record(version, "profile", text, profile, attempts=attempts))
-        mode, _ = _route(metadata, profile, cfg, recomputed)
-        _, z = _execute(task, metadata, cfg, registry, profile,
-                        bundle_rules(checked, branch_rules), mode, "initial", recomputed)
-        if z.repair_recommended and replies["repair"]:
-            patched, repair_rules, record = _admit_repair(replies["repair"][0], metadata,
-                                                          version)
-            recomputed.write(record)
-            if patched is not None:
-                _execute(task, metadata, cfg, registry, patched,
-                         bundle_rules(checked, repair_rules), mode, "repair", recomputed)
-    return _compare([r for r in records if r.get("type") in _RECOMPUTED], recomputed.records)
+    calls, recomputed = _RecordedCalls(records), TraceWriter()
+    try:
+        _run(task, metadata, checked, cfg, calls, registry, recomputed, header["schema_version"])
+    except _Stop:
+        pass  # the records compared below differ where it stopped
+    report = _compare([r for r in records[1:] if r.get("type") != "model_call"],
+                      recomputed.records)
+    if report.matched and calls.used < len(calls.records):
+        return ReplayReport(False, _diverge("model_call", calls.used,
+                                            calls.records[calls.used], None),
+                            report.sections_checked)
+    return report

@@ -16,6 +16,8 @@ import sys
 from dataclasses import dataclass, field
 
 from .core import Metadata, Profile, Task
+# The profile search decodes with the trace reader's strict decoder.
+from .trace import STRICT_DECODER as _DECODER, reject_constant as _reject_constant  # noqa: F401
 
 ROLES = ("profile", "repair", "reason", "react")
 
@@ -251,6 +253,9 @@ class HttpProviderModel:
         data = self._transport(self.build_payload(request), headers)
         self.calls += 1
         text = data["choices"][0]["message"]["content"]
+        if not isinstance(text, str):
+            raise SemanticError(
+                f"provider reply has no text: its content is {type(text).__name__}")
         usage_raw = data.get("usage", {})
         usage = Usage(input_tokens=int(usage_raw.get("prompt_tokens", 0)),
                       output_tokens=int(usage_raw.get("completion_tokens", 0)))
@@ -489,13 +494,6 @@ def build_reason_prompt(task: Task, metadata: Metadata, state, z) -> str:
 
 # --- response parsing --------------------------------------------------------------
 
-
-def _reject_constant(name: str):
-    raise ValueError(f"{name} is not a JSON value")
-
-
-# One strict decoder serves every search.
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 # Where a JSON object can open: a brace, JSON whitespace, then a key or the
 # closing brace.
 _OBJECT_OPENING = re.compile(r'\{[ \t\n\r]*["}]')

@@ -40,6 +40,15 @@ class TraceSchemaError(ValueError):
     pass
 
 
+def reject_constant(name: str):
+    """A ``parse_constant`` for strict JSON: refuses NaN and Infinity."""
+    raise ValueError(f"{name} is not a JSON value")
+
+
+# Decodes as json.loads does, but refuses NaN and Infinity. One decoder serves
+# every trace line and every profile search.
+STRICT_DECODER = json.JSONDecoder(parse_constant=reject_constant)
+
 # Each encodes as the json.dumps call with the same options does.
 _encode_line = json.JSONEncoder(allow_nan=False).encode
 _encode_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
@@ -104,10 +113,10 @@ def _open_unfinished(path: str):
 def read_trace(source: str | Path | list[dict]) -> list[dict]:
     """Records of a trace file (or an in-memory record list), header checked.
 
-    Raises TraceSchemaError for a line that is not a JSON object or nests
-    JSON too deeply to decode, naming its 1-based line number, for a file
-    whose run has not written it (UNFINISHED_LINE) and for a missing or
-    unsupported header.
+    Raises TraceSchemaError for a line that is not a strict JSON object
+    (``NaN`` and ``Infinity`` are refused) or nests JSON too deeply to
+    decode, naming its 1-based line number, for a file whose run has not
+    written it (UNFINISHED_LINE) and for a missing or unsupported header.
     """
     if isinstance(source, list):
         records = source
@@ -118,8 +127,8 @@ def read_trace(source: str | Path | list[dict]) -> list[dict]:
                 if not line.strip():
                     continue
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
+                    record = STRICT_DECODER.decode(line)
+                except ValueError as exc:
                     if number == 1 and line == UNFINISHED_LINE:
                         raise TraceSchemaError(
                             "trace is unfinished: its run was killed or is still running") from None

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ptrun
-from ptrun import pipeline
+from ptrun import pipeline, semantic
 from ptrun.cli import (EXIT_BUDGET, EXIT_DIVERGENCE, EXIT_MODEL_ERROR, EXIT_OK,
                        EXIT_RUN_INVALID, EXIT_USAGE, bundled_data, main)
 from ptrun.tools import KnowledgeBase
@@ -108,6 +108,26 @@ class TestRunCommand:
         assert code == EXIT_MODEL_ERROR
         report = json.loads(capsys.readouterr().out)
         assert report["outcome"] == "model_error" and report["model_calls"] == 1
+        assert run_cli("verify-trace", "--trace", demo_args["trace"]) == EXIT_OK
+
+    def test_provider_reply_without_text_exits_5(self, demo_args, tmp_path, monkeypatch,
+                                                  capsys):
+        monkeypatch.setenv("PTRUN_TEST_KEY", "secret")
+        monkeypatch.setattr(semantic.HttpProviderModel, "_requests_transport",
+                            lambda self, payload, headers: {
+                                "choices": [{"message": {"content": None}}]})
+        config = json.loads(bundled_data("config.json").read_text())
+        config["providers"] = {"local": {"endpoint": "http://127.0.0.1:9/", "model": "m",
+                                         "api_key_env": "PTRUN_TEST_KEY"}}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        code = run_cli("run", "--task-file", demo_args["task"],
+                       "--metadata", demo_args["metadata"],
+                       "--config", str(config_path),
+                       "--model", "provider:local",
+                       "--trace-out", demo_args["trace"])
+        assert code == EXIT_MODEL_ERROR
+        assert json.loads(capsys.readouterr().out)["outcome"] == "model_error"
         assert run_cli("verify-trace", "--trace", demo_args["trace"]) == EXIT_OK
 
     def test_bad_model_spec(self, demo_args):
@@ -226,6 +246,34 @@ class TestReplayAndVerify:
         capsys.readouterr()
         assert run_cli(command, "--trace", str(bad)) == EXIT_DIVERGENCE
         assert "unsupported trace schema version 999" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["replay", "verify-trace"])
+    def test_non_finite_wall_time_exits_2(self, command, demo_args, tmp_path, capsys):
+        self.produce_trace(demo_args)
+        records = [json.loads(line) for line in
+                   Path(demo_args["trace"]).read_text(encoding="utf-8").splitlines()]
+        number, step = next((n, r) for n, r in enumerate(records, start=1)
+                            if r["type"] == "step")
+        step["event"]["wall_time"] = float("nan")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+        assert run_cli(command, "--trace", str(bad)) == EXIT_DIVERGENCE
+        assert_one_error_line(capsys, "malformed trace", f"line {number} is not valid JSON",
+                              "NaN")
+
+    @pytest.mark.parametrize("command", ["replay", "verify-trace"])
+    def test_header_budget_that_overflows_exits_2(self, command, demo_args, tmp_path, capsys):
+        self.produce_trace(demo_args)
+        lines = Path(demo_args["trace"]).read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        header["config"]["budget_micros"] = "BUDGET"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps(header).replace('"BUDGET"', "1e400")]
+                                 + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert run_cli(command, "--trace", str(bad)) == EXIT_DIVERGENCE
+        assert_one_error_line(capsys, "malformed trace", "trace header is malformed")
 
     def test_truncated_trace_fails_verification(self, demo_args, tmp_path, capsys):
         self.produce_trace(demo_args)
@@ -568,14 +616,14 @@ class TestKbSideFile:
     def test_version_1_trace_verifies(self, command, capsys):
         assert run_cli(command, "--trace", str(V1_TRACE)) == EXIT_OK
         out = capsys.readouterr().out
-        assert "trace verified: 6 records match" in out or json.loads(out)["matched"] is True
+        assert "trace verified: 8 records match" in out or json.loads(out)["matched"] is True
 
     @pytest.mark.parametrize("command", ["replay", "verify-trace"])
     def test_version_2_trace_verifies_beside_its_kb_directory_only(self, command, tmp_path,
                                                                    capsys):
         assert run_cli(command, "--trace", str(V2_TRACE)) == EXIT_OK
         out = capsys.readouterr().out
-        assert "trace verified: 10 records match" in out or json.loads(out)["matched"] is True
+        assert "trace verified: 12 records match" in out or json.loads(out)["matched"] is True
         alone = tmp_path / V2_TRACE.name
         alone.write_bytes(V2_TRACE.read_bytes())
         assert run_cli(command, "--trace", str(alone)) == EXIT_DIVERGENCE

@@ -62,8 +62,10 @@ BAD_PATCH = {
 }
 
 
-# Record types replay recomputes and compares.
-RECOMPUTED = ("profile", "risk", "route", "step", "verification", "repair")
+# Record types replay recomputes and compares: every type after the header
+# but model_call.
+RECOMPUTED = ("profile", "risk", "route", "step", "verification", "repair", "reason", "abort",
+              "report")
 
 
 def replies(records: list[dict], role: str) -> list[str]:
@@ -607,7 +609,7 @@ class TestReplay:
                          {"role": "profile", "text": "garbage"})
         run_ptr(task(), bench_metadata(), RunConfig(), model, environment(), trace_path=path)
         replay = replay_trace(path)
-        assert replay.matched and replay.sections_checked == 0
+        assert replay.matched and replay.sections_checked == 2
 
     def test_sections_checked_counts_compared_records(self, tmp_path):
         _, replay, path = self.run_and_replay(
@@ -615,7 +617,7 @@ class TestReplay:
             {"role": "repair", "text": json.dumps(GOOD_PATCH)}, REASON, tmp_path=tmp_path)
         compared = [r["type"] for r in read_trace(path) if r["type"] in RECOMPUTED]
         assert compared == ["profile", "risk", "route", "step", "step", "verification",
-                            "repair", "step", "verification"]
+                            "repair", "step", "verification", "reason", "report"]
         assert replay.sections_checked == len(compared)
 
     @pytest.mark.parametrize("edit, section, index", [
@@ -678,6 +680,17 @@ class TestReplay:
         with pytest.raises(TraceSchemaError, match="model_call record 1 is malformed"):
             replay_trace(records)
 
+    @pytest.mark.parametrize("usage", [None, {"input_tokens": 1}, {"input_tokens": -1,
+                                                                   "output_tokens": 0},
+                                       {"input_tokens": 1.5, "output_tokens": 0}])
+    def test_model_call_with_malformed_usage_is_schema_error(self, usage, tmp_path):
+        _, _, path = self.run_and_replay(profile_entry(CLEAN_PROFILE), REASON,
+                                         tmp_path=tmp_path)
+        records = read_trace(path)
+        [r for r in records if r["type"] == "model_call"][0]["usage"] = usage
+        with pytest.raises(TraceSchemaError, match="model_call record 0 is malformed"):
+            replay_trace(records)
+
     def test_each_reply_is_stored_once(self, tmp_path):
         _, replay, path = self.run_and_replay(
             profile_entry(FAILING_PROFILE),
@@ -708,6 +721,70 @@ class TestReplay:
         assert len(stages) == min(calls - 1, 2)
         for stage in stages:
             assert not replay_trace([r for r in records if r is not stage]).matched
+
+    @pytest.mark.parametrize("edit, section, index", [
+        ("reason answer", "reason", 0),
+        ("report answer", "report", 0),
+        ("report model_calls", "report", 0),
+        ("reason reply", "reason", 0),
+        ("profile call cost", "report", 0),
+        ("delete reason model_call", "reason", 0),
+        ("delete reason", "reason", 0),
+        ("extra model_call", "model_call", 2),
+    ])
+    def test_edit_of_a_record_replay_once_trusted_diverges(self, edit, section, index,
+                                                           tmp_path):
+        _, replay, path = self.run_and_replay(profile_entry(CLEAN_PROFILE), REASON,
+                                              tmp_path=tmp_path)
+        assert replay.matched
+        records = read_trace(path)
+        calls = [r for r in records if r["type"] == "model_call"]
+        reason = next(r for r in records if r["type"] == "reason")
+        report = records[-1]["report"]
+        if edit == "reason answer":
+            reason["answer"] = "Ada Lovelace"
+        elif edit == "report answer":
+            report["answer"] = "Ada Lovelace"
+        elif edit == "report model_calls":
+            report["model_calls"] = 3
+        elif edit == "reason reply":
+            calls[1]["response_text"] = "Ada Lovelace"
+        elif edit == "profile call cost":
+            calls[0]["cost_micros"] += 1
+        elif edit == "delete reason model_call":
+            records.remove(calls[1])
+        elif edit == "delete reason":
+            records.remove(reason)
+        else:  # a copy of the last model_call record, after it
+            records.insert(records.index(calls[1]) + 1, dict(calls[1]))
+        replay = replay_trace(records)
+        assert not replay.matched
+        assert (replay.divergence["section"], replay.divergence["index"]) == (section, index)
+
+    @pytest.mark.parametrize("done, stopped", [
+        ((), profile_entry(FAILING_PROFILE)),
+        (({"role": "profile", "text": "garbage"},), profile_entry(FAILING_PROFILE)),
+        ((profile_entry(FAILING_PROFILE),), {"role": "repair", "text": json.dumps(GOOD_PATCH)}),
+        ((profile_entry(FAILING_PROFILE), {"role": "repair", "text": json.dumps(GOOD_PATCH)}),
+         REASON),
+    ], ids=["profile", "profile-retry", "repair", "reason"])
+    @pytest.mark.parametrize("outcome", ["budget_exceeded", "model_error"])
+    def test_abort_at_each_stage_replays_matched(self, outcome, done, stopped, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        if outcome == "budget_exceeded":
+            model = FixedCostModel([*done, stopped])
+            cfg = RunConfig(budget_micros=1000 * len(done))
+        else:
+            model, cfg = RaisingModel(done, len(done), TimeoutError("no reply")), RunConfig()
+        report = run_ptr(task(), bench_metadata(), cfg, model, environment(), trace_path=path)
+        assert report.outcome == outcome
+        records = read_trace(path)
+        assert records[-2]["type"] == "abort"
+        if outcome == "model_error":
+            assert records[-2]["detail"].startswith(f"{stopped['role']} call raised ")
+        replay = replay_trace(path)
+        assert replay.matched
+        assert replay.sections_checked == sum(r["type"] != "model_call" for r in records[1:])
 
     # 600 levels decode on every supported Python; whether copying them for
     # the report recurses too deeply depends on the version. 5,000 levels
@@ -752,15 +829,21 @@ def nested(depth: int, leaf=0) -> list:
 
 @functools.cache
 def scenario_traces() -> tuple:
-    """Traces of seeded scenario runs, as read back from disk."""
+    """Traces of seeded scenario runs, as read back from disk: 16 that end
+    ok, then 8 whose calls cost 1,000 micro-dollars each under a budget that
+    stops the run at a seeded call."""
     rng = random.Random(7007)
     traces = []
     with tempfile.TemporaryDirectory() as tmp:
-        for i in range(16):
+        for i in range(24):
             scenario = make_scenario(rng)
+            model, cfg = build_model(scenario), scenario["cfg"]
+            if i >= 16:
+                model = FixedCostModel(scenario["script"])
+                cfg = replace(cfg, budget_micros=1000 * rng.randrange(len(scenario["script"])))
             path = os.path.join(tmp, f"{i}.jsonl")
-            run_ptr(scenario["task"], scenario["metadata"], scenario["cfg"],
-                    build_model(scenario), scenario["environment"], trace_path=path)
+            run_ptr(scenario["task"], scenario["metadata"], cfg, model,
+                    scenario["environment"], trace_path=path)
             traces.append(read_trace(path))
     return tuple(traces)
 
@@ -794,8 +877,7 @@ def rerun_without_prompts(records: list[dict]) -> list[dict]:
     header = records[0]
     environment = ToolEnvironment(articles=tuple(SCENARIO_KB),
                                   fault_scripts=header["environment"]["fault_scripts"])
-    model = ScriptedModel([{"role": r["role"], "text": r["response_text"]}
-                           for r in records if r["type"] == "model_call"])
+    model = RecordedCostModel([r for r in records if r["type"] == "model_call"])
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "rerun.jsonl")
         run_ptr(Task.from_dict(header["task"]), Metadata.from_dict(header["metadata"]),
@@ -807,6 +889,23 @@ def without_prompts(records: list[dict]) -> list[dict]:
     return [strip_volatile({k: v for k, v in r.items() if k != "prompt"}) for r in records]
 
 
+class RecordedCostModel(ScriptedModel):
+    """A scripted model that gives the replies and costs of model_call records."""
+
+    def __init__(self, calls: list[dict]):
+        super().__init__([{"role": r["role"], "text": r["response_text"]} for r in calls])
+        self.costs = [r["cost_micros"] for r in calls]
+
+    def complete(self, request):
+        cost = self.costs[self.position] if self.position < len(self.costs) else 0
+        return replace(super().complete(request), cost_micros=cost)
+
+
+# The fields of a model_call record that replay checks, apart from its reply.
+CALL_EDITS = [("role",), ("usage", "input_tokens"), ("usage", "output_tokens"),
+              ("cost_micros",)]
+
+
 class TestReplayTampering:
     @given(st.data())
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -814,17 +913,24 @@ class TestReplayTampering:
         records = copy.deepcopy(data.draw(st.sampled_from(scenario_traces())))
         positions = [i for i, r in enumerate(records) if r["type"] in RECOMPUTED]
         i = data.draw(st.sampled_from(positions))
-        kind = data.draw(st.sampled_from(("edit", "delete", "duplicate", "swap", "reply")))
-        if kind in ("edit", "reply"):
+        kind = data.draw(st.sampled_from(("edit", "delete", "duplicate", "swap", "reply",
+                                          "call")))
+        if kind in ("edit", "reply", "call"):
             if kind == "reply":
                 # one leaf of a profile or repair reply's JSON, re-serialized
                 call = data.draw(st.sampled_from([
                     r for r in records
                     if r["type"] == "model_call" and r["role"] in ("profile", "repair")]))
                 root = json.loads(call["response_text"])
+            elif kind == "call":
+                # a model_call record's role, usage or cost, or the reason reply
+                root = data.draw(st.sampled_from([r for r in records
+                                                  if r["type"] == "model_call"]))
             else:
                 root = records[i]
-            *parents, last = data.draw(st.sampled_from(list(leaf_paths(root))))
+            leaves = [p for p in leaf_paths(root) if kind != "call" or p in CALL_EDITS
+                      or p == ("response_text",) and root["role"] == "reason"]
+            *parents, last = data.draw(st.sampled_from(leaves))
             node = root
             for key in parents:
                 node = node[key]
@@ -842,10 +948,11 @@ class TestReplayTampering:
             records[i], records[j] = records[j], records[i]
         if replay_trace(records).matched:
             # Only a reply edited where the run never acts on it (a fragile
-            # point's wording, a skipped step's params) may match: the trace is
-            # then the one a run given that reply writes, but for a later
-            # prompt quoting the reply, which replay takes on trust.
-            assert kind == "reply"
+            # point's wording, a skipped step's params, the reply of the call
+            # that took the run over budget) may match: the trace is then the
+            # one a run given that reply writes, but for a later prompt quoting
+            # the reply, which replay takes on trust.
+            assert kind == "reply" or kind == "call" and last == "response_text"
             assert rerun_without_prompts(records) == without_prompts(records)
 
 
@@ -1102,6 +1209,21 @@ class TestModelErrors:
         assert report.repaired is ("repair" in stages)
         assert (report.route is None) is (role == "profile")
         assert role in report.timing
+
+    @pytest.mark.parametrize("content", [None, 7, ["Alan Turing"]])
+    def test_provider_reply_without_text_is_a_model_error(self, content, monkeypatch,
+                                                          tmp_path):
+        monkeypatch.setenv("PTRUN_API_KEY", "secret")
+        model = semantic.HttpProviderModel(
+            endpoint="http://example/chat", model="m1",
+            transport=lambda payload, headers: {"choices": [{"message": {"content": content}}]})
+        path = str(tmp_path / "run.jsonl")
+        report = run_ptr(task(), bench_metadata(), RunConfig(), model, environment(),
+                         trace_path=path)
+        assert_model_error(report, path, "profile")
+        assert read_trace(path)[-2]["detail"] == (
+            "profile call raised SemanticError: provider reply has no text: its content is "
+            + type(content).__name__)
 
     def test_exhausted_script_is_a_model_error(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
@@ -1590,7 +1712,7 @@ class TestVersion1Traces:
         header = read_trace(V1_TRACE)[0]
         assert header["schema_version"] == 1 and "kb" in header["environment"]
         replay = replay_trace(V1_TRACE)
-        assert replay.matched and replay.sections_checked == 6
+        assert replay.matched and replay.sections_checked == 8
         assert len(empty_kb_memo) == 0  # an embedded KB is not memoized
         assert replay_trace(read_trace(V1_TRACE)).matched
 
@@ -1632,7 +1754,7 @@ class TestVersion2Traces:
         assert records[0]["schema_version"] == 2
         assert [r["accepted"] for r in records if r["type"] == "repair"] == [True]
         replay = replay_trace(V2_TRACE)
-        assert replay.matched and replay.sections_checked == 10
+        assert replay.matched and replay.sections_checked == 12
         assert list(empty_kb_memo) == [records[0]["environment"]["kb_digest"]]
 
     @pytest.mark.parametrize("kind, edit", [
