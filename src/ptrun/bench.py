@@ -19,6 +19,7 @@ from .pipeline import RunConfig, ToolEnvironment, run_ptr
 from .react import run_react_baseline
 from .semantic import ScriptedModel
 from .tools import CALC_SPEC, KB_LOOKUP_SPEC, KB_SEARCH_SPEC
+from .trace import load_json
 
 
 class EmptySuiteError(ValueError):
@@ -31,28 +32,33 @@ class Suite:
     answer_kind: str
     items: tuple[BenchmarkItem, ...]
 
+    @classmethod
+    def from_dict(cls, data: dict, default_name: str) -> "Suite":
+        if not isinstance(data, dict):
+            raise ValueError("suite must be a JSON object")
+        items_raw = data.get("items", [])
+        if not items_raw:
+            raise EmptySuiteError(f"suite {data.get('name', default_name)!r} has no items")
+        kind = data["answer_kind"]
+        items = []
+        for entry in items_raw:
+            item_id, question, gold = str(entry["id"]), entry["question"], entry["gold"]
+            if not isinstance(question, str):
+                raise ValueError(f"item {item_id}: question must be a string")
+            if not (isinstance(gold, list) and gold and all(isinstance(g, str) for g in gold)):
+                raise ValueError(f"item {item_id}: gold must be a non-empty list of strings")
+            items.append(BenchmarkItem(id=item_id, question=question, gold=tuple(gold),
+                                       answer_kind=kind))
+        return cls(name=data.get("name", default_name), answer_kind=kind, items=tuple(items))
+
 
 def load_suite(path: str | Path) -> Suite:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("suite must be a JSON object")
-    items_raw = data.get("items", [])
-    if not items_raw:
-        raise EmptySuiteError(f"suite {data.get('name', path)!r} has no items")
-    kind = data["answer_kind"]
-    items = tuple(
-        BenchmarkItem(id=str(entry["id"]), question=entry["question"],
-                      gold=tuple(entry["gold"]), answer_kind=kind)
-        for entry in items_raw
-    )
-    return Suite(name=data.get("name", str(path)), answer_kind=kind, items=items)
+    return Suite.from_dict(load_json(path), str(path))
 
 
 def load_scriptbook(path: str | Path) -> dict:
     """Per-item model scripts: {item_id: {"ptr": [...], "react": [...]}}."""
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    return load_json(path)
 
 
 def bench_metadata() -> Metadata:

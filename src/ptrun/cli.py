@@ -12,18 +12,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from importlib import resources
 from pathlib import Path
 
-from .bench import (format_table, load_suite, results_document, run_bench,
-                    scripted_model_factory, write_results)
+from .bench import (Suite, format_table, results_document, run_bench, scripted_model_factory,
+                    write_results)
 from .core import Metadata, Task, validate_metadata
 from .pipeline import ReplayReport, RunConfig, ToolEnvironment, replay_trace, run_ptr
 from .semantic import HttpProviderModel, ScriptedModel
 from .tools import KnowledgeBase
-from .trace import TraceSchemaError, reject_constant
+from .trace import TraceSchemaError, load_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -45,26 +44,12 @@ class UsageError(Exception):
     on one line and exits 2."""
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text} overflows to {value}")
-    return value
-
-
-def _load_json(path: str | Path):
-    """Strict JSON: NaN, Infinity and numbers that overflow to either
-    infinity, such as 1e400, are refused, as traces refuse them."""
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=reject_constant, parse_float=_finite_float)
-
-
 def _input(label: str, path: str | Path, build=lambda raw: raw):
     """Load one JSON input file and build from it; any failure to read,
     parse or build, JSON nested too deeply included, becomes a UsageError
     naming the file."""
     try:
-        return build(_load_json(path))
+        return build(load_json(path))
     except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise UsageError(f"{label} file {path}: {exc}") from None
 
@@ -162,10 +147,7 @@ def cmd_verify_trace(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg, providers = _input("config", args.config, _config)
-    try:
-        suite = load_suite(args.suite)
-    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise UsageError(f"suite file {args.suite}: {exc}") from None
+    suite = _input("suite", args.suite, lambda raw: Suite.from_dict(raw, str(args.suite)))
     kind, _, detail = args.model.partition(":")
     scripted = kind == "scripted"
     if scripted:

@@ -13,7 +13,15 @@ from dataclasses import dataclass, field
 
 from . import ruledsl
 
-ERROR_CLASSES = ("timeout", "not_found", "empty_result", "rate_limited", "invalid_params")
+# Every error class a step can end in: (severity, whether tools, fault scripts and
+# recovery rules may name it). A class outside the table, from a custom tool, is soft.
+ERROR_CLASSES = {
+    "timeout": ("soft", True), "not_found": ("soft", True), "empty_result": ("soft", True),
+    "rate_limited": ("soft", True), "invalid_params": ("hard", True),
+    "unresolved_auto": ("hard", False), "missing_placeholder": ("hard", False),
+    "unknown_tool": ("hard", False), "modifier_error": ("hard", False),
+}
+TOOL_ERROR_CLASSES = tuple(name for name, (_, tool) in ERROR_CLASSES.items() if tool)
 SEMANTIC_TYPES = ("string", "number", "boolean")
 
 
@@ -549,7 +557,7 @@ def validate_metadata(metadata: Metadata) -> MetadataReport:
             issues.append(ValidationIssue("bad_rule_syntax", f"auto rule {rule.id!r}: {exc}"))
     recovery_rules: list[tuple[str, ruledsl.ModifierAst]] = []
     for i, rule in enumerate(metadata.constraints.recovery_rules, start=1):
-        if rule.error_class not in ERROR_CLASSES + ("any",):
+        if rule.error_class not in TOOL_ERROR_CLASSES + ("any",):
             issues.append(ValidationIssue(
                 "bad_error_class", f"recovery rule {i}: unknown error class {rule.error_class!r}"))
         try:

@@ -14,16 +14,11 @@ import time
 from dataclasses import dataclass, field
 
 from . import ruledsl
-from .core import (AutoParam, CompiledBranchRule, Metadata, MetadataReport, PlaceholderParam,
-                   Profile, Workflow, compile_branch_rule, parse_once, store_keys,
-                   validate_metadata)
+from .core import (ERROR_CLASSES, AutoParam, CompiledBranchRule, Metadata, MetadataReport,
+                   PlaceholderParam, Profile, Workflow, compile_branch_rule, parse_once,
+                   store_keys, validate_metadata)
 from .router import RouteMode
 from .tools import ToolOutcome, ToolRegistry
-
-# Hard failures make the workflow structurally inexecutable; soft failures
-# leave deterministic completion possible with degraded evidence.
-HARD_ERROR_CLASSES = ("unresolved_auto", "missing_placeholder", "unknown_tool",
-                      "invalid_params", "modifier_error")
 
 # State roots that address an append-only log by 0-based entry index.
 _LOG_ROOTS = {"trace": "trace", "failure": "failure_log", "branch": "branch_log"}
@@ -288,10 +283,6 @@ def branch_step(params: dict, rules: tuple[CompiledBranchRule, ...], mode: Route
     return current, firings
 
 
-def _classify_final(error_class: str) -> str:
-    return "hard" if error_class in HARD_ERROR_CLASSES else "soft"
-
-
 def execute_step(step, index: int, key: str, config: ExecutionConfig, registry: ToolRegistry,
                  rules: RuleBundle, state: ExecutionState) -> str:
     """Run one step through resolve -> branch -> invoke -> recover -> store.
@@ -336,7 +327,7 @@ def execute_step(step, index: int, key: str, config: ExecutionConfig, registry: 
             final_class, classification = None, None
         else:
             final_class = outcome.error_class
-            classification = _classify_final(final_class)
+            classification = ERROR_CLASSES.get(final_class, ("soft", False))[0]
     if classification is not None:
         state.failure_log.append(FailureEntry(
             step=index, error_class=final_class,

@@ -38,7 +38,7 @@ from .semantic import (BudgetExceededError, BudgetLedger, ModelRequest, ModelRes
                        PriceEntry, ProfileParseError, Usage, build_profile_prompt,
                        build_profile_retry_prompt, build_reason_prompt, build_repair_prompt,
                        cap_diagnostic, parse_profile_response)
-from .tools import KnowledgeBase, ToolRegistry, builtin_registry, parse_fault_script
+from .tools import KnowledgeBase, ToolRegistry, builtin_registry, check_fault_scripts
 from .trace import (SCHEMA_VERSION, TraceSchemaError, TraceWriter, canonical_json, digest,
                     read_trace, structurally_equal, strip_volatile)
 from .verifier import PenaltyCoefficients, extract_counters, verify  # noqa: F401
@@ -164,14 +164,6 @@ def _file_size(path: str) -> int | None:
         return None
 
 
-def _check_fault_scripts(fault_scripts) -> None:
-    if not isinstance(fault_scripts, dict):
-        raise ValueError("fault scripts must map tool ids to scripts")
-    for script in fault_scripts.values():
-        if script not in ([], ()):  # an empty script injects nothing
-            parse_fault_script(script)
-
-
 @dataclass(frozen=True)
 class ToolEnvironment:
     """Tool setup for a run: knowledge-base articles plus optional per-tool
@@ -195,7 +187,7 @@ class ToolEnvironment:
 
     def __post_init__(self):
         kb = KnowledgeBase(self.articles)
-        _check_fault_scripts(self.fault_scripts)
+        check_fault_scripts(self.fault_scripts)
         articles = tuple(map(dict, self.articles))
         try:
             data = canonical_json(articles).encode("utf-8")
@@ -572,7 +564,7 @@ def _read_header(header: dict, source
         checked = validate_metadata(metadata).require_valid()
         cfg = RunConfig.from_dict(header["config"])
         fault_scripts = environment.get("fault_scripts", {})
-        _check_fault_scripts(fault_scripts)
+        check_fault_scripts(fault_scripts)
         if version == 1:
             if "kb_digest" in environment:
                 raise ValueError("a version 1 environment embeds its kb and has no kb_digest")
@@ -630,6 +622,11 @@ class _Stop(Exception):
     """The recomputed run asked for a model call the trace does not hold next."""
 
 
+# The keys of a model_call record, as _model_caller writes them.
+_MODEL_CALL_KEYS = frozenset(("type", "role", "prompt", "response_text", "usage", "cost_micros",
+                              "credentials_redacted"))
+
+
 class _RecordedCalls:
     """Replay's model call: the reply, usage and cost of the trace's next
     ``model_call`` record, which must be of the role asked for; the prompt
@@ -653,12 +650,14 @@ class _RecordedCalls:
             raise _Stop
         text, usage, cost = (record.get("response_text"), record.get("usage"),
                              record.get("cost_micros"))
-        if not (isinstance(text, str) and type(cost) is int and isinstance(usage, dict)
+        if not (record.keys() == _MODEL_CALL_KEYS and record["credentials_redacted"] is True
+                and isinstance(text, str) and type(cost) is int and isinstance(usage, dict)
                 and usage.keys() == {"input_tokens", "output_tokens"}
                 and all(type(n) is int and n >= 0 for n in usage.values())):
             raise TraceSchemaError(
-                f"model_call record {self.used} is malformed: it needs a response_text "
-                "string, a usage object of two token counts and a cost_micros integer")
+                f"model_call record {self.used} is malformed: it needs exactly the keys "
+                f"{', '.join(sorted(_MODEL_CALL_KEYS))}, with a response_text string, a usage "
+                "object of two token counts, a cost_micros integer and credentials_redacted true")
         self.used += 1
         return ModelResponse(text, Usage(**usage), cost)
 

@@ -18,7 +18,8 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import ruledsl
-from .core import SlotSpec, ToolSpec
+from .core import TOOL_ERROR_CLASSES, SlotSpec, ToolSpec
+from .trace import load_json
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -81,8 +82,7 @@ class KnowledgeBase:
 
     @classmethod
     def load(cls, path: str | Path) -> "KnowledgeBase":
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh))
+        return cls(load_json(path))
 
     def titles(self) -> list[str]:
         return list(self._titles)
@@ -258,8 +258,8 @@ def calc(params: dict, state) -> ToolOutcome:
 def parse_fault_script(script) -> list[tuple[str, str | None]]:
     """(error class or "ok", message) per entry of a fault script.
 
-    Script entries: "ok" delegates one call to the inner transition; an error
-    class string (or {"fail": class, "message": text}) produces that failure.
+    Script entries: "ok" delegates one call to the inner transition; a tool
+    error class (or {"fail": class, "message": text}) produces that failure.
     Raises ValueError for a script that is not a non-empty list of entries.
     """
     if not isinstance(script, (list, tuple)) or not script:
@@ -268,28 +268,36 @@ def parse_fault_script(script) -> list[tuple[str, str | None]]:
     for entry in script:
         if entry == "ok":
             normalized.append(("ok", None))
-        elif isinstance(entry, str):
+        elif isinstance(entry, str) and entry in TOOL_ERROR_CLASSES:
             normalized.append((entry, f"injected {entry}"))
-        elif isinstance(entry, dict) and isinstance(entry.get("fail"), str):
+        elif isinstance(entry, dict) and entry.get("fail") in TOOL_ERROR_CLASSES:
             normalized.append((entry["fail"], entry.get("message", f"injected {entry['fail']}")))
         else:
-            raise ValueError(f"bad fault script entry: {entry!r}")
+            raise ValueError(f"bad fault script entry: {entry!r} names no tool error class")
     return normalized
+
+
+def check_fault_scripts(fault_scripts) -> dict[str, list[tuple[str, str | None]]]:
+    """Each non-empty script of a {tool id: fault script} mapping, parsed, or ValueError."""
+    if not isinstance(fault_scripts, dict):
+        raise ValueError("fault scripts must map tool ids to scripts")
+    return {tool_id: parse_fault_script(script)
+            for tool_id, script in fault_scripts.items() if script not in ([], ())}
 
 
 def make_fault_injector(inner, script: list):
     """Wrap a transition with a finite outcome script (see parse_fault_script),
     then delegate to it."""
-    normalized = parse_fault_script(script)
-    calls = {"n": 0}
+    return _inject_faults(inner, parse_fault_script(script))
+
+
+def _inject_faults(inner, normalized: list[tuple[str, str | None]]):
+    pending = iter(normalized)
 
     def wrapped(params: dict, state) -> ToolOutcome:
-        position = calls["n"]
-        calls["n"] += 1
-        if position < len(normalized):
-            kind, message = normalized[position]
-            if kind != "ok":
-                return ToolOutcome.failure(kind, message)
+        kind, message = next(pending, ("ok", None))
+        if kind != "ok":
+            return ToolOutcome.failure(kind, message)
         return inner(params, state)
 
     return wrapped
@@ -302,15 +310,15 @@ def builtin_registry(kb: KnowledgeBase, fault_scripts: dict[str, list] | None = 
     fault wrappers is stateful across calls and therefore belongs to exactly
     one run; build a fresh one per run.
     """
-    fault_scripts = fault_scripts or {}
+    scripts = check_fault_scripts({} if fault_scripts is None else fault_scripts)
     registry = ToolRegistry()
     for spec, transition in (
         (KB_SEARCH_SPEC, make_kb_search(kb)),
         (KB_LOOKUP_SPEC, make_kb_lookup(kb)),
         (CALC_SPEC, calc),
     ):
-        script = fault_scripts.get(spec.id)
+        script = scripts.get(spec.id)
         if script:
-            transition = make_fault_injector(transition, script)
+            transition = _inject_faults(transition, script)
         registry.register(spec, transition)
     return registry

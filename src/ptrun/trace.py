@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -43,6 +44,20 @@ class TraceSchemaError(ValueError):
 def reject_constant(name: str):
     """A ``parse_constant`` for strict JSON: refuses NaN and Infinity."""
     raise ValueError(f"{name} is not a JSON value")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} overflows to {value}")
+    return value
+
+
+def load_json(path: str | Path):
+    """The JSON input file at the path, read strictly: NaN, Infinity and numbers
+    that overflow to either infinity, such as 1e400, are refused."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=reject_constant, parse_float=_finite_float)
 
 
 # Decodes as json.loads does, but refuses NaN and Infinity. One decoder serves

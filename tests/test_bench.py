@@ -89,6 +89,20 @@ class TestSuiteLoading:
         with pytest.raises(EmptySuiteError):
             load_suite(path)
 
+    # Each file is valid but for one number where its reader ignores the value.
+    @pytest.mark.parametrize("load, template", [
+        (load_suite, '{"answer_kind": "free_text", "items": '
+                     '[{"id": "q1", "question": "Who?", "gold": ["Ada"], "weight": %s}]}'),
+        (load_scriptbook, '{"q1": {"ptr": [{"role": "reason", "text": "Ada", "p": %s}]}}'),
+        (ToolEnvironment.from_kb_path, '[{"title": "Ada", "body": "", "rank": %s}]'),
+    ], ids=["suite", "scriptbook", "kb"])
+    @pytest.mark.parametrize("number", ["NaN", "1e400"])
+    def test_file_loaders_refuse_non_finite_numbers(self, load, template, number, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_text(template % number)
+        with pytest.raises(ValueError, match=number):
+            load(path)
+
     def test_kind_fixed_per_suite(self, bundled):
         suite = bundled[0]
         assert {item.answer_kind for item in suite.items} == {suite.answer_kind}

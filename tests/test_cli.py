@@ -375,7 +375,11 @@ class TestInputFiles:
 
     @pytest.mark.parametrize("content", [
         json.dumps([1]), json.dumps({"items": [{}]}), "{",
-        pytest.param("[" * DEEPER_THAN_ANY_DECODER, id="nested-too-deeply")])
+        pytest.param("[" * DEEPER_THAN_ANY_DECODER, id="nested-too-deeply"),
+        pytest.param(json.dumps({"answer_kind": "numeric", "items": [
+            {"id": "q1", "question": "How many?", "gold": [1.5]}]}), id="number-gold"),
+        pytest.param(json.dumps({"answer_kind": "free_text", "items": [
+            {"id": "q1", "question": "Which?", "gold": "abc"}]}), id="string-gold")])
     def test_bench_with_malformed_suite_exits_2(self, content, tmp_path, capsys):
         suite = tmp_path / "suite.json"
         suite.write_text(content)
@@ -420,6 +424,8 @@ class TestInputFiles:
         ("--fault-scripts", "fault-script", json.dumps({"kb_search": [{"message": "x"}]})),
         ("--fault-scripts", "fault-script", json.dumps(["timeout"])),
         ("--fault-scripts", "fault-script", json.dumps({"kb_search": None})),
+        ("--fault-scripts", "fault-script", json.dumps({"kb_search": ["bogus"]})),
+        ("--fault-scripts", "fault-script", json.dumps({"kb_search": [{"fail": "unknown_tool"}]})),
     ])
     def test_malformed_run_input_exits_2(self, flag, label, content, demo_args, tmp_path,
                                          capsys):

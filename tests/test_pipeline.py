@@ -671,7 +671,10 @@ class TestReplay:
         lambda record: record.update(response_text=5),
         lambda record: record.update(cost_micros="1"),
         lambda record: record.pop("cost_micros"),
-    ], ids=["reply-not-a-string", "cost-not-an-integer", "no-cost"])
+        lambda record: record.update(credentials_redacted=False),
+        lambda record: record.update(api_key="sk-test"),
+    ], ids=["reply-not-a-string", "cost-not-an-integer", "no-cost", "credentials-not-redacted",
+            "extra-key"])
     def test_malformed_model_call_is_schema_error(self, edit, tmp_path):
         _, _, path = self.run_and_replay(profile_entry(CLEAN_PROFILE), REASON,
                                          tmp_path=tmp_path)
@@ -1573,10 +1576,11 @@ class TestKbMemo:
         side_file.write_bytes(content)
         assert replay_trace(path).matched
 
-    def test_fault_scripts_are_checked_on_a_hit(self, tmp_path):
+    @pytest.mark.parametrize("script", [[7], ["bogus"], [{"fail": "unknown_tool"}]])
+    def test_fault_scripts_are_checked_on_a_hit(self, script, tmp_path):
         path = run_clean(environment(), tmp_path / "run.jsonl")
         records = read_trace(path)
-        records[0]["environment"]["fault_scripts"] = {"kb_search": [7]}
+        records[0]["environment"]["fault_scripts"] = {"kb_search": script}
         with pytest.raises(TraceSchemaError, match="bad fault script entry"):
             replay_trace(records)
 

@@ -345,6 +345,17 @@ class TestFaultInjector:
                                       [{"fail": "rate_limited", "message": "slow down"}])
         assert wrapped({"query": "paris"}, None).message == "slow down"
 
+    @pytest.mark.parametrize("scripts", [
+        {"kb_search": None}, {"kb_search": ["bogus"]}, {"kb_search": [{"fail": "unknown_tool"}]},
+        {"frobnicate": None}, ["kb_search"]])
+    @pytest.mark.parametrize("build", [
+        builtin_registry,
+        lambda kb, scripts: ToolEnvironment(articles=tuple(kb.to_list()), fault_scripts=scripts),
+    ], ids=["registry", "environment"])
+    def test_malformed_fault_scripts_are_value_errors(self, build, scripts, kb):
+        with pytest.raises(ValueError, match="fault script"):
+            build(kb, scripts)
+
 
 class TestDeterminismAndPurity:
     def test_repeated_invocation_identical(self, kb):
