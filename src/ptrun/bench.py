@@ -67,6 +67,20 @@ def bench_metadata() -> Metadata:
 
 
 def scripted_model_factory(scriptbook: dict):
+    """The bench's model factory over a scriptbook. ValueError unless the
+    book maps item ids to objects of framework scripts ScriptedModel
+    accepts; a missing item or framework is a KeyError when asked for."""
+    if not isinstance(scriptbook, dict):
+        raise ValueError("scriptbook must be an object of per-item scripts")
+    for item_id, scripts in scriptbook.items():
+        if not isinstance(scripts, dict):
+            raise ValueError(f"scriptbook item {item_id!r} must be an object of framework scripts")
+        for framework, entries in scripts.items():
+            try:
+                ScriptedModel(entries)
+            except ValueError as exc:
+                raise ValueError(f"scriptbook item {item_id!r}, {framework} script: {exc}") from None
+
     def factory(framework: str, item_id: str):
         try:
             entries = scriptbook[item_id][framework]

@@ -110,6 +110,8 @@ def cmd_run(args) -> int:
         report = run_ptr(task, metadata, cfg, model, environment, trace_path=args.trace_out)
     except OSError as exc:  # the trace or its kb/ side file cannot be written
         raise UsageError(f"cannot write trace {args.trace_out}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # the registry does not cover the metadata's catalog
+        raise UsageError(f"metadata file {args.metadata}: {exc}") from None
     print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     return _OUTCOME_EXIT[report.outcome]
 
@@ -151,7 +153,7 @@ def cmd_bench(args) -> int:
     kind, _, detail = args.model.partition(":")
     scripted = kind == "scripted"
     if scripted:
-        factory = scripted_model_factory(_input("scriptbook", detail))
+        factory = _input("scriptbook", detail, scripted_model_factory)
     else:
         # A bad spec or provider entry stops the command here, not item by item.
         _build_model(args.model, cfg, providers)

@@ -392,6 +392,32 @@ class CompiledBranchRule:
     target_step: int
 
 
+@dataclass(frozen=True)
+class RuleBundle:
+    """Parsed rules a run executes with: auto, recovery, and branch rules,
+    plus the constraint predicates its phases are verified against."""
+
+    auto_rules: dict[str, ruledsl.AutoRule] = field(default_factory=dict)
+    recovery_rules: tuple[tuple[str, ruledsl.ModifierAst], ...] = ()
+    branch_rules: tuple[CompiledBranchRule, ...] = ()
+    constraint_predicates: tuple[ruledsl.PredicateAst, ...] = ()
+    _by_step: dict[int, tuple[CompiledBranchRule, ...]] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
+
+    def __post_init__(self):
+        for rule in self.branch_rules:
+            self._by_step[rule.target_step] = self._by_step.get(rule.target_step, ()) + (rule,)
+
+    def branch_rules_for(self, step_index: int) -> tuple[CompiledBranchRule, ...]:
+        return self._by_step.get(step_index, ())
+
+    def first_recovery_for(self, error_class: str) -> ruledsl.ModifierAst | None:
+        for matcher, modifier in self.recovery_rules:
+            if matcher == error_class or matcher == "any":
+                return modifier
+        return None
+
+
 def parse_once():
     """A parse(parser, source) that runs each DSL parser on each distinct text
     once: rules that share a text share its frozen AST, or its DslParseError."""
@@ -503,9 +529,6 @@ class Violation:
     kind: str
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"step": self.step, "kind": self.kind, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
@@ -517,21 +540,17 @@ class AdmissibilityReport:
     violations: tuple[Violation, ...] = ()
     branch_rules: tuple[CompiledBranchRule, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {"admissible": self.admissible, "violations": [v.to_dict() for v in self.violations]}
-
 
 @dataclass(frozen=True)
 class MetadataReport:
-    """Verdict of validate_metadata. It also carries the metadata's auto and
-    recovery rules and constraint predicates as parsed by the check, so a run
-    parses each distinct rule text once per validation; a rule that does not
-    parse is left out and reported as an issue."""
+    """Verdict of validate_metadata. Its ``rules`` hold the metadata's auto
+    and recovery rules and constraint predicates as parsed by the check, and
+    no branch rules, so a run parses each distinct rule text once per
+    validation; a rule that does not parse is left out and reported as an
+    issue."""
 
     issues: tuple[ValidationIssue, ...] = ()
-    auto_rules: dict[str, ruledsl.AutoRule] = field(default_factory=dict)
-    recovery_rules: tuple[tuple[str, ruledsl.ModifierAst], ...] = ()
-    constraint_predicates: tuple[ruledsl.PredicateAst, ...] = ()
+    rules: RuleBundle = field(default_factory=RuleBundle)
 
     def require_valid(self) -> "MetadataReport":
         """This report; ValueError naming the issues when there are any."""
@@ -570,7 +589,8 @@ def validate_metadata(metadata: Metadata) -> MetadataReport:
             predicates.append(parse(ruledsl.parse_predicate, source))
         except ruledsl.DslParseError as exc:
             issues.append(ValidationIssue("bad_rule_syntax", f"constraint predicate {i}: {exc}"))
-    return MetadataReport(tuple(issues), auto_rules, tuple(recovery_rules), tuple(predicates))
+    return MetadataReport(tuple(issues), RuleBundle(
+        auto_rules, tuple(recovery_rules), constraint_predicates=tuple(predicates)))
 
 
 def check_admissibility(profile: Profile, metadata: Metadata) -> AdmissibilityReport:

@@ -11,12 +11,12 @@ skipped). No model call ever happens inside this module.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import ruledsl
-from .core import (ERROR_CLASSES, AutoParam, CompiledBranchRule, Metadata, MetadataReport,
-                   PlaceholderParam, Profile, Workflow, compile_branch_rule, parse_once,
-                   store_keys, validate_metadata)
+from .core import (ERROR_CLASSES, AutoParam, CompiledBranchRule, Metadata, PlaceholderParam,
+                   Profile, RuleBundle, Workflow, compile_branch_rule, parse_once, store_keys,
+                   validate_metadata)
 from .router import RouteMode
 from .tools import ToolOutcome, ToolRegistry
 
@@ -193,49 +193,13 @@ class ExecutionConfig:
             raise ValueError("recovery_retries must be non-negative")
 
 
-@dataclass(frozen=True)
-class RuleBundle:
-    """Parsed rules a run executes with: auto, recovery, and branch rules,
-    plus the constraint predicates its phases are verified against."""
-
-    auto_rules: dict[str, ruledsl.AutoRule] = field(default_factory=dict)
-    recovery_rules: tuple[tuple[str, ruledsl.ModifierAst], ...] = ()
-    branch_rules: tuple[CompiledBranchRule, ...] = ()
-    constraint_predicates: tuple[ruledsl.PredicateAst, ...] = ()
-    _by_step: dict[int, tuple[CompiledBranchRule, ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        for rule in self.branch_rules:
-            self._by_step[rule.target_step] = self._by_step.get(rule.target_step, ()) + (rule,)
-
-    def branch_rules_for(self, step_index: int) -> tuple[CompiledBranchRule, ...]:
-        return self._by_step.get(step_index, ())
-
-    def first_recovery_for(self, error_class: str) -> ruledsl.ModifierAst | None:
-        for matcher, modifier in self.recovery_rules:
-            if matcher == error_class or matcher == "any":
-                return modifier
-        return None
-
-
 def compile_rules(metadata: Metadata, profile: Profile) -> RuleBundle:
     """Parse every rule source of a metadata and a profile once; call only
     after admissibility passed. Raises ValueError for invalid metadata."""
     parse = parse_once()
-    return bundle_rules(validate_metadata(metadata).require_valid(),
-                        tuple(compile_branch_rule(i, rule, parse)
-                              for i, rule in enumerate(profile.branch_rules)))
-
-
-def bundle_rules(checked: MetadataReport, branch_rules: tuple[CompiledBranchRule, ...]
-                 ) -> RuleBundle:
-    """Bundle the auto and recovery rules and constraint predicates that
-    metadata validation parsed with branch rules already compiled, as
-    check_admissibility hands them to a run."""
-    return RuleBundle(auto_rules=checked.auto_rules, recovery_rules=checked.recovery_rules,
-                      branch_rules=branch_rules,
-                      constraint_predicates=checked.constraint_predicates)
+    return replace(validate_metadata(metadata).require_valid().rules,
+                   branch_rules=tuple(compile_branch_rule(i, rule, parse)
+                                      for i, rule in enumerate(profile.branch_rules)))
 
 
 def resolve_step(params: dict, auto_rules: dict[str, ruledsl.AutoRule], state: ExecutionState) -> dict:

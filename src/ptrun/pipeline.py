@@ -27,12 +27,11 @@ from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 from pathlib import Path
 
-from .core import (CompiledBranchRule, Metadata, MetadataReport, Profile, Task,
+from .core import (CompiledBranchRule, Metadata, MetadataReport, Profile, RuleBundle, Task,
                    check_admissibility, validate_metadata)
 # compile_rules and extract_counters are not called here; they stay importable
 # from this module for callers that compile rules or count outside a run.
-from .executor import (ExecutionConfig, RuleBundle, bundle_rules, compile_rules,  # noqa: F401
-                       initial_state, run_workflow)
+from .executor import ExecutionConfig, compile_rules, initial_state, run_workflow  # noqa: F401
 from .router import RiskWeights, RouteMode, RouteThresholds, decide_route
 from .semantic import (BudgetExceededError, BudgetLedger, ModelRequest, ModelResponse,
                        PriceEntry, ProfileParseError, Usage, build_profile_prompt,
@@ -393,10 +392,7 @@ def run_ptr(task: Task, metadata: Metadata, cfg: RunConfig, model,
     RunReport and recorded in the trace.
     """
     checked = validate_metadata(metadata).require_valid()
-    registry = environment.build_registry()
-    for spec in metadata.tool_catalog:
-        if not registry.has(spec.id):
-            raise ValueError(f"registry does not cover catalog tool {spec.id!r}")
+    registry = _covering(environment.build_registry(), metadata)
 
     _remember_kb(environment.kb_digest, environment.kb, environment.kb_size)
     if trace_path:
@@ -416,6 +412,14 @@ def run_ptr(task: Task, metadata: Metadata, cfg: RunConfig, model,
                     writer, SCHEMA_VERSION)
     finally:
         writer.close()
+
+
+def _covering(registry: ToolRegistry, metadata: Metadata) -> ToolRegistry:
+    """The registry; ValueError when it lacks a tool of the metadata's catalog."""
+    for spec in metadata.tool_catalog:
+        if not registry.has(spec.id):
+            raise ValueError(f"registry does not cover catalog tool {spec.id!r}")
+    return registry
 
 
 def _model_caller(model, cfg: RunConfig, writer: TraceWriter):
@@ -474,7 +478,8 @@ def _run(task: Task, metadata: Metadata, checked: MetadataReport, cfg: RunConfig
         mode, route_dict = _route(metadata, profile, cfg, writer)
         timing["route"] = time.perf_counter() - route_started
         state, z = _execute(task, metadata, cfg, registry, profile,
-                            bundle_rules(checked, branch_rules), mode, "initial", writer, timing)
+                            replace(checked.rules, branch_rules=branch_rules), mode, "initial",
+                            writer, timing)
 
         # REPAIR (optional; at most one semantic call, never more). `repaired`
         # records that the stage was invoked, so it tracks the 2-vs-3-call split
@@ -493,8 +498,8 @@ def _run(task: Task, metadata: Metadata, checked: MetadataReport, cfg: RunConfig
                 final_z = _with_flag(z, REPAIR_REJECTED_FLAG)
             else:
                 final_state, final_z = _execute(task, metadata, cfg, registry, patched,
-                                                bundle_rules(checked, repair_rules), mode,
-                                                "repair", writer)
+                                                replace(checked.rules, branch_rules=repair_rules),
+                                                mode, "repair", writer)
             timing["repair"] = time.perf_counter() - started
 
         # REASON (semantic call #2 or #3)
@@ -551,8 +556,9 @@ def _read_header(header: dict, source
     """The run inputs a trace header holds, with the metadata's validation
     report and a registry over the trace's KB and fault scripts;
     TraceSchemaError when one is missing or malformed (invalid metadata, a
-    malformed fault script, a version 1 header's malformed embedded KB and a
-    later header's KB that cannot be resolved included)."""
+    catalog tool the registry lacks, a malformed fault script, a version 1
+    header's malformed embedded KB and a later header's KB that cannot be
+    resolved included)."""
     for key in ("task", "metadata", "config", "environment"):
         if not isinstance(header.get(key), dict):
             raise TraceSchemaError(f"trace header has no {key} object")
@@ -582,7 +588,11 @@ def _read_header(header: dict, source
         raise TraceSchemaError(f"trace header is malformed: {exc}") from None
     if kb is None:
         kb = _resolve_kb(environment["kb_digest"], source)
-    return task, metadata, checked, cfg, builtin_registry(kb, fault_scripts)
+    try:
+        registry = _covering(builtin_registry(kb, fault_scripts), metadata)
+    except ValueError as exc:
+        raise TraceSchemaError(f"trace header is malformed: {exc}") from None
+    return task, metadata, checked, cfg, registry
 
 
 def _resolve_kb(kb_digest: str, source) -> KnowledgeBase:

@@ -95,9 +95,6 @@ class RouteDecision:
     mode: RouteMode
     breakdown: RiskBreakdown
 
-    def to_dict(self) -> dict:
-        return {"mode": self.mode.value, "breakdown": self.breakdown.to_dict()}
-
 
 def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))

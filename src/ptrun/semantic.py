@@ -125,39 +125,29 @@ class PriceEntry:
 
 
 @dataclass
-class LedgerEntry:
-    role: str
-    usage: Usage
-    cost_micros: int
-
-    def to_dict(self) -> dict:
-        return {"role": self.role, "usage": self.usage.to_dict(), "cost_micros": self.cost_micros}
-
-
-@dataclass
 class BudgetLedger:
-    """Append-only per-run cost ledger with a hard limit check after each call."""
+    """Append-only per-run cost ledger with a hard limit check after each
+    call; each entry is a call's role and response."""
 
     limit_micros: int
-    entries: list[LedgerEntry] = field(default_factory=list)
+    entries: list[tuple[str, ModelResponse]] = field(default_factory=list)
     stage_counts: dict[str, int] = field(default_factory=dict)
 
     @property
     def total_micros(self) -> int:
-        return sum(entry.cost_micros for entry in self.entries)
+        return sum(response.cost_micros for _, response in self.entries)
 
     def call_count_by_role(self) -> dict[str, int]:
         counts: dict[str, int] = {}
-        for entry in self.entries:
-            counts[entry.role] = counts.get(entry.role, 0) + 1
+        for role, _ in self.entries:
+            counts[role] = counts.get(role, 0) + 1
         return counts
 
     def count_stage(self, role: str) -> None:
         self.stage_counts[role] = self.stage_counts.get(role, 0) + 1
 
     def record_and_check(self, role: str, response: ModelResponse) -> None:
-        self.entries.append(LedgerEntry(role=role, usage=response.usage,
-                                        cost_micros=response.cost_micros))
+        self.entries.append((role, response))
         total = self.total_micros
         if total > self.limit_micros:
             raise BudgetExceededError(total, self.limit_micros)
@@ -166,32 +156,28 @@ class BudgetLedger:
         return {
             "limit_micros": self.limit_micros,
             "total_micros": self.total_micros,
-            "input_tokens": sum(entry.usage.input_tokens for entry in self.entries),
-            "output_tokens": sum(entry.usage.output_tokens for entry in self.entries),
+            "input_tokens": sum(response.usage.input_tokens for _, response in self.entries),
+            "output_tokens": sum(response.usage.output_tokens for _, response in self.entries),
             "raw_calls_by_role": self.call_count_by_role(),
             "stage_counts": dict(self.stage_counts),
         }
 
 
-@dataclass(frozen=True)
-class ScriptEntry:
-    role: str
-    text: str
-
-
 class ScriptedModel:
-    """Deterministic test double: canned responses consumed strictly in order."""
+    """Deterministic test double: canned responses consumed strictly in order.
+    ValueError unless the script is a list of {role, text} objects of strings."""
 
-    def __init__(self, script: list[ScriptEntry] | list[dict], price: PriceEntry | None = None):
+    def __init__(self, script: list[dict], price: PriceEntry | None = None):
         if not isinstance(script, (list, tuple)):
             raise ValueError("script must be a list of {role, text} entries")
-        self.script = [
-            entry if isinstance(entry, ScriptEntry) else ScriptEntry(role=entry["role"], text=entry["text"])
-            for entry in script
-        ]
-        for entry in self.script:
-            if not (isinstance(entry.role, str) and isinstance(entry.text, str)):
+        self.script: list[tuple[str, str]] = []
+        for entry in script:
+            if not isinstance(entry, dict):
+                raise ValueError(f"script entry {entry!r} is not a {{role, text}} object")
+            role, text = entry.get("role"), entry.get("text")
+            if not (isinstance(role, str) and isinstance(text, str)):
                 raise ValueError(f"script entry {entry!r}: role and text must be strings")
+            self.script.append((role, text))
         self.price = price or PriceEntry()
         self.position = 0
         self.calls = 0
@@ -200,15 +186,15 @@ class ScriptedModel:
         if self.position >= len(self.script):
             raise ScriptExhaustedError(
                 f"script exhausted after {len(self.script)} entries (requested role {request.role!r})")
-        entry = self.script[self.position]
-        if entry.role != request.role:
+        role, text = self.script[self.position]
+        if role != request.role:
             raise RoleMismatchError(
-                f"script expects role {entry.role!r} next but {request.role!r} was requested")
+                f"script expects role {role!r} next but {request.role!r} was requested")
         self.position += 1
         self.calls += 1
         usage = Usage(input_tokens=len(request.prompt.split()),
-                      output_tokens=len(entry.text.split()))
-        return ModelResponse(text=entry.text, usage=usage,
+                      output_tokens=len(text.split()))
+        return ModelResponse(text=text, usage=usage,
                              cost_micros=self.price.cost_micros(usage))
 
 

@@ -130,11 +130,16 @@ def read_trace(source: str | Path | list[dict]) -> list[dict]:
 
     Raises TraceSchemaError for a line that is not a strict JSON object
     (``NaN`` and ``Infinity`` are refused) or nests JSON too deeply to
-    decode, naming its 1-based line number, for a file whose run has not
-    written it (UNFINISHED_LINE) and for a missing or unsupported header.
+    decode, naming its 1-based line number, for a record without a ``type``,
+    naming its line or its 0-based index in the list, for a file whose run
+    has not written it (UNFINISHED_LINE) and for a missing or unsupported
+    header.
     """
     if isinstance(source, list):
         records = source
+        for index, record in enumerate(records):
+            if "type" not in record:
+                raise TraceSchemaError(f"record {index} has no type")
     else:
         records = []
         with open(source, encoding="utf-8") as fh:
@@ -152,6 +157,8 @@ def read_trace(source: str | Path | list[dict]) -> list[dict]:
                     raise TraceSchemaError(f"line {number} nests JSON too deeply") from None
                 if not isinstance(record, dict):
                     raise TraceSchemaError(f"line {number} is not a JSON object")
+                if "type" not in record:
+                    raise TraceSchemaError(f"line {number} has no type")
                 records.append(record)
     if not records:
         raise TraceSchemaError("trace is empty")

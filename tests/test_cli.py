@@ -275,6 +275,20 @@ class TestReplayAndVerify:
         assert run_cli(command, "--trace", str(bad)) == EXIT_DIVERGENCE
         assert_one_error_line(capsys, "malformed trace", "trace header is malformed")
 
+    @pytest.mark.parametrize("command", ["replay", "verify-trace"])
+    def test_record_without_a_type_exits_2(self, command, demo_args, tmp_path, capsys):
+        self.produce_trace(demo_args)
+        records = [json.loads(line) for line in
+                   Path(demo_args["trace"]).read_text(encoding="utf-8").splitlines()]
+        number, call = next((n, r) for n, r in enumerate(records, start=1)
+                            if r["type"] == "model_call")
+        del call["type"]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+        assert run_cli(command, "--trace", str(bad)) == EXIT_DIVERGENCE
+        assert_one_error_line(capsys, "malformed trace", f"line {number} has no type")
+
     def test_truncated_trace_fails_verification(self, demo_args, tmp_path, capsys):
         self.produce_trace(demo_args)
         lines = Path(demo_args["trace"]).read_text(encoding="utf-8").splitlines()
@@ -342,6 +356,8 @@ def bench_args(**overrides):
     return ["bench"] + [part for pair in args.items() for part in pair]
 
 
+DEMO_METADATA = json.loads(bundled_data("demo_metadata.json").read_text(encoding="utf-8"))
+
 BAD_KB_FILES = {
     "duplicate-title": json.dumps([{"title": "A", "body": ""}, {"title": "A", "body": ""}]),
     "truncated": json.dumps([{"title": "A", "body": "text"}])[:-5],
@@ -386,6 +402,15 @@ class TestInputFiles:
         assert run_cli(*bench_args(**{"--suite": str(suite)})) == EXIT_USAGE
         assert_one_error_line(capsys, f"suite file {suite}")
 
+    @pytest.mark.parametrize("content", [json.dumps([]), json.dumps({"q01": []}),
+                                         json.dumps({"q01": {"ptr": "x"}})],
+                             ids=["not-an-object", "item-not-an-object", "script-not-a-list"])
+    def test_bench_with_malformed_scriptbook_exits_2(self, content, tmp_path, capsys):
+        book = tmp_path / "scripts.json"
+        book.write_text(content)
+        assert run_cli(*bench_args(**{"--model": f"scripted:{book}"})) == EXIT_USAGE
+        assert_one_error_line(capsys, f"scriptbook file {book}")
+
     def test_missing_kb_file_exits_2(self, demo_args, tmp_path, capsys):
         missing = str(tmp_path / "absent.json")
         assert run_cli(*run_args(demo_args, **{"--kb": missing})) == EXIT_USAGE
@@ -415,6 +440,9 @@ class TestInputFiles:
         ("--metadata", "metadata", json.dumps({"tool_catalog": "kb_search"})),
         ("--metadata", "metadata", json.dumps({"constraints": {
             "auto_rules": [{"id": "a", "expr": "result."}]}})),
+        pytest.param("--metadata", "metadata", json.dumps(dict(DEMO_METADATA, tool_catalog=[
+            dict(DEMO_METADATA["tool_catalog"][0], id="x"), *DEMO_METADATA["tool_catalog"][1:]])),
+            id="catalog-tool-not-built-in"),
         ("--config", "config", json.dumps([1, 2])),
         ("--config", "config", json.dumps({"route_thresholds": {"lower": 0.1}})),
         ("--config", "config", json.dumps({"risk_weights": 5})),

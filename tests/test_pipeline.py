@@ -586,6 +586,8 @@ class TestReplay:
             "recovery_rules": [{"error_class": "bogus", "modifier": ""}]})),
         ("metadata", dict(bench_metadata().to_dict(), constraints={
             "auto_rules": [{"id": "a", "expr": "result.x ?? "}]})),
+        # a catalog tool that the built-in registry lacks
+        ("metadata", dict(bench_metadata().to_dict(), tool_catalog=[{"id": "x"}])),
         ("config", {"route_thresholds": {"lower": 0.5}}),
         ("config", {"repair_threshold": 2.0}),
         ("config", {"penalties": [1]}),

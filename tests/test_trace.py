@@ -103,6 +103,18 @@ class TestTraceWriter:
             os.close(reader)
 
 
+class TestReadTrace:
+    @pytest.mark.parametrize("in_file, message", [(True, "line 2 has no type"),
+                                                  (False, "record 1 has no type")],
+                             ids=["file", "record-list"])
+    def test_a_record_without_a_type_is_a_schema_error(self, in_file, message, tmp_path):
+        records = [{"type": "header", "schema_version": 3}, {"role": "profile"}]
+        source = tmp_path / "t.jsonl"
+        source.write_text("".join(json.dumps(record) + "\n" for record in records))
+        with pytest.raises(TraceSchemaError, match=message):
+            read_trace(source if in_file else records)
+
+
 # One NaN object shared by both trees (equal inside a container, as `is`
 # comes first there) and fresh ones (never equal).
 SHARED_NAN = math.nan
