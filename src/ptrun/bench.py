@@ -43,8 +43,8 @@ class Suite:
         items = []
         for entry in items_raw:
             item_id, question, gold = str(entry["id"]), entry["question"], entry["gold"]
-            if not isinstance(question, str):
-                raise ValueError(f"item {item_id}: question must be a string")
+            if not isinstance(question, str) or not question.strip():
+                raise ValueError(f"item {item_id}: question must be a non-blank string")
             if not (isinstance(gold, list) and gold and all(isinstance(g, str) for g in gold)):
                 raise ValueError(f"item {item_id}: gold must be a non-empty list of strings")
             items.append(BenchmarkItem(id=item_id, question=question, gold=tuple(gold),

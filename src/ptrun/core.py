@@ -1,9 +1,14 @@
 """Shared domain types: tasks, metadata, tool schemas, workflows and profiles,
 plus structural admissibility checking.
 
-All types here are immutable value objects. Serialization uses plain dicts
-with snake_case field names; the JSON contract is documented in
-docs/schemas.md and is what the planner model is asked to emit.
+The types built once per run or per input, such as tasks, metadata, specs,
+rule sets, workflows, profiles and reports, are frozen. The types built per
+step, param or branch rule (WorkflowStep, AutoParam, PlaceholderParam,
+BranchRule, CompiledBranchRule) are slotted and not frozen, since creating
+a frozen instance costs several times as much; nothing mutates them once
+built. Serialization uses plain dicts with snake_case field names; the JSON
+contract is documented in docs/schemas.md and is what the planner model is
+asked to emit.
 """
 
 from __future__ import annotations
@@ -249,14 +254,14 @@ class Metadata:
 # --- workflow / profile -----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AutoParam:
     """Param marker: resolve via the named auto rule at execution time."""
 
     rule_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PlaceholderParam:
     """Param marker: substitute a value stored by an earlier step.
 
@@ -303,7 +308,7 @@ def literal_type_tag(value) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WorkflowStep:
     tool_id: str
     params: dict[str, object] = field(default_factory=dict)
@@ -363,7 +368,7 @@ def store_keys(workflow: Workflow) -> tuple[str, ...]:
     return tuple(keys)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BranchRule:
     """Predicate + parameter modifier attached to a workflow step."""
 
@@ -384,7 +389,7 @@ class BranchRule:
         return cls(predicate=data["predicate"], modifier=data["modifier"], target_step=target)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CompiledBranchRule:
     rule_index: int  # position in the profile's branch_rules list
     predicate: object
@@ -420,7 +425,7 @@ class RuleBundle:
 
 def parse_once():
     """A parse(parser, source) that runs each DSL parser on each distinct text
-    once: rules that share a text share its frozen AST, or its DslParseError."""
+    once: rules that share a text share its AST, or its DslParseError."""
     results: dict = {}
 
     def parse(parser, source: str):

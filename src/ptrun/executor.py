@@ -6,6 +6,11 @@ step. Nothing here raises for execution failures: every failure is recorded
 in the state, classified soft (execution continues with degraded evidence) or
 hard (the workflow is structurally inexecutable and remaining steps are
 skipped). No model call ever happens inside this module.
+
+A step's attempts and tool outcomes are slotted, not frozen, as they
+are built on every step; nothing mutates them once built. A step event
+builds its trace record once, and the trace writer and ``trace.N`` lookups
+read that same dict.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ class _StepAbort(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Attempt:
     params: dict
     outcome: ToolOutcome
@@ -59,7 +64,8 @@ class Attempt:
 
 @dataclass
 class StepEvent:
-    """Trace record for one workflow step, appended regardless of outcome."""
+    """Trace record for one workflow step, appended regardless of outcome.
+    Nothing mutates an event or its record once it is built."""
 
     index: int
     tool_id: str
@@ -71,20 +77,26 @@ class StepEvent:
     error_class: str | None
     stored_key: str | None
     wall_time: float
+    _record: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "tool_id": self.tool_id,
-            "key": self.key,
-            "resolved_params": self.resolved_params,
-            "branched_params": self.branched_params,
-            "attempts": [a.to_dict() for a in self.attempts],
-            "outcome": self.outcome,
-            "error_class": self.error_class,
-            "stored_key": self.stored_key,
-            "wall_time": self.wall_time,
-        }
+        """The step's record, built on the first call; every later call
+        returns that same dict, which the trace writer and resolve_path
+        share. Nothing mutates it."""
+        if self._record is None:
+            self._record = {
+                "index": self.index,
+                "tool_id": self.tool_id,
+                "key": self.key,
+                "resolved_params": self.resolved_params,
+                "branched_params": self.branched_params,
+                "attempts": [a.to_dict() for a in self.attempts],
+                "outcome": self.outcome,
+                "error_class": self.error_class,
+                "stored_key": self.stored_key,
+                "wall_time": self.wall_time,
+            }
+        return self._record
 
 
 @dataclass
@@ -137,8 +149,9 @@ class ExecutionState:
         """Look a state path up in the value ``to_dict()`` would give.
 
         A ``trace``, ``failure`` or ``branch`` path indexes its log and
-        serializes only the addressed entry, so a lookup does not grow with
-        the run; only a bare log root yields (and builds) the whole log.
+        reads only the addressed entry's record (a step event's is built
+        once), so a lookup does not grow with the run; only a bare log root
+        yields the whole log.
         """
         root, rest = parts[0], parts[1:]
         if root == "result":

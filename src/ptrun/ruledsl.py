@@ -14,6 +14,11 @@ ASTs and never raises. The full grammar is documented in docs/grammar.md.
 
 Numbers are 64-bit floats (exact integer behaviour below 2**53); string
 comparison is code-point-wise.
+
+AST and rule nodes are slotted, not frozen: a run builds them for every rule
+it parses, and creating a frozen instance costs several times as much.
+Nothing mutates a node once the parser has built it; rules that share a text
+share its AST (``core.parse_once``).
 """
 
 from __future__ import annotations
@@ -72,22 +77,22 @@ class UnresolvedAutoError(DslError):
 _KIND, _TEXT, _VALUE, _POS = range(4)
 
 
-# One alternative per token class, each after the whitespace that precedes
-# it. At each position the first alternative that matches wins, so `-` glued
-# to a digit starts a number before it can be a symbol, and two-character
-# symbols come before their one-character prefixes. Identifier characters are
-# rechecked against str.isalpha where the match is not ASCII (see _tokenize).
-# A string runs to its closing quote or to the end of the source, and any
-# other character is an error. No alternative can fail after scanning ahead,
-# so the cost is linear in the length of the source.
+# Each token follows the whitespace before it (group 1) and is an identifier
+# (group 2) or any other token (group 3). At each position the first
+# alternative that matches wins, so two-character symbols come before their
+# one-character prefixes, and `-` glued to a digit starts a number before the
+# one-character catch-all can take it. Identifier characters are rechecked
+# against str.isalpha where the match is not ASCII (see _tokenize). A string
+# runs to its closing quote or to the end of the source. No alternative can
+# fail after scanning ahead, so the cost is linear in the length of the
+# source.
 _TOKEN_RE = re.compile(r"""
-    (?P<space>[ \t\r\n]*)
-    (?:(?P<ident>[^\W\d]\w*)
-      |(?P<number>-?[0-9]+(?:\.[0-9]+)?)
-      |(?P<symbol>==|!=|<=|>=|\?\?|[<>().=+*;-])
-      |(?P<string>"[^"\\]*(?:\\.[^"\\]*)*"?)
-      |(?P<other>[^ \t\r\n]))
+    ([ \t\r\n]*)
+    (?:([^\W\d]\w*)
+      |(==|!=|<=|>=|\?\?|-?[0-9]+(?:\.[0-9]+)?|"[^"\\]*(?:\\.[^"\\]*)*"?|[^ \t\r\n]))
 """, re.VERBOSE | re.DOTALL)
+_SYMBOLS = frozenset(("==", "!=", "<=", ">=", "??", "<", ">", "(", ")", ".", "=", "+", "*",
+                      ";", "-"))
 
 
 def _byte_offset(source: str, pos: int) -> int:
@@ -102,8 +107,7 @@ def _tokenize(source: str) -> list[tuple]:
     # findall gives one tuple of group texts per token. Trailing whitespace is
     # stripped, as no token follows it; the matches are then contiguous, so a
     # token's position is the sum of the lengths before it.
-    for space, ident, number, symbol, string, other in _TOKEN_RE.findall(
-            source.rstrip(" \t\r\n")):
+    for space, ident, text in _TOKEN_RE.findall(source.rstrip(" \t\r\n")):
         pos += len(space)
         if ident:
             # \w also matches digits and numerals that are not letters (², ½,
@@ -115,25 +119,24 @@ def _tokenize(source: str) -> list[tuple]:
                                             _byte_offset(source, pos + i))
             append(("keyword" if ident in _KEYWORDS else "ident", ident, ident, pos))
             pos += len(ident)
-        elif symbol:
-            append(("symbol", symbol, symbol, pos))
-            pos += len(symbol)
-        elif number:
-            value = float(number)
-            if not math.isfinite(value):
-                raise DslParseError("number literal is too large", _byte_offset(source, pos))
-            append(("number", number, value, pos))
-            pos += len(number)
-        elif string:
-            if "\\" in string or len(string) < 2 or string[-1] != '"':
+            continue
+        if text in _SYMBOLS:
+            append(("symbol", text, text, pos))
+        elif text[0] == '"':
+            if "\\" in text or len(text) < 2 or text[-1] != '"':
                 # escapes, or no closing quote: the string reader decodes or raises
                 _, value, _ = _read_string(source, pos)
             else:
-                value = string[1:-1]
-            append(("string", string, value, pos))
-            pos += len(string)
+                value = text[1:-1]
+            append(("string", text, value, pos))
+        elif text[0] in "-0123456789":  # a lone "-" is a symbol
+            value = float(text)
+            if not math.isfinite(value):
+                raise DslParseError("number literal is too large", _byte_offset(source, pos))
+            append(("number", text, value, pos))
         else:
-            raise DslParseError(f"unexpected character {other!r}", _byte_offset(source, pos))
+            raise DslParseError(f"unexpected character {text!r}", _byte_offset(source, pos))
+        pos += len(text)
     append(("end", "", None, len(source)))
     return tokens
 
@@ -173,7 +176,7 @@ def _read_string(source: str, start: int) -> tuple[str, str, int]:
 # --- AST nodes ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PathRef:
     parts: tuple[str, ...]  # parts[0] in STATE_ROOTS; later segments ident or digits
 
@@ -181,40 +184,40 @@ class PathRef:
         return ".".join(self.parts)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Comparison:
     op: str  # == != < <= > >=
     path: PathRef
     value: object  # float | str | bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Exists:
     path: PathRef
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Failed:
     step_key: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Empty:
     step_key: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Not:
     operand: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class And:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Or:
     left: object
     right: object
@@ -223,47 +226,47 @@ class Or:
 PredicateAst = object  # union of the predicate node classes above
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Lit:
     value: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StatePath:
     path: PathRef
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SlotRef:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BinOp:
     op: str  # + - *
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Assignment:
     slot: str
     expr: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ModifierAst:
     assignments: tuple[Assignment, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AutoExpr:
     path: PathRef
     default: object | None = None  # Lit or None
     has_default: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AutoRule:
     id: str
     expr: AutoExpr

@@ -8,7 +8,6 @@ repeated invocation with identical inputs yields identical outcomes.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -19,18 +18,21 @@ from typing import NamedTuple
 
 from . import ruledsl
 from .core import TOOL_ERROR_CLASSES, SlotSpec, ToolSpec
-from .trace import load_json
+from .trace import json_encoder, load_json
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Encodes as json.dumps(value) does; a cyclic value raises RecursionError.
+_encode_value = json_encoder()
 
 
 class DuplicateToolError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ToolOutcome:
-    """Success with a serializable value, or a classified failure."""
+    """Success with a serializable value, or a classified failure. Built per
+    attempt and never mutated."""
 
     ok: bool
     value: object = None
@@ -40,7 +42,7 @@ class ToolOutcome:
 
     @classmethod
     def success(cls, value) -> "ToolOutcome":
-        size = len(json.dumps(value).split())
+        size = len(_encode_value(value).split())
         return cls(ok=True, value=value, output_size=size)
 
     @classmethod

@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import os
+from json.encoder import c_make_encoder, encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
 SCHEMA_VERSION = 3
@@ -64,8 +65,27 @@ def load_json(path: str | Path):
 # every trace line and every profile search.
 STRICT_DECODER = json.JSONDecoder(parse_constant=reject_constant)
 
-# Each encodes as the json.dumps call with the same options does.
-_encode_line = json.JSONEncoder(allow_nan=False).encode
+
+def json_encoder(**options):
+    """A function that encodes as ``json.dumps(obj, **options)`` does, with its
+    encoder built once instead of on every call. It does not check for
+    circular references: CPython's C encoder keeps the markers of an encode
+    that fails partway, and a shared encoder would then refuse any later
+    object at such an id. So a cyclic value raises RecursionError, where
+    ``json.dumps`` raises ValueError."""
+    spec = json.JSONEncoder(check_circular=False, **options)
+    if c_make_encoder is None:  # an interpreter without _json
+        return spec.encode
+    encode = c_make_encoder(
+        None, spec.default,
+        encode_basestring_ascii if spec.ensure_ascii else encode_basestring,
+        None, spec.key_separator, spec.item_separator, spec.sort_keys, spec.skipkeys,
+        spec.allow_nan)
+    return lambda obj: "".join(encode(obj, 0))
+
+
+# Trace lines are strict JSON: a NaN or an infinity is a ValueError.
+_encode_line = json_encoder(allow_nan=False)
 _encode_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                                      allow_nan=False).encode
 
@@ -89,7 +109,13 @@ class TraceWriter:
         self._fh, self._held = _open_unfinished(self.path) if self.path else (None, 0)
 
     def write(self, record: dict) -> None:
-        """Keep the record and, with a path, its JSON line for close()."""
+        """Keep the record and, with a path, its JSON line for close().
+
+        A NaN or an infinity in the record is a ValueError and a value that
+        cannot be serialized a TypeError, as from ``json.dumps``; a cyclic
+        value, which only a library caller can pass, is a RecursionError.
+        A failed write keeps the record but no line, and leaves the encoder
+        ready for the next one."""
         self.records.append(record)
         if self._fh:
             self._lines.append(_encode_line(record) + "\n")

@@ -395,7 +395,9 @@ class TestInputFiles:
         pytest.param(json.dumps({"answer_kind": "numeric", "items": [
             {"id": "q1", "question": "How many?", "gold": [1.5]}]}), id="number-gold"),
         pytest.param(json.dumps({"answer_kind": "free_text", "items": [
-            {"id": "q1", "question": "Which?", "gold": "abc"}]}), id="string-gold")])
+            {"id": "q1", "question": "Which?", "gold": "abc"}]}), id="string-gold"),
+        pytest.param(json.dumps({"answer_kind": "free_text", "items": [
+            {"id": "q01", "question": "   ", "gold": ["Alan Turing"]}]}), id="blank-question")])
     def test_bench_with_malformed_suite_exits_2(self, content, tmp_path, capsys):
         suite = tmp_path / "suite.json"
         suite.write_text(content)

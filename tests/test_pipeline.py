@@ -93,6 +93,36 @@ def profile_entry(profile):
 REASON = {"role": "reason", "text": "Alan Turing"}
 
 
+class TestStepRecord:
+    def test_the_writer_and_trace_lookups_share_each_step_record(self, monkeypatch):
+        states, writers = [], []
+        run_workflow = pipeline.run_workflow
+
+        def spy_run_workflow(workflow, config, registry, state, rules=None):
+            states.append(state)
+            return run_workflow(workflow, config, registry, state, rules)
+
+        class SpyWriter(pipeline.TraceWriter):
+            def __init__(self, path=None):
+                super().__init__(path)
+                writers.append(self)
+
+        monkeypatch.setattr(pipeline, "run_workflow", spy_run_workflow)
+        monkeypatch.setattr(pipeline, "TraceWriter", SpyWriter)
+        report = run_ptr(task(), bench_metadata(), RunConfig(),
+                         scripted(profile_entry(CLEAN_PROFILE), REASON), environment())
+        assert report.outcome == "ok"
+        (state,), (writer,) = states, writers
+        written = [record["event"] for record in writer.records if record["type"] == "step"]
+        assert len(written) == len(state.trace) == 2
+        for event, record in zip(state.trace, written):
+            assert event.to_dict() is record and event.to_dict() is event.to_dict()
+            fresh = replace(event).to_dict()
+            assert fresh == record and fresh is not record
+        found, attempts = state.resolve_path(("trace", "0", "attempts"))
+        assert found and attempts is written[0]["attempts"]
+
+
 class TestHappyPath:
     def test_clean_run_two_calls(self, tmp_path):
         model = scripted(profile_entry(CLEAN_PROFILE), REASON)

@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ptrun import pipeline
 from ptrun.bench import bench_metadata
@@ -355,6 +355,36 @@ class TestFaultInjector:
     def test_malformed_fault_scripts_are_value_errors(self, build, scripts, kb):
         with pytest.raises(ValueError, match="fault script"):
             build(kb, scripts)
+
+
+# Strings whose whitespace json.dumps escapes (tab, newline, \x1c, U+2003) or
+# keeps (runs of spaces), and non-ASCII text.
+SPACED_TEXT = st.text(alphabet=" \t\n\x1c\u2003\u00e9\u4e2dab\"\\", max_size=8)
+OUTPUT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | SPACED_TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(SPACED_TEXT | st.integers() | st.floats() | st.booleans() | st.none(),
+                      children, max_size=4),
+    max_leaves=16)
+
+
+class TestOutputSizeEncoder:
+    @settings(max_examples=300, deadline=None)
+    @given(value=OUTPUT_VALUES)
+    @example(value="a  b\tc\nd\x1ce \u2003 f")
+    @example(value={"x y": [1, "z  w"], 2: {}, None: [], 1.5: "\u00e9 \u00e9",
+                    True: float("nan")})
+    @example(value=[float("nan"), float("inf"), -float("inf"), [], {}])
+    def test_output_size_is_the_token_count_of_json_dumps(self, value):
+        assert ToolOutcome.success(value).output_size == len(json.dumps(value).split())
+
+    @pytest.mark.parametrize("value", [{"x": object()}, [{1, 2}], {(1, 2): 3}],
+                             ids=["object", "set", "tuple-key"])
+    def test_a_value_json_cannot_serialize_is_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value)
+        with pytest.raises(TypeError):
+            ToolOutcome.success(value)
 
 
 class TestDeterminismAndPurity:

@@ -5,6 +5,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ptrun.cli import bundled_data, main
 from ptrun.trace import (UNFINISHED_LINE, VOLATILE_KEYS, TraceSchemaError, TraceWriter,
                          read_trace, strip_volatile, structurally_equal)
 
@@ -77,6 +78,43 @@ class TestTraceWriter:
         writer = TraceWriter(tmp_path / "t.jsonl")
         with pytest.raises(ValueError, match="Out of range float"):
             writer.write({"x": math.inf})
+        writer.close()
+
+    def test_every_line_of_a_demo_trace_is_its_record_encoded(self, tmp_path, capsys):
+        path = tmp_path / "demo.jsonl"
+        assert main(["run", "--task-file", str(bundled_data("demo_task.json")),
+                     "--metadata", str(bundled_data("demo_metadata.json")),
+                     "--config", str(bundled_data("config.json")),
+                     "--model", f"scripted:{bundled_data('demo_script.json')}",
+                     "--trace-out", str(path)]) == 0
+        capsys.readouterr()
+        records = read_trace(path)
+        assert [record["type"] for record in records].count("step") >= 2
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            json.dumps(record, allow_nan=False) for record in records]
+
+    def test_a_write_after_a_failed_one_encodes_the_same_objects(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        writer = TraceWriter(path)
+        inner = [1.5, math.nan]
+        record = {"type": "step", "event": {"values": inner, "text": "na\u00efve \u2028"}}
+        with pytest.raises(ValueError, match="Out of range float"):
+            writer.write(record)
+        inner[1] = -0.0
+        writer.write(record)
+        writer.write({"type": "report", "same": record["event"]})
+        writer.close()
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            json.dumps(record, allow_nan=False),
+            json.dumps({"type": "report", "same": record["event"]}, allow_nan=False)]
+
+    def test_a_cyclic_value_is_a_recursion_error(self):
+        cycle = []
+        cycle.append(cycle)
+        writer = TraceWriter(os.devnull)
+        with pytest.raises(RecursionError):
+            writer.write({"type": "step", "cycle": cycle})
+        writer.write({"type": "report"})
         writer.close()
 
     def test_a_symlinked_path_is_written_through(self, tmp_path):
