@@ -520,16 +520,10 @@ class Profile:
 
 
 @dataclass(frozen=True)
-class ValidationIssue:
-    kind: str
-    detail: str
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "detail": self.detail}
-
-
-@dataclass(frozen=True)
 class Violation:
+    """One finding of an input check: its kind, what it says, and the 1-based
+    workflow step it concerns, or None when it concerns no single step."""
+
     step: int | None
     kind: str
     detail: str
@@ -552,48 +546,50 @@ class MetadataReport:
     and recovery rules and constraint predicates as parsed by the check, and
     no branch rules, so a run parses each distinct rule text once per
     validation; a rule that does not parse is left out and reported as an
-    issue."""
+    issue. Metadata has no steps, so no finding names one."""
 
-    issues: tuple[ValidationIssue, ...] = ()
+    issues: tuple[Violation, ...] = ()
     rules: RuleBundle = field(default_factory=RuleBundle)
 
     def require_valid(self) -> "MetadataReport":
         """This report; ValueError naming the issues when there are any."""
         if self.issues:
-            raise ValueError(f"metadata is invalid: {[i.to_dict() for i in self.issues]}")
+            found = [{"kind": i.kind, "detail": i.detail} for i in self.issues]
+            raise ValueError(f"metadata is invalid: {found}")
         return self
 
 
 def validate_metadata(metadata: Metadata) -> MetadataReport:
     """Structural checks on metadata: unique tool ids and parseable rule sources."""
-    issues: list[ValidationIssue] = []
+    issues: list[Violation] = []
     parse = parse_once()
     seen: set[str] = set()
     for spec in metadata.tool_catalog:
         if spec.id in seen:
-            issues.append(ValidationIssue("duplicate_tool_id", f"tool id {spec.id!r} registered twice"))
+            issues.append(Violation(None, "duplicate_tool_id",
+                                    f"tool id {spec.id!r} registered twice"))
         seen.add(spec.id)
     auto_rules: dict[str, ruledsl.AutoRule] = {}
     for rule in metadata.constraints.auto_rules:
         try:
             auto_rules[rule.id] = ruledsl.AutoRule(id=rule.id, expr=parse(ruledsl.parse_auto_expr, rule.expr))
         except ruledsl.DslParseError as exc:
-            issues.append(ValidationIssue("bad_rule_syntax", f"auto rule {rule.id!r}: {exc}"))
+            issues.append(Violation(None, "bad_rule_syntax", f"auto rule {rule.id!r}: {exc}"))
     recovery_rules: list[tuple[str, ruledsl.ModifierAst]] = []
     for i, rule in enumerate(metadata.constraints.recovery_rules, start=1):
         if rule.error_class not in TOOL_ERROR_CLASSES + ("any",):
-            issues.append(ValidationIssue(
-                "bad_error_class", f"recovery rule {i}: unknown error class {rule.error_class!r}"))
+            issues.append(Violation(
+                None, "bad_error_class", f"recovery rule {i}: unknown error class {rule.error_class!r}"))
         try:
             recovery_rules.append((rule.error_class, parse(ruledsl.parse_modifier, rule.modifier)))
         except ruledsl.DslParseError as exc:
-            issues.append(ValidationIssue("bad_rule_syntax", f"recovery rule {i}: {exc}"))
+            issues.append(Violation(None, "bad_rule_syntax", f"recovery rule {i}: {exc}"))
     predicates: list[ruledsl.PredicateAst] = []
     for i, source in enumerate(metadata.constraints.constraint_predicates, start=1):
         try:
             predicates.append(parse(ruledsl.parse_predicate, source))
         except ruledsl.DslParseError as exc:
-            issues.append(ValidationIssue("bad_rule_syntax", f"constraint predicate {i}: {exc}"))
+            issues.append(Violation(None, "bad_rule_syntax", f"constraint predicate {i}: {exc}"))
     return MetadataReport(tuple(issues), RuleBundle(
         auto_rules, tuple(recovery_rules), constraint_predicates=tuple(predicates)))
 

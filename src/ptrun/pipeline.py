@@ -110,11 +110,11 @@ class RunConfig:
                 data.get("route_thresholds", RouteThresholds().to_dict())),
             penalties=PenaltyCoefficients.from_dict(
                 data.get("penalties", PenaltyCoefficients().to_dict())),
-            repair_threshold=float(data.get("repair_threshold", 0.60)),
-            recovery_retries=int(data.get("recovery_retries", 2)),
-            thin_output_threshold=int(data.get("thin_output_threshold", 5)),
-            budget_micros=int(data.get("budget_micros", 10_000_000)),
-            seed=int(data.get("seed", 42)),
+            repair_threshold=float(data.get("repair_threshold", cls.repair_threshold)),
+            recovery_retries=int(data.get("recovery_retries", cls.recovery_retries)),
+            thin_output_threshold=int(data.get("thin_output_threshold", cls.thin_output_threshold)),
+            budget_micros=int(data.get("budget_micros", cls.budget_micros)),
+            seed=int(data.get("seed", cls.seed)),
             mode_override=RouteMode(override) if override else None,
             price_table={name: PriceEntry.from_dict(entry) for name, entry in prices.items()},
         )

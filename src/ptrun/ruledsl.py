@@ -12,8 +12,8 @@ components (result, trace, failure, branch, env). Missing paths make
 comparison atoms and ``exists`` false; evaluation is total on well-formed
 ASTs and never raises. The full grammar is documented in docs/grammar.md.
 
-Numbers are 64-bit floats (exact integer behaviour below 2**53); string
-comparison is code-point-wise.
+Numbers are 64-bit floats (exact integer behaviour below 2**53); a string
+literal is a JSON string, and string comparison is code-point-wise.
 
 AST and rule nodes are slotted, not frozen: a run builds them for every rule
 it parses, and creating a frozen instance costs several times as much.
@@ -124,8 +124,13 @@ def _tokenize(source: str) -> list[tuple]:
             append(("symbol", text, text, pos))
         elif text[0] == '"':
             if "\\" in text or len(text) < 2 or text[-1] != '"':
-                # escapes, or no closing quote: the string reader decodes or raises
-                _, value, _ = _read_string(source, pos)
+                # escapes, or no closing quote: a literal is a JSON string, so
+                # JSON's own scanner decodes it or says where it goes wrong.
+                # Not strict: raw control characters pass, as they do above.
+                try:
+                    value = json.decoder.scanstring(source, pos + 1, False)[0]
+                except json.JSONDecodeError as exc:
+                    raise DslParseError(exc.msg, _byte_offset(source, exc.pos)) from None
             else:
                 value = text[1:-1]
             append(("string", text, value, pos))
@@ -139,38 +144,6 @@ def _tokenize(source: str) -> list[tuple]:
         pos += len(text)
     append(("end", "", None, len(source)))
     return tokens
-
-
-def _read_string(source: str, start: int) -> tuple[str, str, int]:
-    escapes = {'"': '"', "\\": "\\", "/": "/", "n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f"}
-    out = []
-    i = start + 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == '"':
-            return source[start: i + 1], "".join(out), i + 1
-        if ch == "\\":
-            if i + 1 >= n:
-                break
-            esc = source[i + 1]
-            if esc == "u":
-                if i + 6 > n:
-                    raise DslParseError("truncated \\u escape", _byte_offset(source, i))
-                try:
-                    out.append(chr(int(source[i + 2: i + 6], 16)))
-                except ValueError:
-                    raise DslParseError("bad \\u escape", _byte_offset(source, i)) from None
-                i += 6
-                continue
-            if esc not in escapes:
-                raise DslParseError(f"bad escape \\{esc}", _byte_offset(source, i))
-            out.append(escapes[esc])
-            i += 2
-            continue
-        out.append(ch)
-        i += 1
-    raise DslParseError("unterminated string literal", _byte_offset(source, start))
 
 
 # --- AST nodes ------------------------------------------------------------------
@@ -262,8 +235,7 @@ class ModifierAst:
 @dataclass(slots=True)
 class AutoExpr:
     path: PathRef
-    default: object | None = None  # Lit or None
-    has_default: bool = False
+    default: object | None = None  # Lit, or None when the rule has no default
 
 
 @dataclass(slots=True)
@@ -478,7 +450,7 @@ class _Parser:
         if self.tok[_TEXT] == "??":
             self.tok = self.next_token()
             value = self.parse_literal()
-            return AutoExpr(path, Lit(value), True)
+            return AutoExpr(path, Lit(value))
         return AutoExpr(path)
 
 
@@ -592,7 +564,7 @@ def modifier_to_source(node: ModifierAst) -> str:
 
 
 def auto_expr_to_source(node: AutoExpr) -> str:
-    if node.has_default:
+    if node.default is not None:
         return f"{node.path.source()} ?? {format_literal(node.default.value)}"
     return node.path.source()
 
@@ -717,7 +689,7 @@ def eval_auto_rule(rule: AutoRule, state) -> object:
     value = _lookup(state, rule.expr.path)
     if value is not _MISSING:
         return value
-    if rule.expr.has_default:
+    if rule.expr.default is not None:
         return rule.expr.default.value
     raise UnresolvedAutoError(
         f"auto rule {rule.id!r}: path {rule.expr.path.source()!r} absent and no default")

@@ -179,18 +179,16 @@ class ScriptedModel:
                 raise ValueError(f"script entry {entry!r}: role and text must be strings")
             self.script.append((role, text))
         self.price = price or PriceEntry()
-        self.position = 0
-        self.calls = 0
+        self.calls = 0  # replies given so far; the next is script[calls]
 
     def complete(self, request: ModelRequest) -> ModelResponse:
-        if self.position >= len(self.script):
+        if self.calls >= len(self.script):
             raise ScriptExhaustedError(
                 f"script exhausted after {len(self.script)} entries (requested role {request.role!r})")
-        role, text = self.script[self.position]
+        role, text = self.script[self.calls]
         if role != request.role:
             raise RoleMismatchError(
                 f"script expects role {role!r} next but {request.role!r} was requested")
-        self.position += 1
         self.calls += 1
         usage = Usage(input_tokens=len(request.prompt.split()),
                       output_tokens=len(text.split()))

@@ -11,7 +11,8 @@ from ptrun import ruledsl as r
 _IDENTS = ("kb_search_1", "kb_lookup_1", "count", "top_title", "titles", "limit",
            "query", "body", "items", "x", "value_2", "flag")
 _ROOTS = r.STATE_ROOTS
-_STRINGS = ("", "Alan Turing", "paris", "a b c", 'quote " inside', "tab\there", "ünïcode")
+_STRINGS = ("", "Alan Turing", "paris", "a b c", 'quote " inside', "tab\there", "ünïcode",
+            "\U0001f600")
 _NUMBERS = (0.0, 1.0, -1.0, 3.5, 42.0, -0.25, 1e6, 9007199254740992.0, 0.1)
 
 
@@ -80,8 +81,7 @@ def gen_modifier(rng: random.Random) -> r.ModifierAst:
 
 def gen_auto(rng: random.Random) -> r.AutoExpr:
     if rng.random() < 0.5:
-        return r.AutoExpr(path=gen_path(rng), default=r.Lit(value=gen_literal(rng)),
-                          has_default=True)
+        return r.AutoExpr(path=gen_path(rng), default=r.Lit(value=gen_literal(rng)))
     return r.AutoExpr(path=gen_path(rng))
 
 
@@ -99,7 +99,9 @@ def left_nested(atom: str, op: str, levels: int = 64) -> str:
 #
 # The rule DSL's original per-character lexer, kept as the oracle that the
 # master-regex lexer in ruledsl must agree with token for token and error for
-# error. It returns (kind, text, value, pos) tuples.
+# error. It returns (kind, text, value, pos) tuples. Its string reader follows
+# JSON's rules (RFC 8259) and CPython's json decoder's messages and positions,
+# one character at a time, without calling that decoder.
 
 _REF_KEYWORDS = ("and", "or", "not", "exists", "failed", "empty", "set", "true", "false")
 _REF_SYMBOLS = ("==", "!=", "<=", ">=", "??", "<", ">", "(", ")", ".", "=", "+", "-", "*", ";")
@@ -158,8 +160,30 @@ def reference_tokenize(source: str) -> list[tuple]:
     return tokens
 
 
+_REF_ESCAPES = {'"': '"', "\\": "\\", "/": "/", "n": "\n", "t": "\t", "r": "\r", "b": "\b",
+                "f": "\f"}
+_REF_HEX = frozenset("0123456789abcdefABCDEF")
+
+
+def _ref_hex4(source: str, u: int) -> int:
+    """The code unit of the four characters after the `u` at `u`; an error at
+    the `u` unless all four are hex digits. The caller has checked that the
+    source holds them."""
+    code = 0
+    for ch in source[u + 1: u + 5]:
+        if ch not in _REF_HEX:
+            raise r.DslParseError("Invalid \\uXXXX escape", _ref_byte_offset(source, u))
+        code = code * 16 + int(ch, 16)
+    return code
+
+
 def _ref_read_string(source: str, start: int) -> tuple[str, str, int]:
-    escapes = {'"': '"', "\\": "\\", "/": "/", "n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f"}
+    """A string literal read as JSON reads one: the escapes above and \\uXXXX
+    with four hex digits, where a high and a low surrogate escape in a row
+    are one character. An error carries JSON's message and position: an
+    unterminated literal is reported at its opening quote, a bad escape at
+    its backslash, and a bad \\u escape, or one whose digits reach the end of
+    the source, at its `u`."""
     out = []
     i = start + 1
     n = len(source)
@@ -167,27 +191,30 @@ def _ref_read_string(source: str, start: int) -> tuple[str, str, int]:
         ch = source[i]
         if ch == '"':
             return source[start: i + 1], "".join(out), i + 1
-        if ch == "\\":
-            if i + 1 >= n:
-                break
-            esc = source[i + 1]
-            if esc == "u":
-                if i + 6 > n:
-                    raise r.DslParseError("truncated \\u escape", _ref_byte_offset(source, i))
-                try:
-                    out.append(chr(int(source[i + 2: i + 6], 16)))
-                except ValueError:
-                    raise r.DslParseError("bad \\u escape", _ref_byte_offset(source, i)) from None
-                i += 6
-                continue
-            if esc not in escapes:
-                raise r.DslParseError(f"bad escape \\{esc}", _ref_byte_offset(source, i))
-            out.append(escapes[esc])
+        if ch != "\\":
+            out.append(ch)
+            i += 1
+            continue
+        if i + 1 >= n:
+            break
+        esc = source[i + 1]
+        if esc != "u":
+            if esc not in _REF_ESCAPES:
+                raise r.DslParseError("Invalid \\escape", _ref_byte_offset(source, i))
+            out.append(_REF_ESCAPES[esc])
             i += 2
             continue
-        out.append(ch)
-        i += 1
-    raise r.DslParseError("unterminated string literal", _ref_byte_offset(source, start))
+        if i + 6 >= n:
+            raise r.DslParseError("Invalid \\uXXXX escape", _ref_byte_offset(source, i + 1))
+        code = _ref_hex4(source, i + 1)
+        i += 6
+        if 0xD800 <= code <= 0xDBFF and i + 6 < n and source[i: i + 2] == "\\u":
+            low = _ref_hex4(source, i + 1)
+            if 0xDC00 <= low <= 0xDFFF:
+                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
+                i += 6
+        out.append(chr(code))
+    raise r.DslParseError("Unterminated string starting at", _ref_byte_offset(source, start))
 
 
 def lex_outcome(tokenize, source: str):

@@ -198,18 +198,25 @@ class TestReplayAndVerify:
         self.produce_trace(demo_args)
         assert run_cli("verify-trace", "--trace", demo_args["trace"]) == EXIT_OK
 
-    def test_verify_trace_detects_tampering(self, demo_args, tmp_path, capsys):
+    @pytest.mark.parametrize("kind, edit, section", [
+        ("step", lambda record: record["event"].update(outcome="failure"), "step[initial]"),
+        ("reason", lambda record: record.update(answer=record["answer"] + "x"), "reason"),
+    ], ids=["step-outcome", "reason-answer"])
+    def test_verify_trace_detects_tampering(self, kind, edit, section, demo_args, tmp_path,
+                                            capsys):
         self.produce_trace(demo_args)
         lines = []
         with open(demo_args["trace"]) as fh:
             for line in fh:
                 record = json.loads(line)
-                if record.get("type") == "step":
-                    record["event"]["outcome"] = "failure"
+                if record.get("type") == kind:
+                    edit(record)
                 lines.append(json.dumps(record))
         tampered = tmp_path / "tampered.jsonl"
         tampered.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
         assert run_cli("verify-trace", "--trace", str(tampered)) == EXIT_DIVERGENCE
+        assert capsys.readouterr().out == f"trace diverged at {section} (index 0)\n"
 
     @pytest.mark.parametrize("command", ["replay", "verify-trace"])
     def test_corrupt_last_line_exits_2(self, command, demo_args, tmp_path, capsys):
@@ -464,6 +471,7 @@ class TestInputFiles:
         value = f"scripted:{path}" if flag == "--model" else str(path)
         assert run_cli(*run_args(demo_args, **{flag: value})) == EXIT_USAGE
         assert_one_error_line(capsys, f"{label} file {path}")
+        assert not Path(demo_args["trace"]).exists()
 
     @pytest.mark.parametrize("flag", ["--task-file", "--metadata", "--config"])
     def test_missing_run_input_exits_2(self, flag, demo_args, tmp_path, capsys):
@@ -626,16 +634,18 @@ class TestKbSideFile:
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
         assert os.listdir(path.parent) == [path.name]
 
+    @pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
     @pytest.mark.parametrize("command", ["replay", "verify-trace"])
-    def test_trace_verifies_from_its_side_file(self, command, demo_args, monkeypatch,
+    def test_trace_verifies_from_its_side_file(self, command, relative, demo_args, monkeypatch,
                                                tmp_path, capsys):
         TestReplayAndVerify().produce_trace(demo_args)
         pipeline._KB_MEMO.clear()
         elsewhere = tmp_path / "elsewhere"
         elsewhere.mkdir()
         monkeypatch.chdir(elsewhere)
+        trace = os.path.relpath(demo_args["trace"]) if relative else demo_args["trace"]
         capsys.readouterr()
-        assert run_cli(command, "--trace", demo_args["trace"]) == EXIT_OK
+        assert run_cli(command, "--trace", trace) == EXIT_OK
 
     @pytest.mark.parametrize("case", sorted(KB_TAMPERING))
     @pytest.mark.parametrize("command", ["replay", "verify-trace"])

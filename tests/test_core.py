@@ -126,6 +126,19 @@ class TestValidateMetadata:
         kinds = sorted(i.kind for i in validate_metadata(metadata).issues)
         assert kinds == ["bad_error_class", "bad_rule_syntax", "bad_rule_syntax"]
 
+    def test_require_valid_names_kind_and_detail_of_each_finding(self):
+        metadata = make_metadata(
+            tools=(make_tool("search"), make_tool("search")),
+            constraints=RuleSet(recovery_rules=(RecoverySpec("bogus", "set query = 1"),)))
+        report = validate_metadata(metadata)
+        assert all(issue.step is None for issue in report.issues)
+        with pytest.raises(ValueError) as exc_info:
+            report.require_valid()
+        assert str(exc_info.value) == (
+            "metadata is invalid: [{'kind': 'duplicate_tool_id', 'detail': \"tool id 'search' "
+            "registered twice\"}, {'kind': 'bad_error_class', 'detail': \"recovery rule 1: "
+            "unknown error class 'bogus'\"}]")
+
 
     @pytest.mark.parametrize("number", ["1e400", "-1e400"])
     def test_param_that_overflows_to_infinity_is_refused(self, number):

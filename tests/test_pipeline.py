@@ -20,12 +20,12 @@ from ptrun.bench import bench_metadata
 from ptrun.core import AutoRuleSpec, Metadata, Profile, RecoverySpec, RuleSet, Task
 from ptrun.pipeline import (REPAIR_APPLIED_FLAG, REPAIR_REJECTED_FLAG, RunConfig,
                             ToolEnvironment, _compare, kb_side_file, replay_trace, run_ptr)
-from ptrun.router import RouteMode
+from ptrun.router import RiskWeights, RouteMode, RouteThresholds
 from ptrun.semantic import (ModelResponse, PriceEntry, ScriptedModel, ScriptExhaustedError, Usage,
                             build_profile_prompt)
 from ptrun.trace import (SCHEMA_VERSION, VOLATILE_KEYS, TraceSchemaError, canonical_json,
                          read_trace, strip_volatile)
-from ptrun.verifier import verify
+from ptrun.verifier import PenaltyCoefficients, verify
 
 import helpers_dsl
 from helpers_scenarios import KB as SCENARIO_KB, build_model, execute_phase, make_scenario
@@ -932,7 +932,7 @@ class RecordedCostModel(ScriptedModel):
         self.costs = [r["cost_micros"] for r in calls]
 
     def complete(self, request):
-        cost = self.costs[self.position] if self.position < len(self.costs) else 0
+        cost = self.costs[self.calls] if self.calls < len(self.costs) else 0
         return replace(super().complete(request), cost_micros=cost)
 
 
@@ -1183,6 +1183,22 @@ class TestBounds:
                         recovery_retries=1)
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
         assert cfg.config_hash() == RunConfig.from_dict(cfg.to_dict()).config_hash()
+
+    @pytest.mark.parametrize("key", sorted(RunConfig().to_dict()))
+    def test_run_config_key_left_out_takes_the_default(self, key):
+        # every value differs from the default, so only the key left out can match it
+        cfg = RunConfig(weights=RiskWeights(0.4, 0.15, 0.15, 0.15, 0.15),
+                        thresholds=RouteThresholds(0.3, 0.8),
+                        penalties=PenaltyCoefficients(fail=0.5), repair_threshold=0.7,
+                        recovery_retries=3, thin_output_threshold=6, budget_micros=123,
+                        seed=7, mode_override=RouteMode.GUARDED,
+                        price_table={"default": PriceEntry(1, 2)})
+        data = cfg.to_dict()
+        default = RunConfig().to_dict()
+        assert all(data[name] != default[name] for name in data)
+        del data[key]
+        assert RunConfig.from_dict(data).to_dict() == dict(cfg.to_dict(), **{key: default[key]})
+        assert RunConfig.from_dict({}) == RunConfig()
 
 
 class RoleModel:

@@ -53,6 +53,19 @@ class TestParsing:
         with pytest.raises(r.DslParseError):
             r.parse_predicate("result.count === ")
 
+    @pytest.mark.parametrize("escape", ["\\u 1_a", "\\u+041"])
+    def test_u_escape_takes_exactly_four_hex_digits(self, escape):
+        with pytest.raises(r.DslParseError) as exc_info:
+            r.parse_predicate(f'result.x == "{escape}"')
+        assert exc_info.value.offset == len('result.x == "\\')  # at the u
+
+    def test_surrogate_pair_escape_is_one_character(self):
+        ast = r.parse_predicate('result.x == "\\ud83d\\ude00"')
+        assert ast.value == "\U0001f600"
+        assert r.predicate_to_source(ast) == 'result.x == "\\ud83d\\ude00"'
+        assert r.parse_predicate(r.predicate_to_source(ast)) == ast
+        assert r.eval_predicate(ast, state_with({"x": "\U0001f600"})) is True
+
     def test_precedence_and_binds_tighter_than_or(self):
         ast = r.parse_predicate("env.a == 1 or env.b == 1 and env.c == 1")
         assert isinstance(ast, r.Or)
@@ -267,7 +280,8 @@ class TestLexerMatchesReference:
     # surrogates, string escapes, signs glued to digits, whitespace the
     # grammar does not allow
     FRAGMENTS = ("é", "ß", "İ", "一", "²", "½", "Ⅻ", "١", "\u0301", "\u20dd", "\ud800", "\udc00",
-                 '"', "\\", "\\u", "\\u00e9", "\\u12", "\\uD83D", "\\u 1_a", "\\n", "\\q",
+                 '"', "\\", "\\u", "\\u00e9", "\\u12", "\\uD83D", "\\uDE00", "\\u 1_a", "\\u+041",
+                 "\\n", "\\q",
                  "-", "-1", "-0.5", "1.", ".5", "12", "\t", "\n", "\r", "\x0b", "\xa0",
                  "==", "??", "!", "?", "and", "set", "trace", "_x9")
 
@@ -285,6 +299,7 @@ class TestLexerMatchesReference:
         "", "   ", "x \t\r\n", "x\x0b", "x²", "x١", "é1_ü", "一二 == 三", "½", "Ⅻ", "x\u0301",
         "a-1", "a - 1", "--1", "1.5.5", "1..5", "-", "9" * 400, '"ab', '"ab\\', '"a\\"',
         '"\\u00e9\\n"', '"\\u12"', '"\\u 1_a"', '"\\q"', '"a" "b', "\ud800", "result.x ==\ud800",
+        '"\\u+041"', '"\\ud83d\\ude00"',
     ])
     def test_edge_cases(self, source):
         assert helpers_dsl.lex_outcome(r._tokenize, source) == \
