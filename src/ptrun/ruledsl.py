@@ -91,6 +91,8 @@ _TOKEN_RE = re.compile(r"""
     (?:([^\W\d]\w*)
       |(==|!=|<=|>=|\?\?|-?[0-9]+(?:\.[0-9]+)?|"[^"\\]*(?:\\.[^"\\]*)*"?|[^ \t\r\n]))
 """, re.VERBOSE | re.DOTALL)
+# A string literal's longest prefix whose escapes are all valid JSON escapes.
+_VALID_ESCAPES_RE = re.compile(r'"(?:[^\\]+|\\["\\/bfnrt]|\\u[0-9a-fA-F]{4})*')
 _SYMBOLS = frozenset(("==", "!=", "<=", ">=", "??", "<", ">", "(", ")", ".", "=", "+", "*",
                       ";", "-"))
 
@@ -127,6 +129,13 @@ def _tokenize(source: str) -> list[tuple]:
                 # escapes, or no closing quote: a literal is a JSON string, so
                 # JSON's own scanner decodes it or says where it goes wrong.
                 # Not strict: raw control characters pass, as they do above.
+                # The C scanner refuses a \u without four hex digits; the pure
+                # Python one, used where _json is missing, reads them with
+                # int(), which takes " 1_a" and "+041", so they are refused here.
+                stop = _VALID_ESCAPES_RE.match(text).end()
+                if text.startswith("\\u", stop):
+                    raise DslParseError("Invalid \\uXXXX escape",
+                                        _byte_offset(source, pos + stop + 1))
                 try:
                     value = json.decoder.scanstring(source, pos + 1, False)[0]
                 except json.JSONDecodeError as exc:

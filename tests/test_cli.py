@@ -396,29 +396,38 @@ class TestInputFiles:
         assert run_cli(*bench_args(**{"--kb": str(kb)})) == EXIT_USAGE
         assert_one_error_line(capsys, "knowledge-base file")
 
-    @pytest.mark.parametrize("content", [
-        json.dumps([1]), json.dumps({"items": [{}]}), "{",
-        pytest.param("[" * DEEPER_THAN_ANY_DECODER, id="nested-too-deeply"),
+    @pytest.mark.parametrize("content, reason", [
+        (json.dumps([1]), "suite must be a JSON object"),
+        (json.dumps({"items": [{}]}), "answer_kind"),
+        ("{", "Expecting property name enclosed in double quotes"),
+        pytest.param("[" * DEEPER_THAN_ANY_DECODER, "maximum recursion depth exceeded",
+                     id="nested-too-deeply"),
         pytest.param(json.dumps({"answer_kind": "numeric", "items": [
-            {"id": "q1", "question": "How many?", "gold": [1.5]}]}), id="number-gold"),
+            {"id": "q1", "question": "How many?", "gold": [1.5]}]}),
+            "item q1: gold must be a non-empty list of strings", id="number-gold"),
         pytest.param(json.dumps({"answer_kind": "free_text", "items": [
-            {"id": "q1", "question": "Which?", "gold": "abc"}]}), id="string-gold"),
+            {"id": "q1", "question": "Which?", "gold": "abc"}]}),
+            "item q1: gold must be a non-empty list of strings", id="string-gold"),
         pytest.param(json.dumps({"answer_kind": "free_text", "items": [
-            {"id": "q01", "question": "   ", "gold": ["Alan Turing"]}]}), id="blank-question")])
-    def test_bench_with_malformed_suite_exits_2(self, content, tmp_path, capsys):
+            {"id": "q01", "question": "   ", "gold": ["Alan Turing"]}]}),
+            "item q01: question must be a non-blank string", id="blank-question")])
+    def test_bench_with_malformed_suite_exits_2(self, content, reason, tmp_path, capsys):
         suite = tmp_path / "suite.json"
         suite.write_text(content)
         assert run_cli(*bench_args(**{"--suite": str(suite)})) == EXIT_USAGE
-        assert_one_error_line(capsys, f"suite file {suite}")
+        assert_one_error_line(capsys, f"suite file {suite}", reason)
 
-    @pytest.mark.parametrize("content", [json.dumps([]), json.dumps({"q01": []}),
-                                         json.dumps({"q01": {"ptr": "x"}})],
-                             ids=["not-an-object", "item-not-an-object", "script-not-a-list"])
-    def test_bench_with_malformed_scriptbook_exits_2(self, content, tmp_path, capsys):
+    @pytest.mark.parametrize("content, reason", [
+        (json.dumps([]), "scriptbook must be an object"),
+        (json.dumps({"q01": []}), "scriptbook item 'q01' must be an object"),
+        (json.dumps({"q01": {"ptr": "x"}}),
+         "scriptbook item 'q01', ptr script: script must be a list"),
+    ], ids=["not-an-object", "item-not-an-object", "script-not-a-list"])
+    def test_bench_with_malformed_scriptbook_exits_2(self, content, reason, tmp_path, capsys):
         book = tmp_path / "scripts.json"
         book.write_text(content)
         assert run_cli(*bench_args(**{"--model": f"scripted:{book}"})) == EXIT_USAGE
-        assert_one_error_line(capsys, f"scriptbook file {book}")
+        assert_one_error_line(capsys, f"scriptbook file {book}", reason)
 
     def test_missing_kb_file_exits_2(self, demo_args, tmp_path, capsys):
         missing = str(tmp_path / "absent.json")
@@ -441,36 +450,47 @@ class TestInputFiles:
         assert run_cli(*run_args(demo_args, **{"--config": str(config_path)})) == EXIT_USAGE
         assert_one_error_line(capsys, f"config file {config_path}", number)
 
-    @pytest.mark.parametrize("flag, label, content", [
-        ("--task-file", "task", json.dumps({"objective": 7})),
-        ("--task-file", "task", "{"),
+    @pytest.mark.parametrize("flag, label, content, reason", [
+        ("--task-file", "task", json.dumps({"objective": 7}), "task.objective must be a string"),
+        ("--task-file", "task", "{", "Expecting property name enclosed in double quotes"),
         pytest.param("--task-file", "task", "[" * DEEPER_THAN_ANY_DECODER,
-                     id="task-nested-too-deeply"),
-        ("--metadata", "metadata", json.dumps({"tool_catalog": "kb_search"})),
+                     "maximum recursion depth exceeded", id="task-nested-too-deeply"),
+        ("--metadata", "metadata", json.dumps({"tool_catalog": "kb_search"}),
+         "tool_catalog must be a list"),
         ("--metadata", "metadata", json.dumps({"constraints": {
-            "auto_rules": [{"id": "a", "expr": "result."}]}})),
+            "auto_rules": [{"id": "a", "expr": "result."}]}}),
+         "auto rule 'a': unexpected 'end of input' (at byte 7)"),
         pytest.param("--metadata", "metadata", json.dumps(dict(DEMO_METADATA, tool_catalog=[
             dict(DEMO_METADATA["tool_catalog"][0], id="x"), *DEMO_METADATA["tool_catalog"][1:]])),
-            id="catalog-tool-not-built-in"),
-        ("--config", "config", json.dumps([1, 2])),
-        ("--config", "config", json.dumps({"route_thresholds": {"lower": 0.1}})),
-        ("--config", "config", json.dumps({"risk_weights": 5})),
-        ("--config", "config", json.dumps({"price_table": {"default": []}})),
-        ("--model", "script", json.dumps([{"role": "profile"}])),
-        ("--model", "script", json.dumps([{"role": "profile", "text": 5}])),
-        ("--fault-scripts", "fault-script", json.dumps({"kb_search": [{"message": "x"}]})),
-        ("--fault-scripts", "fault-script", json.dumps(["timeout"])),
-        ("--fault-scripts", "fault-script", json.dumps({"kb_search": None})),
-        ("--fault-scripts", "fault-script", json.dumps({"kb_search": ["bogus"]})),
-        ("--fault-scripts", "fault-script", json.dumps({"kb_search": [{"fail": "unknown_tool"}]})),
+            "registry does not cover catalog tool 'x'", id="catalog-tool-not-built-in"),
+        ("--config", "config", json.dumps([1, 2]), "config must be a JSON object"),
+        ("--config", "config", json.dumps({"route_thresholds": {"lower": 0.1}}), "upper"),
+        ("--config", "config", json.dumps({"risk_weights": 5}),
+         "config risk_weights must be an object"),
+        ("--config", "config", json.dumps({"price_table": {"default": []}}),
+         "config price_table entries must be objects"),
+        ("--model", "script", json.dumps([{"role": "profile"}]),
+         "role and text must be strings"),
+        ("--model", "script", json.dumps([{"role": "profile", "text": 5}]),
+         "role and text must be strings"),
+        ("--fault-scripts", "fault-script", json.dumps({"kb_search": [{"message": "x"}]}),
+         "bad fault script entry: {'message': 'x'} names no tool error class"),
+        ("--fault-scripts", "fault-script", json.dumps(["timeout"]),
+         "fault scripts must map tool ids to scripts"),
+        ("--fault-scripts", "fault-script", json.dumps({"kb_search": None}),
+         "fault script must be a non-empty list"),
+        ("--fault-scripts", "fault-script", json.dumps({"kb_search": ["bogus"]}),
+         "bad fault script entry: 'bogus' names no tool error class"),
+        ("--fault-scripts", "fault-script", json.dumps({"kb_search": [{"fail": "unknown_tool"}]}),
+         "bad fault script entry: {'fail': 'unknown_tool'} names no tool error class"),
     ])
-    def test_malformed_run_input_exits_2(self, flag, label, content, demo_args, tmp_path,
-                                         capsys):
+    def test_malformed_run_input_exits_2(self, flag, label, content, reason, demo_args,
+                                         tmp_path, capsys):
         path = tmp_path / "input.json"
         path.write_text(content)
         value = f"scripted:{path}" if flag == "--model" else str(path)
         assert run_cli(*run_args(demo_args, **{flag: value})) == EXIT_USAGE
-        assert_one_error_line(capsys, f"{label} file {path}")
+        assert_one_error_line(capsys, f"{label} file {path}", reason)
         assert not Path(demo_args["trace"]).exists()
 
     @pytest.mark.parametrize("flag", ["--task-file", "--metadata", "--config"])
