@@ -51,7 +51,8 @@ def _input(label: str, path: str | Path, build=lambda raw: raw):
     try:
         return build(load_json(path))
     except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise UsageError(f"{label} file {path}: {exc}") from None
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise UsageError(f"{label} file {path}: {reason}") from None
 
 
 def _config(raw) -> tuple[RunConfig, dict]:

@@ -8,11 +8,12 @@ BranchRule, CompiledBranchRule) are slotted and not frozen, since creating
 a frozen instance costs several times as much; nothing mutates them once
 built. Serialization uses plain dicts with snake_case field names; the JSON
 contract is documented in docs/schemas.md and is what the planner model is
-asked to emit.
+asked to emit. Every rule text is parsed through ``parse_rule``'s memo.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -423,33 +424,45 @@ class RuleBundle:
         return None
 
 
-def parse_once():
-    """A parse(parser, source) that runs each DSL parser on each distinct text
-    once: rules that share a text share its AST, or its DslParseError."""
-    results: dict = {}
-
-    def parse(parser, source: str):
-        key = (parser, source)
-        if key not in results:
-            try:
-                results[key] = parser(source)
-            except ruledsl.DslParseError as exc:
-                results[key] = exc
-        result = results[key]
-        if isinstance(result, ruledsl.DslParseError):
-            raise result.with_traceback(None)
-        return result
-
-    return parse
+# A rule's AST takes 0.5-1 KB, and that of the densest text kept about 6 KB,
+# so a full memo holds about 0.5 MB, and never more than about 3 MB.
+RULE_MEMO_ENTRIES = 512
+RULE_MEMO_MAX_TEXT = 256
 
 
-def compile_branch_rule(rule_index: int, rule: BranchRule, parse) -> CompiledBranchRule:
-    """Parse one branch rule's predicate and modifier through a parse_once()
-    function; raises DslParseError."""
+@functools.lru_cache(maxsize=RULE_MEMO_ENTRIES)
+def _memo(kind: str, source: str):
+    try:  # read on every miss, so a wrapper installed on ruledsl's parsers sees it
+        return getattr(ruledsl, "parse_" + kind)(source)
+    except ruledsl.DslParseError as exc:
+        exc.__traceback__ = exc.__context__ = None  # the memo keeps no frames
+        return exc
+
+
+def parse_rule(kind: str, source: str):
+    """The AST of a rule text of one kind ("predicate", "modifier",
+    "auto_expr" or "arith") from ``ruledsl.parse_<kind>``, parsed once while
+    the memo holds it: a thread-safe LRU memo of RULE_MEMO_ENTRIES texts of
+    at most RULE_MEMO_MAX_TEXT characters. Raises the text's DslParseError, a
+    fresh copy each time, so no caller's frames stay in the memo."""
+    result = (_memo if len(source) <= RULE_MEMO_MAX_TEXT else _memo.__wrapped__)(kind, source)
+    if isinstance(result, ruledsl.DslParseError):
+        error = type(result).__new__(type(result))
+        error.args = result.args
+        error.__dict__.update(result.__dict__)
+        raise error
+    return result
+
+
+parse_rule.cache_info, parse_rule.cache_clear = _memo.cache_info, _memo.cache_clear
+
+
+def compile_branch_rule(rule_index: int, rule: BranchRule) -> CompiledBranchRule:
+    """Parse one branch rule's predicate and modifier; raises DslParseError."""
     return CompiledBranchRule(
         rule_index=rule_index,
-        predicate=parse(ruledsl.parse_predicate, rule.predicate),
-        modifier=parse(ruledsl.parse_modifier, rule.modifier),
+        predicate=parse_rule("predicate", rule.predicate),
+        modifier=parse_rule("modifier", rule.modifier),
         target_step=rule.target_step,
     )
 
@@ -532,8 +545,8 @@ class Violation:
 @dataclass(frozen=True)
 class AdmissibilityReport:
     """Verdict of check_admissibility. An admissible report also carries the
-    profile's branch rules as parsed by the check, so a run parses each
-    distinct rule text once per admission; an inadmissible one carries none."""
+    profile's branch rules as parsed by the check, so a run does not parse
+    them again; an inadmissible one carries none."""
 
     admissible: bool
     violations: tuple[Violation, ...] = ()
@@ -544,9 +557,9 @@ class AdmissibilityReport:
 class MetadataReport:
     """Verdict of validate_metadata. Its ``rules`` hold the metadata's auto
     and recovery rules and constraint predicates as parsed by the check, and
-    no branch rules, so a run parses each distinct rule text once per
-    validation; a rule that does not parse is left out and reported as an
-    issue. Metadata has no steps, so no finding names one."""
+    no branch rules, so a run does not parse them again; a rule that does not
+    parse is left out and reported as an issue. Metadata has no steps, so no
+    finding names one."""
 
     issues: tuple[Violation, ...] = ()
     rules: RuleBundle = field(default_factory=RuleBundle)
@@ -562,7 +575,6 @@ class MetadataReport:
 def validate_metadata(metadata: Metadata) -> MetadataReport:
     """Structural checks on metadata: unique tool ids and parseable rule sources."""
     issues: list[Violation] = []
-    parse = parse_once()
     seen: set[str] = set()
     for spec in metadata.tool_catalog:
         if spec.id in seen:
@@ -572,7 +584,7 @@ def validate_metadata(metadata: Metadata) -> MetadataReport:
     auto_rules: dict[str, ruledsl.AutoRule] = {}
     for rule in metadata.constraints.auto_rules:
         try:
-            auto_rules[rule.id] = ruledsl.AutoRule(id=rule.id, expr=parse(ruledsl.parse_auto_expr, rule.expr))
+            auto_rules[rule.id] = ruledsl.AutoRule(rule.id, parse_rule("auto_expr", rule.expr))
         except ruledsl.DslParseError as exc:
             issues.append(Violation(None, "bad_rule_syntax", f"auto rule {rule.id!r}: {exc}"))
     recovery_rules: list[tuple[str, ruledsl.ModifierAst]] = []
@@ -581,13 +593,13 @@ def validate_metadata(metadata: Metadata) -> MetadataReport:
             issues.append(Violation(
                 None, "bad_error_class", f"recovery rule {i}: unknown error class {rule.error_class!r}"))
         try:
-            recovery_rules.append((rule.error_class, parse(ruledsl.parse_modifier, rule.modifier)))
+            recovery_rules.append((rule.error_class, parse_rule("modifier", rule.modifier)))
         except ruledsl.DslParseError as exc:
             issues.append(Violation(None, "bad_rule_syntax", f"recovery rule {i}: {exc}"))
     predicates: list[ruledsl.PredicateAst] = []
     for i, source in enumerate(metadata.constraints.constraint_predicates, start=1):
         try:
-            predicates.append(parse(ruledsl.parse_predicate, source))
+            predicates.append(parse_rule("predicate", source))
         except ruledsl.DslParseError as exc:
             issues.append(Violation(None, "bad_rule_syntax", f"constraint predicate {i}: {exc}"))
     return MetadataReport(tuple(issues), RuleBundle(
@@ -601,11 +613,10 @@ def check_admissibility(profile: Profile, metadata: Metadata) -> AdmissibilityRe
     or deferred (auto marker on an auto-resolvable slot, placeholder referencing
     a strictly earlier step's store key); and, per profile: branch rules parse
     and bind to existing steps with schema-known slots, replan conditions parse
-    as state predicates. Each distinct rule text is parsed once per call. An
-    admissible report carries the parsed branch rules.
+    as state predicates. Every rule text goes through the rule memo
+    (``parse_rule``). An admissible report carries the parsed branch rules.
     """
     violations: list[Violation] = []
-    parse = parse_once()
     # Store keys are unique, so a key's position is the step that stores it.
     positions = {key: position for position, key in enumerate(store_keys(profile.workflow))}
     auto_ids = {rule.id for rule in metadata.constraints.auto_rules}
@@ -649,7 +660,7 @@ def check_admissibility(profile: Profile, metadata: Metadata) -> AdmissibilityRe
     for i, rule in enumerate(profile.branch_rules, start=1):
         target_spec = metadata.tool(profile.workflow.steps[rule.target_step - 1].tool_id)
         try:
-            branch = compile_branch_rule(i - 1, rule, parse)
+            branch = compile_branch_rule(i - 1, rule)
         except ruledsl.DslParseError as exc:
             violations.append(Violation(rule.target_step, "unevaluable_branch_rule", f"branch rule {i}: {exc}"))
             continue
@@ -663,7 +674,7 @@ def check_admissibility(profile: Profile, metadata: Metadata) -> AdmissibilityRe
 
     for i, source in enumerate(profile.replan_conditions, start=1):
         try:
-            parse(ruledsl.parse_predicate, source)
+            parse_rule("predicate", source)
         except ruledsl.DslParseError as exc:
             violations.append(Violation(None, "unevaluable_replan_condition", f"replan condition {i}: {exc}"))
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 from . import ruledsl
 from .core import (ERROR_CLASSES, AutoParam, CompiledBranchRule, Metadata, PlaceholderParam,
-                   Profile, RuleBundle, Workflow, compile_branch_rule, parse_once, store_keys,
+                   Profile, RuleBundle, Workflow, compile_branch_rule, store_keys,
                    validate_metadata)
 from .router import RouteMode
 from .tools import ToolOutcome, ToolRegistry
@@ -207,11 +207,10 @@ class ExecutionConfig:
 
 
 def compile_rules(metadata: Metadata, profile: Profile) -> RuleBundle:
-    """Parse every rule source of a metadata and a profile once; call only
-    after admissibility passed. Raises ValueError for invalid metadata."""
-    parse = parse_once()
+    """Parse every rule source of a metadata and a profile; call only after
+    admissibility passed. Raises ValueError for invalid metadata."""
     return replace(validate_metadata(metadata).require_valid().rules,
-                   branch_rules=tuple(compile_branch_rule(i, rule, parse)
+                   branch_rules=tuple(compile_branch_rule(i, rule)
                                       for i, rule in enumerate(profile.branch_rules)))
 
 

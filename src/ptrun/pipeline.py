@@ -21,7 +21,6 @@ import os
 import re
 import threading
 import time
-import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
@@ -226,7 +225,7 @@ class ToolEnvironment:
             raise ValueError("the articles were changed in place after the environment was "
                              "built; they no longer hash to its kb_digest")
         Path(path).parent.mkdir(exist_ok=True)  # the trace's own directory must exist
-        partial = f"{path}.{uuid.uuid4().hex}.tmp"
+        partial = f"{path}.{os.urandom(16).hex()}.tmp"
         try:
             with open(partial, "xb") as fh:
                 fh.write(data)
@@ -585,7 +584,8 @@ def _read_header(header: dict, source
                 raise ValueError(f"kb_digest {kb_digest!r} is not 64 lowercase hex digits")
             kb = None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise TraceSchemaError(f"trace header is malformed: {exc}") from None
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise TraceSchemaError(f"trace header is malformed: {reason}") from None
     if kb is None:
         kb = _resolve_kb(environment["kb_digest"], source)
     try:

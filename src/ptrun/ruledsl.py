@@ -18,7 +18,7 @@ literal is a JSON string, and string comparison is code-point-wise.
 AST and rule nodes are slotted, not frozen: a run builds them for every rule
 it parses, and creating a frozen instance costs several times as much.
 Nothing mutates a node once the parser has built it; rules that share a text
-share its AST (``core.parse_once``).
+share its AST through one process-wide memo (``core.parse_rule``).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import ruledsl
-from .core import TOOL_ERROR_CLASSES, SlotSpec, ToolSpec
+from .core import TOOL_ERROR_CLASSES, SlotSpec, ToolSpec, parse_rule
 from .trace import json_encoder, load_json
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -248,7 +248,7 @@ def calc(params: dict, state) -> ToolOutcome:
     if not isinstance(expression, str) or not expression.strip():
         return ToolOutcome.failure("invalid_params", "expression must be a non-empty string")
     try:
-        ast = ruledsl.parse_arith(expression)
+        ast = parse_rule("arith", expression)
         value = ruledsl.eval_expr(ast, {}, None)
     except ruledsl.DslError as exc:
         return ToolOutcome.failure("invalid_params", str(exc))

@@ -410,7 +410,9 @@ class TestInputFiles:
             "item q1: gold must be a non-empty list of strings", id="string-gold"),
         pytest.param(json.dumps({"answer_kind": "free_text", "items": [
             {"id": "q01", "question": "   ", "gold": ["Alan Turing"]}]}),
-            "item q01: question must be a non-blank string", id="blank-question")])
+            "item q01: question must be a non-blank string", id="blank-question"),
+        pytest.param(json.dumps({"items": [{"id": "q1", "question": "Who?", "gold": ["x"]}]}),
+                     "missing key 'answer_kind'", id="missing-answer-kind")])
     def test_bench_with_malformed_suite_exits_2(self, content, reason, tmp_path, capsys):
         suite = tmp_path / "suite.json"
         suite.write_text(content)
@@ -483,6 +485,8 @@ class TestInputFiles:
          "bad fault script entry: 'bogus' names no tool error class"),
         ("--fault-scripts", "fault-script", json.dumps({"kb_search": [{"fail": "unknown_tool"}]}),
          "bad fault script entry: {'fail': 'unknown_tool'} names no tool error class"),
+        pytest.param("--config", "config", json.dumps({"route_thresholds": {"upper": 0.9}}),
+                     "missing key 'lower'", id="thresholds-without-lower"),
     ])
     def test_malformed_run_input_exits_2(self, flag, label, content, reason, demo_args,
                                          tmp_path, capsys):
@@ -570,6 +574,15 @@ class TestMalformedTraceHeader:
         capsys.readouterr()
         assert run_cli(command, "--trace", bad) == EXIT_DIVERGENCE
         assert_one_error_line(capsys, "malformed trace", "no task object")
+
+    @pytest.mark.parametrize("command", ["replay", "verify-trace"])
+    def test_thresholds_without_upper_exits_2(self, command, demo_args, tmp_path, capsys):
+        bad = self.rewrite_header(demo_args, tmp_path, lambda header: header["config"][
+            "route_thresholds"].pop("upper"))
+        capsys.readouterr()
+        assert run_cli(command, "--trace", bad) == EXIT_DIVERGENCE
+        assert_one_error_line(capsys, "malformed trace",
+                              "trace header is malformed: missing key 'upper'")
 
     @pytest.mark.parametrize("command", ["replay", "verify-trace"])
     def test_untitled_embedded_article_exits_2(self, command, tmp_path, capsys):

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 import ptrun
 from ptrun import pipeline, ruledsl, semantic
 from ptrun.bench import bench_metadata
-from ptrun.core import AutoRuleSpec, Metadata, Profile, RecoverySpec, RuleSet, Task
+from ptrun.core import AutoRuleSpec, Metadata, Profile, RecoverySpec, RuleSet, Task, parse_rule
 from ptrun.pipeline import (REPAIR_APPLIED_FLAG, REPAIR_REJECTED_FLAG, RunConfig,
                             ToolEnvironment, _compare, kb_side_file, replay_trace, run_ptr)
 from ptrun.router import RiskWeights, RouteMode, RouteThresholds
@@ -209,6 +209,10 @@ class TestRepair:
 
 
 class TestParseOnce:
+    @pytest.fixture(autouse=True)
+    def empty_rule_memo(self):
+        parse_rule.cache_clear()
+
     def test_each_branch_rule_is_parsed_once_per_run(self, monkeypatch):
         calls = {"parse_predicate": 0, "parse_modifier": 0}
         for name in calls:
@@ -235,13 +239,13 @@ class TestParseOnce:
         report = run_ptr(task(), bench_metadata(), RunConfig(), model, environment())
         assert report.model_calls == 3
         assert REPAIR_APPLIED_FLAG in report.verification["flags"]
-        # one parse per distinct text per admission: the failing profile's
-        # two rules with an empty modifier share its parse
-        assert calls == {name: sum(len({rule[key] for rule in profile["branch_rules"]})
-                                   for profile in (failing, patch))
+        # one parse per distinct text per process: the empty modifier, carried
+        # by two rules of the failing profile and one of the patch, is parsed once
+        assert calls == {name: len({rule[key] for profile in (failing, patch)
+                                    for rule in profile["branch_rules"]})
                          for name, key in (("parse_predicate", "predicate"),
                                            ("parse_modifier", "modifier"))}
-        assert calls == {"parse_predicate": 5, "parse_modifier": 4}
+        assert calls == {"parse_predicate": 5, "parse_modifier": 3}
 
     SHARED_PREDICATE = 'env.audience == "nobody"'
     SHARED_MODIFIER = "set limit = 3"
@@ -359,7 +363,12 @@ class TestParseOnce:
         assert REPAIR_APPLIED_FLAG in report.verification["flags"]
         assert calls == expected
 
+        # in the same process the replay finds every text in the memo; after
+        # a memo clear it parses each text once
         calls.clear()
+        assert replay_trace(path).matched
+        assert not calls
+        parse_rule.cache_clear()
         assert replay_trace(path).matched
         assert calls == expected
 
@@ -1068,6 +1077,23 @@ class TestTraceKeyOrder:
             for seed in ("1", "2")
         ]
         assert outputs[0] and outputs[0] == outputs[1]
+
+
+class TestImport:
+    def test_import_does_not_load_uuid(self):
+        # uuid imports platform, which costs a cold import of ptrun about 3 ms
+        path = os.pathsep.join([str(Path(ptrun.__file__).parents[1]),
+                                os.environ.get("PYTHONPATH", "")])
+
+        def modules(statement: str) -> set[str]:
+            return set(subprocess.run([sys.executable, "-c", f"{statement}\nimport sys\n"
+                                       "print(*sys.modules)"], capture_output=True, text=True,
+                                      check=True, env=dict(os.environ, PYTHONPATH=path)
+                                      ).stdout.split())
+
+        added = modules("import ptrun") - modules("pass")
+        assert {"ptrun.pipeline", "ptrun.core"} <= added
+        assert "uuid" not in added
 
 
 # Constraint predicates over the keys and env of helpers_scenarios runs; each

@@ -1,12 +1,13 @@
 import json
 import random
 import re
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptrun import ruledsl as r
+from ptrun import core, ruledsl as r
 from ptrun.executor import ExecutionState
 
 import helpers_dsl
@@ -378,3 +379,102 @@ class TestUntrustedText:
         with pytest.raises(r.DslParseError, match="nesting operators") as exc_info:
             parse(source)
         assert exc_info.value.offset == offset
+
+
+MEMO_KINDS = ("predicate", "modifier", "auto_expr", "arith")
+
+
+def parse_outcome(parse, kind, source):
+    """A parse's AST, or its error's type, message, offset and expected tokens."""
+    try:
+        return parse(kind, source)
+    except r.DslParseError as exc:
+        return type(exc), str(exc), exc.offset, exc.expected
+
+
+def fresh_parse(kind, source):
+    return getattr(r, "parse_" + kind)(source)
+
+
+class TestRuleMemo:
+    @pytest.fixture(autouse=True)
+    def empty_rule_memo(self):
+        core.parse_rule.cache_clear()
+
+    def assert_memo_matches_fresh_parse(self, kind, source):
+        fresh = parse_outcome(fresh_parse, kind, source)
+        assert parse_outcome(core.parse_rule, kind, source) == fresh, (kind, source)
+        assert parse_outcome(core.parse_rule, kind, source) == fresh, (kind, source)
+
+    def test_corpus_matches_a_fresh_parse(self):
+        corpus = json.loads(CORPUS_PATH.read_text())
+        for entry in corpus:
+            for kind in MEMO_KINDS:
+                self.assert_memo_matches_fresh_parse(kind, entry["source"])
+        assert core.parse_rule.cache_info().currsize == \
+            len({entry["source"] for entry in corpus}) * len(MEMO_KINDS)
+
+    @given(st.sampled_from(MEMO_KINDS),
+           st.one_of(st.text(alphabet=st.characters(exclude_categories=())),
+                     st.lists(st.sampled_from(TestUntrustedText.TOKENS), max_size=40).map(" ".join),
+                     st.lists(st.sampled_from(TestUntrustedText.TOKENS), max_size=40).map("".join)))
+    @settings(max_examples=400, deadline=None)
+    def test_drawn_text_matches_a_fresh_parse(self, kind, source):
+        core.parse_rule.cache_clear()
+        self.assert_memo_matches_fresh_parse(kind, source)
+
+    def test_rules_that_share_a_text_share_one_ast_and_errors_are_fresh(self):
+        assert core.parse_rule("predicate", "exists(env.a)") is \
+            core.parse_rule("predicate", "exists(env.a)")
+        errors = []
+        for _ in range(2):
+            with pytest.raises(r.DslParseError) as exc_info:
+                core.parse_rule("predicate", "env.a <")
+            errors.append(exc_info.value)
+        assert errors[0] is not errors[1] and str(errors[0]) == str(errors[1])
+
+    def test_memo_holds_at_most_its_bound(self):
+        for i in range(core.RULE_MEMO_ENTRIES + 50):
+            core.parse_rule("predicate", f"env.a == {i}")
+            assert core.parse_rule.cache_info().currsize <= core.RULE_MEMO_ENTRIES
+        assert core.parse_rule.cache_info().currsize == core.RULE_MEMO_ENTRIES
+
+    def test_over_length_text_is_parsed_but_not_kept(self, monkeypatch):
+        calls = []
+
+        def counting(source, _original=r.parse_predicate):
+            calls.append(source)
+            return _original(source)
+
+        monkeypatch.setattr(r, "parse_predicate", counting)
+        long_ok = 'env.a == "' + "x" * core.RULE_MEMO_MAX_TEXT + '"'
+        long_bad = long_ok + " <"
+        for source in (long_ok, long_bad, long_ok, long_bad):
+            self.assert_memo_matches_fresh_parse("predicate", source)
+        assert core.parse_rule.cache_info().currsize == 0
+        # three parses per check: the fresh one and both memo lookups
+        assert len(calls) == 4 * 3
+
+    def test_threads_sharing_texts_get_equal_results(self):
+        texts = [("predicate", f"result.s_{i}.count >= {i}") for i in range(40)]
+        texts += [("modifier", f"set limit = {i} *") for i in range(5)]  # unparseable
+        texts += [("arith", f"{i} + {i} * 2") for i in range(5)]
+        expected = [parse_outcome(fresh_parse, kind, source) for kind, source in texts]
+        barrier = threading.Barrier(8)
+        results, failures = [], []
+
+        def work():
+            try:
+                barrier.wait()
+                results.append([parse_outcome(core.parse_rule, kind, source)
+                                for kind, source in texts])
+            except Exception as exc:  # noqa: BLE001 - any exception fails the test
+                failures.append(exc)
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert failures == []
+        assert results == [expected] * 8
