@@ -4,11 +4,13 @@ plus structural admissibility checking.
 The types built once per run or per input, such as tasks, metadata, specs,
 rule sets, workflows, profiles and reports, are frozen. The types built per
 step, param or branch rule (WorkflowStep, AutoParam, PlaceholderParam,
-BranchRule, CompiledBranchRule) are slotted and not frozen, since creating
-a frozen instance costs several times as much; nothing mutates them once
-built. Serialization uses plain dicts with snake_case field names; the JSON
-contract is documented in docs/schemas.md and is what the planner model is
-asked to emit. Every rule text is parsed through ``parse_rule``'s memo.
+BranchRule) are slotted and not frozen, since creating a frozen instance
+costs several times as much; nothing mutates them once built. Serialization
+uses plain dicts with snake_case field names; the JSON contract is
+documented in docs/schemas.md and is what the planner model is asked to
+emit. Every rule text is parsed through ``parse_rule``'s memo; the checks
+here only report findings, and ``executor.compile_rules`` builds a run's
+parsed rules once they pass.
 """
 
 from __future__ import annotations
@@ -390,40 +392,6 @@ class BranchRule:
         return cls(predicate=data["predicate"], modifier=data["modifier"], target_step=target)
 
 
-@dataclass(slots=True)
-class CompiledBranchRule:
-    rule_index: int  # position in the profile's branch_rules list
-    predicate: object
-    modifier: ruledsl.ModifierAst
-    target_step: int
-
-
-@dataclass(frozen=True)
-class RuleBundle:
-    """Parsed rules a run executes with: auto, recovery, and branch rules,
-    plus the constraint predicates its phases are verified against."""
-
-    auto_rules: dict[str, ruledsl.AutoRule] = field(default_factory=dict)
-    recovery_rules: tuple[tuple[str, ruledsl.ModifierAst], ...] = ()
-    branch_rules: tuple[CompiledBranchRule, ...] = ()
-    constraint_predicates: tuple[ruledsl.PredicateAst, ...] = ()
-    _by_step: dict[int, tuple[CompiledBranchRule, ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        for rule in self.branch_rules:
-            self._by_step[rule.target_step] = self._by_step.get(rule.target_step, ()) + (rule,)
-
-    def branch_rules_for(self, step_index: int) -> tuple[CompiledBranchRule, ...]:
-        return self._by_step.get(step_index, ())
-
-    def first_recovery_for(self, error_class: str) -> ruledsl.ModifierAst | None:
-        for matcher, modifier in self.recovery_rules:
-            if matcher == error_class or matcher == "any":
-                return modifier
-        return None
-
-
 # A rule's AST takes 0.5-1 KB, and that of the densest text kept about 6 KB,
 # so a full memo holds about 0.5 MB, and never more than about 3 MB.
 RULE_MEMO_ENTRIES = 512
@@ -455,16 +423,6 @@ def parse_rule(kind: str, source: str):
 
 
 parse_rule.cache_info, parse_rule.cache_clear = _memo.cache_info, _memo.cache_clear
-
-
-def compile_branch_rule(rule_index: int, rule: BranchRule) -> CompiledBranchRule:
-    """Parse one branch rule's predicate and modifier; raises DslParseError."""
-    return CompiledBranchRule(
-        rule_index=rule_index,
-        predicate=parse_rule("predicate", rule.predicate),
-        modifier=parse_rule("modifier", rule.modifier),
-        target_step=rule.target_step,
-    )
 
 
 @dataclass(frozen=True)
@@ -544,32 +502,24 @@ class Violation:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Verdict of check_admissibility. An admissible report also carries the
-    profile's branch rules as parsed by the check, so a run does not parse
-    them again; an inadmissible one carries none."""
+    """Verdict of check_admissibility."""
 
     admissible: bool
     violations: tuple[Violation, ...] = ()
-    branch_rules: tuple[CompiledBranchRule, ...] = ()
 
 
 @dataclass(frozen=True)
 class MetadataReport:
-    """Verdict of validate_metadata. Its ``rules`` hold the metadata's auto
-    and recovery rules and constraint predicates as parsed by the check, and
-    no branch rules, so a run does not parse them again; a rule that does not
-    parse is left out and reported as an issue. Metadata has no steps, so no
-    finding names one."""
+    """Verdict of validate_metadata. Metadata has no steps, so no finding
+    names one."""
 
     issues: tuple[Violation, ...] = ()
-    rules: RuleBundle = field(default_factory=RuleBundle)
 
-    def require_valid(self) -> "MetadataReport":
-        """This report; ValueError naming the issues when there are any."""
+    def require_valid(self) -> None:
+        """ValueError naming the issues when there are any."""
         if self.issues:
             found = [{"kind": i.kind, "detail": i.detail} for i in self.issues]
             raise ValueError(f"metadata is invalid: {found}")
-        return self
 
 
 def validate_metadata(metadata: Metadata) -> MetadataReport:
@@ -581,29 +531,25 @@ def validate_metadata(metadata: Metadata) -> MetadataReport:
             issues.append(Violation(None, "duplicate_tool_id",
                                     f"tool id {spec.id!r} registered twice"))
         seen.add(spec.id)
-    auto_rules: dict[str, ruledsl.AutoRule] = {}
     for rule in metadata.constraints.auto_rules:
         try:
-            auto_rules[rule.id] = ruledsl.AutoRule(rule.id, parse_rule("auto_expr", rule.expr))
+            parse_rule("auto_expr", rule.expr)
         except ruledsl.DslParseError as exc:
             issues.append(Violation(None, "bad_rule_syntax", f"auto rule {rule.id!r}: {exc}"))
-    recovery_rules: list[tuple[str, ruledsl.ModifierAst]] = []
     for i, rule in enumerate(metadata.constraints.recovery_rules, start=1):
         if rule.error_class not in TOOL_ERROR_CLASSES + ("any",):
             issues.append(Violation(
                 None, "bad_error_class", f"recovery rule {i}: unknown error class {rule.error_class!r}"))
         try:
-            recovery_rules.append((rule.error_class, parse_rule("modifier", rule.modifier)))
+            parse_rule("modifier", rule.modifier)
         except ruledsl.DslParseError as exc:
             issues.append(Violation(None, "bad_rule_syntax", f"recovery rule {i}: {exc}"))
-    predicates: list[ruledsl.PredicateAst] = []
     for i, source in enumerate(metadata.constraints.constraint_predicates, start=1):
         try:
-            predicates.append(parse_rule("predicate", source))
+            parse_rule("predicate", source)
         except ruledsl.DslParseError as exc:
             issues.append(Violation(None, "bad_rule_syntax", f"constraint predicate {i}: {exc}"))
-    return MetadataReport(tuple(issues), RuleBundle(
-        auto_rules, tuple(recovery_rules), constraint_predicates=tuple(predicates)))
+    return MetadataReport(tuple(issues))
 
 
 def check_admissibility(profile: Profile, metadata: Metadata) -> AdmissibilityReport:
@@ -614,7 +560,8 @@ def check_admissibility(profile: Profile, metadata: Metadata) -> AdmissibilityRe
     a strictly earlier step's store key); and, per profile: branch rules parse
     and bind to existing steps with schema-known slots, replan conditions parse
     as state predicates. Every rule text goes through the rule memo
-    (``parse_rule``). An admissible report carries the parsed branch rules.
+    (``parse_rule``), so ``executor.compile_rules`` finds an admitted
+    profile's texts there while the memo holds them.
     """
     violations: list[Violation] = []
     # Store keys are unique, so a key's position is the step that stores it.
@@ -656,17 +603,16 @@ def check_admissibility(profile: Profile, metadata: Metadata) -> AdmissibilityRe
                 violations.append(Violation(index, "missing_required_param", f"slot {slot!r} is required"))
 
     # Profile.__post_init__ keeps every branch target inside the workflow.
-    compiled: list[CompiledBranchRule] = []
     for i, rule in enumerate(profile.branch_rules, start=1):
         target_spec = metadata.tool(profile.workflow.steps[rule.target_step - 1].tool_id)
         try:
-            branch = compile_branch_rule(i - 1, rule)
+            parse_rule("predicate", rule.predicate)
+            modifier = parse_rule("modifier", rule.modifier)
         except ruledsl.DslParseError as exc:
             violations.append(Violation(rule.target_step, "unevaluable_branch_rule", f"branch rule {i}: {exc}"))
             continue
-        compiled.append(branch)
         if target_spec is not None:
-            for assignment in branch.modifier.assignments:
+            for assignment in modifier.assignments:
                 if assignment.slot not in target_spec.param_schema:
                     violations.append(Violation(
                         rule.target_step, "bad_modifier_slot",
@@ -678,6 +624,4 @@ def check_admissibility(profile: Profile, metadata: Metadata) -> AdmissibilityRe
         except ruledsl.DslParseError as exc:
             violations.append(Violation(None, "unevaluable_replan_condition", f"replan condition {i}: {exc}"))
 
-    if violations:
-        return AdmissibilityReport(admissible=False, violations=tuple(violations))
-    return AdmissibilityReport(admissible=True, branch_rules=tuple(compiled))
+    return AdmissibilityReport(admissible=not violations, violations=tuple(violations))

@@ -7,21 +7,22 @@ in the state, classified soft (execution continues with degraded evidence) or
 hard (the workflow is structurally inexecutable and remaining steps are
 skipped). No model call ever happens inside this module.
 
-A step's attempts and tool outcomes are slotted, not frozen, as they
-are built on every step; nothing mutates them once built. A step event
-builds its trace record once, and the trace writer and ``trace.N`` lookups
-read that same dict.
+A run's parsed rules are one RuleBundle, which only ``compile_rules``
+builds, once the metadata and the profile have passed their checks in
+``core``. A step's attempts and tool outcomes, and a compiled branch rule,
+are slotted, not frozen, as they are built on every step or rule; nothing
+mutates them once built. A step event builds its trace record once, and the
+trace writer and ``trace.N`` lookups read that same dict.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import ruledsl
-from .core import (ERROR_CLASSES, AutoParam, CompiledBranchRule, Metadata, PlaceholderParam,
-                   Profile, RuleBundle, Workflow, compile_branch_rule, store_keys,
-                   validate_metadata)
+from .core import (ERROR_CLASSES, AutoParam, Metadata, PlaceholderParam, Profile, Workflow,
+                   parse_rule, store_keys)
 from .router import RouteMode
 from .tools import ToolOutcome, ToolRegistry
 
@@ -206,12 +207,59 @@ class ExecutionConfig:
             raise ValueError("recovery_retries must be non-negative")
 
 
+@dataclass(slots=True)
+class CompiledBranchRule:
+    rule_index: int  # position in the profile's branch_rules list
+    predicate: ruledsl.PredicateAst
+    modifier: ruledsl.ModifierAst
+    target_step: int
+
+
+@dataclass(frozen=True)
+class RuleBundle:
+    """Parsed rules a run executes with: auto, recovery, and branch rules,
+    plus the constraint predicates its phases are verified against."""
+
+    auto_rules: dict[str, ruledsl.AutoRule] = field(default_factory=dict)
+    recovery_rules: tuple[tuple[str, ruledsl.ModifierAst], ...] = ()
+    branch_rules: tuple[CompiledBranchRule, ...] = ()
+    constraint_predicates: tuple[ruledsl.PredicateAst, ...] = ()
+    _by_step: dict[int, tuple[CompiledBranchRule, ...]] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
+
+    def __post_init__(self):
+        for rule in self.branch_rules:
+            self._by_step[rule.target_step] = self._by_step.get(rule.target_step, ()) + (rule,)
+
+    def branch_rules_for(self, step_index: int) -> tuple[CompiledBranchRule, ...]:
+        return self._by_step.get(step_index, ())
+
+    def first_recovery_for(self, error_class: str) -> ruledsl.ModifierAst | None:
+        for matcher, modifier in self.recovery_rules:
+            if matcher == error_class or matcher == "any":
+                return modifier
+        return None
+
+
 def compile_rules(metadata: Metadata, profile: Profile) -> RuleBundle:
-    """Parse every rule source of a metadata and a profile; call only after
-    admissibility passed. Raises ValueError for invalid metadata."""
-    return replace(validate_metadata(metadata).require_valid().rules,
-                   branch_rules=tuple(compile_branch_rule(i, rule)
-                                      for i, rule in enumerate(profile.branch_rules)))
+    """The parsed rules of a metadata and a profile, every text read through
+    the rule memo (``core.parse_rule``). Precondition: the metadata passed
+    ``validate_metadata`` and the profile ``check_admissibility``, so each
+    text parses and, while the memo holds it, is not parsed again here;
+    otherwise a rule text's DslParseError propagates."""
+    constraints = metadata.constraints
+    return RuleBundle(
+        auto_rules={rule.id: ruledsl.AutoRule(rule.id, parse_rule("auto_expr", rule.expr))
+                    for rule in constraints.auto_rules},
+        recovery_rules=tuple((rule.error_class, parse_rule("modifier", rule.modifier))
+                             for rule in constraints.recovery_rules),
+        branch_rules=tuple(CompiledBranchRule(i, parse_rule("predicate", rule.predicate),
+                                              parse_rule("modifier", rule.modifier),
+                                              rule.target_step)
+                           for i, rule in enumerate(profile.branch_rules)),
+        constraint_predicates=tuple(parse_rule("predicate", source)
+                                    for source in constraints.constraint_predicates),
+    )
 
 
 def resolve_step(params: dict, auto_rules: dict[str, ruledsl.AutoRule], state: ExecutionState) -> dict:

@@ -26,11 +26,8 @@ from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 from pathlib import Path
 
-from .core import (CompiledBranchRule, Metadata, MetadataReport, Profile, RuleBundle, Task,
-                   check_admissibility, validate_metadata)
-# compile_rules and extract_counters are not called here; they stay importable
-# from this module for callers that compile rules or count outside a run.
-from .executor import ExecutionConfig, compile_rules, initial_state, run_workflow  # noqa: F401
+from .core import Metadata, Profile, Task, check_admissibility, validate_metadata
+from .executor import ExecutionConfig, compile_rules, initial_state, run_workflow
 from .router import RiskWeights, RouteMode, RouteThresholds, decide_route
 from .semantic import (BudgetExceededError, BudgetLedger, ModelRequest, ModelResponse,
                        PriceEntry, ProfileParseError, Usage, build_profile_prompt,
@@ -39,6 +36,8 @@ from .semantic import (BudgetExceededError, BudgetLedger, ModelRequest, ModelRes
 from .tools import KnowledgeBase, ToolRegistry, builtin_registry, check_fault_scripts
 from .trace import (SCHEMA_VERSION, TraceSchemaError, TraceWriter, canonical_json, digest,
                     read_trace, structurally_equal, strip_volatile)
+# extract_counters is not called here: perfbench's span table wraps
+# pipeline.extract_counters, so the name stays importable from this module.
 from .verifier import PenaltyCoefficients, extract_counters, verify  # noqa: F401
 
 REPAIR_REJECTED_FLAG = "repair_rejected"
@@ -268,10 +267,9 @@ class InadmissibleProfileError(ProfileParseError):
     """A reply that parses as a profile the metadata does not admit."""
 
 
-def _admit(text: str, metadata: Metadata) -> tuple[Profile, tuple[CompiledBranchRule, ...]]:
+def _admit(text: str, metadata: Metadata) -> Profile:
     """Parse a profile or repair reply and check its admissibility.
 
-    Returns the profile with the branch rules admissibility compiled for it.
     Raises ProfileParseError when the text holds no profile and
     InadmissibleProfileError, whose diagnostic lists the violations, when the
     profile is not admissible.
@@ -284,7 +282,7 @@ def _admit(text: str, metadata: Metadata) -> tuple[Profile, tuple[CompiledBranch
             for v in report.violations
         )
         raise InadmissibleProfileError(f"profile is not admissible: {details}")
-    return profile, report.branch_rules
+    return profile
 
 
 def _reply_record(version: int, kind: str, text: str, profile: Profile | None,
@@ -299,38 +297,34 @@ def _reply_record(version: int, kind: str, text: str, profile: Profile | None,
     return record
 
 
-def _admit_repair(text: str, metadata: Metadata, version: int
-                  ) -> tuple[Profile | None, tuple[CompiledBranchRule, ...], dict]:
+def _admit_repair(text: str, metadata: Metadata, version: int) -> tuple[Profile | None, dict]:
     """The patched profile a repair reply holds, None when the patch is
-    rejected, with its branch rules and the repair record."""
+    rejected, with the repair record."""
     try:
-        patched, rules = _admit(text, metadata)
+        patched = _admit(text, metadata)
     except InadmissibleProfileError as exc:
         rejection = exc.diagnostic
     except ProfileParseError as exc:
         rejection = f"parse_error: {exc.diagnostic}"
     else:
-        return patched, rules, _reply_record(version, "repair", text, patched, accepted=True)
-    return None, (), _reply_record(version, "repair", text, None, accepted=False,
-                                   reason=rejection)
+        return patched, _reply_record(version, "repair", text, patched, accepted=True)
+    return None, _reply_record(version, "repair", text, None, accepted=False, reason=rejection)
 
 
-def _obtain_profile(task: Task, metadata: Metadata, call
-                    ) -> tuple[Profile, tuple[CompiledBranchRule, ...], str, int]:
+def _obtain_profile(task: Task, metadata: Metadata, call) -> tuple[Profile, str, int]:
     """Profile stage: one call, then at most one corrective retry before abort.
 
-    Returns the profile, the branch rules admissibility compiled for it, the
-    admitted reply and the number of attempts.
+    Returns the profile, the admitted reply and the number of attempts.
     """
     prompt = functools.cache(lambda: build_profile_prompt(task, metadata))
     text = call("profile", prompt).text
     try:
-        return (*_admit(text, metadata), text, 1)
+        return _admit(text, metadata), text, 1
     except ProfileParseError as exc:
         diagnostic = exc.diagnostic
     text = call("profile", lambda: build_profile_retry_prompt(prompt(), diagnostic)).text
     try:
-        return (*_admit(text, metadata), text, 2)
+        return _admit(text, metadata), text, 2
     except ProfileParseError as exc:
         raise RunInvalidError(cap_diagnostic(exc.diagnostic)) from None
 
@@ -352,14 +346,16 @@ def _route(metadata: Metadata, profile: Profile, cfg: RunConfig, writer: TraceWr
 
 
 def _execute(task: Task, metadata: Metadata, cfg: RunConfig, registry: ToolRegistry,
-             profile: Profile, rules: RuleBundle, mode: RouteMode, phase: str,
-             writer: TraceWriter, timing: dict | None = None):
-    """Execute stage of one phase (``initial`` or ``repair``): runs the
-    profile's workflow, writes its step records, verifies, and writes the
-    verification record, which in the repair phase carries the repair_applied
-    flag. Sets the execute and verify durations in ``timing`` when one is
-    given; returns the state and the verification object."""
+             profile: Profile, mode: RouteMode, phase: str, writer: TraceWriter,
+             timing: dict | None = None):
+    """Execute stage of one phase (``initial`` or ``repair``) of an admitted
+    profile: builds its rules, runs its workflow, writes its step records,
+    verifies, and writes the verification record, which in the repair phase
+    carries the repair_applied flag. Sets the execute and verify durations in
+    ``timing`` when one is given; returns the state and the verification
+    object."""
     started = time.perf_counter()
+    rules = compile_rules(metadata, profile)
     exec_config = ExecutionConfig(recovery_retries=cfg.recovery_retries,
                                   thin_output_threshold=cfg.thin_output_threshold, mode=mode)
     state = initial_state(task.context)
@@ -390,7 +386,7 @@ def run_ptr(task: Task, metadata: Metadata, cfg: RunConfig, model,
     budget exhaustion, a model that raises) is reported in the returned
     RunReport and recorded in the trace.
     """
-    checked = validate_metadata(metadata).require_valid()
+    validate_metadata(metadata).require_valid()
     registry = _covering(environment.build_registry(), metadata)
 
     _remember_kb(environment.kb_digest, environment.kb, environment.kb_size)
@@ -407,8 +403,8 @@ def run_ptr(task: Task, metadata: Metadata, cfg: RunConfig, model,
             "config_hash": cfg.config_hash(),
             "environment": environment.describe(),
         })
-        return _run(task, metadata, checked, cfg, _model_caller(model, cfg, writer), registry,
-                    writer, SCHEMA_VERSION)
+        return _run(task, metadata, cfg, _model_caller(model, cfg, writer), registry, writer,
+                    SCHEMA_VERSION)
     finally:
         writer.close()
 
@@ -446,8 +442,8 @@ def _model_caller(model, cfg: RunConfig, writer: TraceWriter):
     return call
 
 
-def _run(task: Task, metadata: Metadata, checked: MetadataReport, cfg: RunConfig, call,
-         registry: ToolRegistry, writer: TraceWriter, version: int) -> RunReport:
+def _run(task: Task, metadata: Metadata, cfg: RunConfig, call, registry: ToolRegistry,
+         writer: TraceWriter, version: int) -> RunReport:
     """The stages of a run after its header, for run and replay alike. The
     model's replies come from ``call(role, prompt)``, where ``prompt`` builds
     the call's prompt when called; ``version`` is the trace schema version
@@ -467,8 +463,7 @@ def _run(task: Task, metadata: Metadata, checked: MetadataReport, cfg: RunConfig
     try:
         # PROFILE (semantic call #1; one corrective retry inside the same stage)
         ledger.count_stage("profile")
-        profile, branch_rules, raw_profile, attempts = _obtain_profile(task, metadata,
-                                                                       budgeted_call)
+        profile, raw_profile, attempts = _obtain_profile(task, metadata, budgeted_call)
         timing["profile"] = time.perf_counter() - started
         writer.write(_reply_record(version, "profile", raw_profile, profile, attempts=attempts))
 
@@ -476,9 +471,8 @@ def _run(task: Task, metadata: Metadata, checked: MetadataReport, cfg: RunConfig
         route_started = time.perf_counter()
         mode, route_dict = _route(metadata, profile, cfg, writer)
         timing["route"] = time.perf_counter() - route_started
-        state, z = _execute(task, metadata, cfg, registry, profile,
-                            replace(checked.rules, branch_rules=branch_rules), mode, "initial",
-                            writer, timing)
+        state, z = _execute(task, metadata, cfg, registry, profile, mode, "initial", writer,
+                            timing)
 
         # REPAIR (optional; at most one semantic call, never more). `repaired`
         # records that the stage was invoked, so it tracks the 2-vs-3-call split
@@ -491,14 +485,13 @@ def _run(task: Task, metadata: Metadata, checked: MetadataReport, cfg: RunConfig
             repaired = True
             text = budgeted_call(
                 "repair", lambda: build_repair_prompt(task, metadata, profile, state, z)).text
-            patched, repair_rules, record = _admit_repair(text, metadata, version)
+            patched, record = _admit_repair(text, metadata, version)
             writer.write(record)
             if patched is None:
                 final_z = _with_flag(z, REPAIR_REJECTED_FLAG)
             else:
-                final_state, final_z = _execute(task, metadata, cfg, registry, patched,
-                                                replace(checked.rules, branch_rules=repair_rules),
-                                                mode, "repair", writer)
+                final_state, final_z = _execute(task, metadata, cfg, registry, patched, mode,
+                                                "repair", writer)
             timing["repair"] = time.perf_counter() - started
 
         # REASON (semantic call #2 or #3)
@@ -550,14 +543,12 @@ def _diverge(section: str, index: int, recorded, recomputed) -> dict:
     return {"section": section, "index": index, "recorded": recorded, "recomputed": recomputed}
 
 
-def _read_header(header: dict, source
-                 ) -> tuple[Task, Metadata, MetadataReport, RunConfig, ToolRegistry]:
-    """The run inputs a trace header holds, with the metadata's validation
-    report and a registry over the trace's KB and fault scripts;
-    TraceSchemaError when one is missing or malformed (invalid metadata, a
-    catalog tool the registry lacks, a malformed fault script, a version 1
-    header's malformed embedded KB and a later header's KB that cannot be
-    resolved included)."""
+def _read_header(header: dict, source) -> tuple[Task, Metadata, RunConfig, ToolRegistry]:
+    """The run inputs a trace header holds, with a registry over the trace's
+    KB and fault scripts; TraceSchemaError when one is missing or malformed
+    (invalid metadata, a catalog tool the registry lacks, a malformed fault
+    script, a version 1 header's malformed embedded KB and a later header's
+    KB that cannot be resolved included)."""
     for key in ("task", "metadata", "config", "environment"):
         if not isinstance(header.get(key), dict):
             raise TraceSchemaError(f"trace header has no {key} object")
@@ -566,7 +557,7 @@ def _read_header(header: dict, source
     try:
         task = Task.from_dict(header["task"])
         metadata = Metadata.from_dict(header["metadata"])
-        checked = validate_metadata(metadata).require_valid()
+        validate_metadata(metadata).require_valid()
         cfg = RunConfig.from_dict(header["config"])
         fault_scripts = environment.get("fault_scripts", {})
         check_fault_scripts(fault_scripts)
@@ -592,7 +583,7 @@ def _read_header(header: dict, source
         registry = _covering(builtin_registry(kb, fault_scripts), metadata)
     except ValueError as exc:
         raise TraceSchemaError(f"trace header is malformed: {exc}") from None
-    return task, metadata, checked, cfg, registry
+    return task, metadata, cfg, registry
 
 
 def _resolve_kb(kb_digest: str, source) -> KnowledgeBase:
@@ -712,10 +703,10 @@ def replay_trace(source) -> ReplayReport:
         return ReplayReport(False, _diverge("incomplete", len(records) - 1,
                                             records[-1].get("type"), "report"), 0)
     header = records[0]
-    task, metadata, checked, cfg, registry = _read_header(header, source)
+    task, metadata, cfg, registry = _read_header(header, source)
     calls, recomputed = _RecordedCalls(records), TraceWriter()
     try:
-        _run(task, metadata, checked, cfg, calls, registry, recomputed, header["schema_version"])
+        _run(task, metadata, cfg, calls, registry, recomputed, header["schema_version"])
     except _Stop:
         pass  # the records compared below differ where it stopped
     report = _compare([r for r in records[1:] if r.get("type") != "model_call"],

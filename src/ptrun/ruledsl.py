@@ -13,7 +13,8 @@ comparison atoms and ``exists`` false; evaluation is total on well-formed
 ASTs and never raises. The full grammar is documented in docs/grammar.md.
 
 Numbers are 64-bit floats (exact integer behaviour below 2**53); a string
-literal is a JSON string, and string comparison is code-point-wise.
+literal is a JSON string with no raw surrogate code point, and string
+comparison is code-point-wise.
 
 AST and rule nodes are slotted, not frozen: a run builds them for every rule
 it parses, and creating a frozen instance costs several times as much.
@@ -91,8 +92,9 @@ _TOKEN_RE = re.compile(r"""
     (?:([^\W\d]\w*)
       |(==|!=|<=|>=|\?\?|-?[0-9]+(?:\.[0-9]+)?|"[^"\\]*(?:\\.[^"\\]*)*"?|[^ \t\r\n]))
 """, re.VERBOSE | re.DOTALL)
-# A string literal's longest prefix whose escapes are all valid JSON escapes.
-_VALID_ESCAPES_RE = re.compile(r'"(?:[^\\]+|\\["\\/bfnrt]|\\u[0-9a-fA-F]{4})*')
+# A string literal's longest prefix whose escapes are all valid JSON escapes
+# and that holds no raw surrogate code point.
+_VALID_PREFIX_RE = re.compile(r'"(?:[^\\\ud800-\udfff]+|\\["\\/bfnrt]|\\u[0-9a-fA-F]{4})*')
 _SYMBOLS = frozenset(("==", "!=", "<=", ">=", "??", "<", ">", "(", ")", ".", "=", "+", "*",
                       ";", "-"))
 
@@ -125,17 +127,22 @@ def _tokenize(source: str) -> list[tuple]:
         if text in _SYMBOLS:
             append(("symbol", text, text, pos))
         elif text[0] == '"':
+            # A raw surrogate is refused: a raw high and low pair would print
+            # as the escapes of the character they encode. The C scanner
+            # refuses a \u without four hex digits; the pure Python one, used
+            # where _json is missing, reads them with int(), which takes
+            # " 1_a" and "+041", so they are refused here. The first fault,
+            # left to right, is the one reported.
+            stop = _VALID_PREFIX_RE.match(text).end()
+            if stop < len(text) and text[stop] != "\\":
+                raise DslParseError(f"raw surrogate U+{ord(text[stop]):04X} in a string literal",
+                                    _byte_offset(source, pos + stop))
+            if text.startswith("\\u", stop):
+                raise DslParseError("Invalid \\uXXXX escape", _byte_offset(source, pos + stop + 1))
             if "\\" in text or len(text) < 2 or text[-1] != '"':
                 # escapes, or no closing quote: a literal is a JSON string, so
                 # JSON's own scanner decodes it or says where it goes wrong.
-                # Not strict: raw control characters pass, as they do above.
-                # The C scanner refuses a \u without four hex digits; the pure
-                # Python one, used where _json is missing, reads them with
-                # int(), which takes " 1_a" and "+041", so they are refused here.
-                stop = _VALID_ESCAPES_RE.match(text).end()
-                if text.startswith("\\u", stop):
-                    raise DslParseError("Invalid \\uXXXX escape",
-                                        _byte_offset(source, pos + stop + 1))
+                # Not strict: raw control characters pass, as on the path without escapes.
                 try:
                     value = json.decoder.scanstring(source, pos + 1, False)[0]
                 except json.JSONDecodeError as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .core import Metadata, Profile, Task
 # The profile search decodes with the trace reader's strict decoder.
-from .trace import STRICT_DECODER as _DECODER, reject_constant as _reject_constant  # noqa: F401
+from .trace import STRICT_DECODER as _DECODER
 
 ROLES = ("profile", "repair", "reason", "react")
 

@@ -180,10 +180,11 @@ def _ref_hex4(source: str, u: int) -> int:
 def _ref_read_string(source: str, start: int) -> tuple[str, str, int]:
     """A string literal read as JSON reads one: the escapes above and \\uXXXX
     with four hex digits, where a high and a low surrogate escape in a row
-    are one character. An error carries JSON's message and position: an
-    unterminated literal is reported at its opening quote, a bad escape at
-    its backslash, and a bad \\u escape, or one whose digits reach the end of
-    the source, at its `u`."""
+    are one character; a raw surrogate code point is refused. The first fault
+    met left to right is reported. An error carries JSON's message and
+    position: an unterminated literal is reported at its opening quote, a bad
+    escape at its backslash, and a bad \\u escape, or one whose digits reach
+    the end of the source, at its `u`; a raw surrogate is reported at itself."""
     out = []
     i = start + 1
     n = len(source)
@@ -192,6 +193,9 @@ def _ref_read_string(source: str, start: int) -> tuple[str, str, int]:
         if ch == '"':
             return source[start: i + 1], "".join(out), i + 1
         if ch != "\\":
+            if 0xD800 <= ord(ch) <= 0xDFFF:
+                raise r.DslParseError(f"raw surrogate U+{ord(ch):04X} in a string literal",
+                                      _ref_byte_offset(source, i))
             out.append(ch)
             i += 1
             continue

@@ -1,10 +1,14 @@
 import collections
+import copy
 import hashlib
 import json
 import os
+import random
+import shutil
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -741,3 +745,113 @@ class TestUnadmittedProfileReply:
             assert out == "trace diverged at profile (index 0)\n"
         else:
             assert json.loads(out)["divergence"]["section"] == "profile"
+
+
+# Trace file fuzz: each example makes one edit to a valid trace and runs
+# `ptrun verify-trace` on it, which must exit 0 or 2 and never raise. About
+# one edit in 230 deletes the type of a trace's first model_call record, so
+# 200 examples would miss a regression there in about 4 seeds of 10.
+TRACE_FUZZ_EXAMPLES = 1000
+TRACE_FUZZ_BUDGET_S = 30.0
+# one JSON value of each type; a leaf is replaced by one of another type
+JSON_VALUES = (None, True, 7, 2.5, "x", [], {})
+
+
+def json_type(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+def nested(node):
+    """Every dict and list inside a JSON value, the value itself included."""
+    found = [node]
+    for child in (node.values() if isinstance(node, dict) else node):
+        if isinstance(child, (dict, list)):
+            found += nested(child)
+    return found
+
+
+def delete_key(records, rng) -> str:
+    """Delete a key of a record, at its top level half the time."""
+    record = rng.choice(records)
+    dicts = [d for d in nested(record) if isinstance(d, dict) and d]
+    target = record if rng.random() < 0.5 else rng.choice(dicts)
+    key = rng.choice(list(target))
+    del target[key]
+    return f"delete key {key!r} of a {record.get('type')} record"
+
+
+def retype_leaf(records, rng) -> str:
+    """Set a leaf to a value of another JSON type."""
+    record = rng.choice(records)
+    leaves = [(node, key) for node in nested(record)
+              for key in (node if isinstance(node, dict) else range(len(node)))
+              if not isinstance(node[key], (dict, list))]
+    node, key = rng.choice(leaves)
+    value = rng.choice([v for v in JSON_VALUES if json_type(v) != json_type(node[key])])
+    node[key] = copy.deepcopy(value)
+    return f"set {key!r} of a {record.get('type')} record to {value!r}"
+
+
+def delete_record(records, rng) -> str:
+    position = rng.randrange(len(records))
+    return f"delete record {position} ({records.pop(position).get('type')})"
+
+
+def duplicate_record(records, rng) -> str:
+    position = rng.randrange(len(records))
+    records.insert(position, copy.deepcopy(records[position]))
+    return f"duplicate record {position} ({records[position].get('type')})"
+
+
+def swap_records(records, rng) -> str:
+    i, j = rng.sample(range(len(records)), 2)
+    records[i], records[j] = records[j], records[i]
+    return f"swap records {i} and {j}"
+
+
+TRACE_EDITS = (delete_key, retype_leaf, delete_record, duplicate_record, swap_records)
+
+
+class TestTraceFileFuzz:
+    def traces(self, demo_args, tmp_path) -> dict[str, Path]:
+        """Copies of the v1 and v2 fixtures and a fresh v3 demo trace, each
+        in its own directory beside its kb/ directory, if it has one."""
+        TestReplayAndVerify().produce_trace(demo_args)
+        v3 = Path(demo_args["trace"])
+        paths = {}
+        for name, source, kb in (("v1", V1_TRACE, None), ("v2", V2_TRACE, V2_TRACE.parent / "kb"),
+                                 ("v3", v3, v3.parent / "kb")):
+            directory = tmp_path / name
+            directory.mkdir()
+            if kb is not None:
+                shutil.copytree(kb, directory / "kb")
+            paths[name] = directory / "fuzz.jsonl"
+            paths[name].write_bytes(source.read_bytes())
+        return paths
+
+    def test_one_edit_never_raises(self, demo_args, tmp_path, capsys):
+        rng = random.Random(3001)
+        paths = self.traces(demo_args, tmp_path)
+        originals = {name: path.read_text(encoding="utf-8") for name, path in paths.items()}
+        for path in paths.values():
+            assert run_cli("verify-trace", "--trace", str(path)) == EXIT_OK
+        exits: collections.Counter = collections.Counter()
+        started = time.perf_counter()
+        for example in range(TRACE_FUZZ_EXAMPLES):
+            name = rng.choice(sorted(paths))
+            records = [json.loads(line) for line in originals[name].splitlines()]
+            edit = rng.choice(TRACE_EDITS)(records, rng)
+            paths[name].write_text("".join(json.dumps(r) + "\n" for r in records),
+                                   encoding="utf-8")
+            try:
+                code = run_cli("verify-trace", "--trace", str(paths[name]))
+            except Exception as exc:  # name the edit that made it raise
+                pytest.fail(f"example {example}, {name} trace, {edit}: "
+                            f"{type(exc).__name__}: {exc}")
+            assert code in (EXIT_OK, EXIT_DIVERGENCE), f"example {example}, {name}, {edit}"
+            exits[code] += 1
+        elapsed = time.perf_counter() - started
+        capsys.readouterr()
+        assert elapsed <= TRACE_FUZZ_BUDGET_S, f"fuzz took {elapsed:.1f}s"
+        print(f"[PASS] {TRACE_FUZZ_EXAMPLES} edited traces, exits {dict(exits)}, "
+              f"{elapsed:.1f}s")

@@ -17,7 +17,8 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 import ptrun
 from ptrun import pipeline, ruledsl, semantic
 from ptrun.bench import bench_metadata
-from ptrun.core import AutoRuleSpec, Metadata, Profile, RecoverySpec, RuleSet, Task, parse_rule
+from ptrun.core import (RULE_MEMO_ENTRIES, RULE_MEMO_MAX_TEXT, AutoRuleSpec, Metadata, Profile,
+                        RecoverySpec, RuleSet, Task, parse_rule)
 from ptrun.pipeline import (REPAIR_APPLIED_FLAG, REPAIR_REJECTED_FLAG, RunConfig,
                             ToolEnvironment, _compare, kb_side_file, replay_trace, run_ptr)
 from ptrun.router import RiskWeights, RouteMode, RouteThresholds
@@ -279,9 +280,9 @@ class TestParseOnce:
 
             monkeypatch.setattr(ruledsl, name, counting)
         good = self.SHARED_TEXTS_PROFILE
-        report = pipeline.check_admissibility(Profile.from_dict(good), bench_metadata())
-        assert report.admissible
-        compiled = report.branch_rules
+        profile = Profile.from_dict(good)
+        assert pipeline.check_admissibility(profile, bench_metadata()).admissible
+        compiled = pipeline.compile_rules(bench_metadata(), profile).branch_rules
         assert [(r.rule_index, r.target_step) for r in compiled] == [(0, 1), (1, 2), (2, 3), (3, 3)]
         assert compiled[0].predicate is compiled[1].predicate is compiled[3].predicate
         assert compiled[0].modifier is compiled[2].modifier is compiled[3].modifier
@@ -296,7 +297,7 @@ class TestParseOnce:
                    + good["branch_rules"][1:] + bad_rules[1:])
         calls.clear()
         report = pipeline.check_admissibility(Profile.from_dict(bad), bench_metadata())
-        assert not report.admissible and report.branch_rules == ()
+        assert not report.admissible
         assert [(v.step, v.kind, v.detail.split(":")[0]) for v in report.violations] == [
             (1, "unevaluable_branch_rule", "branch rule 2"),
             (2, "unevaluable_branch_rule", "branch rule 6")]
@@ -371,6 +372,55 @@ class TestParseOnce:
         parse_rule.cache_clear()
         assert replay_trace(path).matched
         assert calls == expected
+
+
+class TestRuleTextsTheMemoDoesNotKeep:
+    """A run admits a reply and then builds its rules, reading each text
+    through the rule memo both times. A text the memo does not keep, or one
+    evicted between the two reads, is parsed twice per admitted reply."""
+
+    @pytest.fixture(autouse=True)
+    def empty_rule_memo(self):
+        parse_rule.cache_clear()
+
+    MODIFIER = 'set title = "Paris"'
+
+    @pytest.mark.parametrize("predicates", [
+        [" and ".join(["exists(result.kb_search_1)"] * 12)],
+        [f'env.audience == "{i}"' for i in range(RULE_MEMO_ENTRIES - 1)]
+        + ['env.audience == "test"'],
+    ], ids=["text-over-the-length-bound", "more-texts-than-the-memo-holds"])
+    def test_rule_fires_replays_and_each_text_is_parsed_at_most_twice(
+            self, predicates, monkeypatch, tmp_path):
+        texts = set(predicates) | {self.MODIFIER}
+        assert (max(map(len, texts)) > RULE_MEMO_MAX_TEXT
+                or len(texts) == RULE_MEMO_ENTRIES + 1)
+        calls: collections.Counter = collections.Counter()
+        for name in ("parse_predicate", "parse_modifier"):
+            original = getattr(ruledsl, name)
+
+            def counting(source, _original=original):
+                calls[source] += 1
+                return _original(source)
+
+            monkeypatch.setattr(ruledsl, name, counting)
+        profile = dict(CLEAN_PROFILE, branch_rules=[
+            {"predicate": predicate, "modifier": self.MODIFIER, "target_step": 2}
+            for predicate in predicates])
+        path = str(tmp_path / "run.jsonl")
+        report = run_ptr(task(), bench_metadata(), RunConfig(mode_override=RouteMode.GUARDED),
+                         scripted(profile_entry(profile), REASON), environment(),
+                         trace_path=path)
+        assert report.outcome == "ok" and report.model_calls == 2
+        steps = [r["event"] for r in read_trace(path) if r["type"] == "step"]
+        assert steps[1]["branched_params"] == {"title": "Paris"}
+        # one admitted reply: each predicate is read to admit it and again to
+        # build its rules, and the shared modifier stays in the memo
+        assert calls == {**{predicate: 2 for predicate in predicates}, self.MODIFIER: 1}
+
+        calls.clear()
+        assert replay_trace(path).matched
+        assert max(calls.values()) <= 2 and set(calls) <= texts
 
 
 class TestApplyRepair:

@@ -73,6 +73,31 @@ class TestParsing:
         assert r.parse_predicate(r.predicate_to_source(ast)) == ast
         assert r.eval_predicate(ast, state_with({"x": "\U0001f600"})) is True
 
+    def test_lone_surrogate_escape_is_one_code_point(self):
+        ast = r.parse_predicate('result.x == "\\ud83d"')
+        assert ast.value == "\ud83d"
+        assert r.parse_predicate(r.predicate_to_source(ast)) == ast
+
+    # A raw high and low pair would print as the escapes of U+1F600 and read
+    # back as that one character, so a raw surrogate is refused where it stands.
+    @pytest.mark.parametrize("literal, index, message", [
+        ('"\ud83d\ude00"', 1, "raw surrogate U+D83D in a string literal"),
+        ('"\\ud83d\ude00"', 7, "raw surrogate U+DE00 in a string literal"),
+        ('"a\ud800\\q"', 2, "raw surrogate U+D800 in a string literal"),
+        ('"a\ud800', 2, "raw surrogate U+D800 in a string literal"),
+        ('"\\q\ud800"', 1, "Invalid \\escape"),
+        ('"\\u12\ud800"', 2, "Invalid \\uXXXX escape"),
+    ], ids=["raw-pair", "escape-then-raw-low", "before-bad-escape", "unterminated",
+            "after-bad-escape", "after-bad-u-escape"])
+    def test_raw_surrogate_in_a_literal_is_refused(self, literal, index, message):
+        prefix = "result.x == "
+        with pytest.raises(r.DslParseError) as exc_info:
+            r.parse_predicate(prefix + literal)
+        assert exc_info.value.offset == len(prefix) + index  # ASCII before the fault
+        assert str(exc_info.value) == f"{message} (at byte {exc_info.value.offset})"
+        assert helpers_dsl.lex_outcome(r._tokenize, literal) == \
+            helpers_dsl.lex_outcome(helpers_dsl.reference_tokenize, literal)
+
     def test_precedence_and_binds_tighter_than_or(self):
         ast = r.parse_predicate("env.a == 1 or env.b == 1 and env.c == 1")
         assert isinstance(ast, r.Or)

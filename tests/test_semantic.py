@@ -18,6 +18,7 @@ from ptrun.semantic import (BudgetExceededError, BudgetLedger, HttpProviderModel
                             build_reason_prompt, build_repair_prompt,
                             extract_first_json_object, parse_profile_response)
 from ptrun.executor import initial_state
+from ptrun.trace import reject_constant
 
 from helpers_fixtures import (failing_state, failing_verification, golden_metadata,
                               golden_profile, golden_task)
@@ -275,7 +276,7 @@ class TestResponseParsing:
 def first_object_by_slices(text: str):
     """First JSON object decoded from the whole rest of the text at every
     brace; the reference for the windowed search."""
-    decoder = json.JSONDecoder(parse_constant=semantic._reject_constant)
+    decoder = json.JSONDecoder(parse_constant=reject_constant)
     for start, ch in enumerate(text):
         if ch == "{":
             try:
