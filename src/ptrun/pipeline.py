@@ -417,6 +417,20 @@ def _covering(registry: ToolRegistry, metadata: Metadata) -> ToolRegistry:
     return registry
 
 
+def _call_record(role: str, prompt: str, response: ModelResponse) -> dict:
+    """The ``model_call`` record of one call, in run and replay alike."""
+    return {
+        "type": "model_call",
+        "role": role,
+        "prompt": prompt,
+        "response_text": response.text,
+        "usage": response.usage.to_dict(),
+        "cost_micros": response.cost_micros,
+        # provider credentials travel in transport headers only
+        "credentials_redacted": True,
+    }
+
+
 def _model_caller(model, cfg: RunConfig, writer: TraceWriter):
     """The run's model call: builds the prompt, asks the model and writes
     the call's ``model_call`` record. Any exception the model raises becomes
@@ -428,16 +442,7 @@ def _model_caller(model, cfg: RunConfig, writer: TraceWriter):
             response = model.complete(request)
         except Exception as exc:
             raise ModelCallError(f"{role} call raised {type(exc).__name__}: {exc}") from exc
-        writer.write({
-            "type": "model_call",
-            "role": role,
-            "prompt": text,
-            "response_text": response.text,
-            "usage": response.usage.to_dict(),
-            "cost_micros": response.cost_micros,
-            # provider credentials travel in transport headers only
-            "credentials_redacted": True,
-        })
+        writer.write(_call_record(role, text, response))
         return response
     return call
 
@@ -528,7 +533,7 @@ def _run(task: Task, metadata: Metadata, cfg: RunConfig, call, registry: ToolReg
 class ReplayReport:
     matched: bool
     divergence: dict | None
-    sections_checked: int  # records compared: all after the header but model_call
+    sections_checked: int  # records compared: every one after the header
 
     def to_dict(self) -> dict:
         return {"matched": self.matched, "divergence": self.divergence,
@@ -623,20 +628,18 @@ class _Stop(Exception):
     """The recomputed run asked for a model call the trace does not hold next."""
 
 
-# The keys of a model_call record, as _model_caller writes them.
-_MODEL_CALL_KEYS = frozenset(("type", "role", "prompt", "response_text", "usage", "cost_micros",
-                              "credentials_redacted"))
-
-
 class _RecordedCalls:
     """Replay's model call: the reply, usage and cost of the trace's next
-    ``model_call`` record, which must be of the role asked for; the prompt
-    is never built. Past the last record, the ModelCallError of a recorded
-    ``model_error`` abort for that role. Otherwise the recomputation stops."""
+    ``model_call`` record, which must be of the role asked for. It writes
+    that call's record to ``writer`` as the run does, with the recorded
+    prompt, which is never built. Past the last record, the ModelCallError
+    of a recorded ``model_error`` abort for that role. Otherwise the
+    recomputation stops."""
 
-    def __init__(self, records: list[dict]):
+    def __init__(self, records: list[dict], writer: TraceWriter):
         self.records = [r for r in records if r.get("type") == "model_call"]
         self.abort = records[-2] if records[-2].get("type") == "abort" else {}
+        self.writer = writer
         self.used = 0
 
     def __call__(self, role: str, prompt) -> ModelResponse:
@@ -651,16 +654,18 @@ class _RecordedCalls:
             raise _Stop
         text, usage, cost = (record.get("response_text"), record.get("usage"),
                              record.get("cost_micros"))
-        if not (record.keys() == _MODEL_CALL_KEYS and record["credentials_redacted"] is True
-                and isinstance(text, str) and type(cost) is int and isinstance(usage, dict)
+        if not (isinstance(record.get("prompt"), str) and isinstance(text, str)
+                and type(cost) is int and isinstance(usage, dict)
                 and usage.keys() == {"input_tokens", "output_tokens"}
                 and all(type(n) is int and n >= 0 for n in usage.values())):
             raise TraceSchemaError(
-                f"model_call record {self.used} is malformed: it needs exactly the keys "
-                f"{', '.join(sorted(_MODEL_CALL_KEYS))}, with a response_text string, a usage "
-                "object of two token counts, a cost_micros integer and credentials_redacted true")
+                f"model_call record {self.used} is malformed: it needs prompt and "
+                "response_text strings, a usage object of two token counts and a "
+                "cost_micros integer")
         self.used += 1
-        return ModelResponse(text, Usage(**usage), cost)
+        response = ModelResponse(text, Usage(**usage), cost)
+        self.writer.write(_call_record(role, record["prompt"], response))
+        return response
 
 
 def _section(record: dict) -> str:
@@ -689,30 +694,24 @@ def _compare(recorded: list[dict], recomputed: list[dict]) -> ReplayReport:
 
 def replay_trace(source) -> ReplayReport:
     """Re-run the trace's run with ``_run``, from its header inputs and its
-    recorded model calls, and compare every record after the header but the
-    ``model_call`` records with the recomputed ones; wall-clock fields are
-    ignored. Reports the first divergence or a full match. A ``model_call``
-    record left unused is a divergence in section ``model_call``, and a
-    trace that does not end in a report record one in section
-    ``incomplete``. Raises TraceSchemaError for a malformed trace, including
-    a header whose task, metadata, config or environment is missing or
-    malformed, a header whose metadata is invalid, a malformed model_call
-    record and a record that nests values too deeply to compare or report."""
+    recorded model calls, and compare every record after the header with the
+    recomputed ones, in one pass; wall-clock fields are ignored. Reports the
+    first divergence or a full match. A trace that does not end in a report
+    record diverges in section ``incomplete``. Raises TraceSchemaError for a
+    malformed trace, including a header whose task, metadata, config or
+    environment is missing or malformed, a header whose metadata is invalid,
+    a malformed model_call record and a record that nests values too deeply
+    to compare or report."""
     records = read_trace(source)
     if records[-1].get("type") != "report":
         return ReplayReport(False, _diverge("incomplete", len(records) - 1,
                                             records[-1].get("type"), "report"), 0)
     header = records[0]
     task, metadata, cfg, registry = _read_header(header, source)
-    calls, recomputed = _RecordedCalls(records), TraceWriter()
+    recomputed = TraceWriter()
     try:
-        _run(task, metadata, cfg, calls, registry, recomputed, header["schema_version"])
+        _run(task, metadata, cfg, _RecordedCalls(records, recomputed), registry, recomputed,
+             header["schema_version"])
     except _Stop:
         pass  # the records compared below differ where it stopped
-    report = _compare([r for r in records[1:] if r.get("type") != "model_call"],
-                      recomputed.records)
-    if report.matched and calls.used < len(calls.records):
-        return ReplayReport(False, _diverge("model_call", calls.used,
-                                            calls.records[calls.used], None),
-                            report.sections_checked)
-    return report
+    return _compare(records[1:], recomputed.records)

@@ -287,13 +287,8 @@ def check_fault_scripts(fault_scripts) -> dict[str, list[tuple[str, str | None]]
             for tool_id, script in fault_scripts.items() if script not in ([], ())}
 
 
-def make_fault_injector(inner, script: list):
-    """Wrap a transition with a finite outcome script (see parse_fault_script),
-    then delegate to it."""
-    return _inject_faults(inner, parse_fault_script(script))
-
-
 def _inject_faults(inner, normalized: list[tuple[str, str | None]]):
+    """Wrap a transition with a parsed fault script, then delegate to it."""
     pending = iter(normalized)
 
     def wrapped(params: dict, state) -> ToolOutcome:

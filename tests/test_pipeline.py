@@ -63,8 +63,8 @@ BAD_PATCH = {
 }
 
 
-# Record types replay recomputes and compares: every type after the header
-# but model_call.
+# Record types whose every leaf replay checks: each type after the header
+# but model_call, whose recorded prompt replay takes on trust.
 RECOMPUTED = ("profile", "risk", "route", "step", "verification", "repair", "reason", "abort",
               "report")
 
@@ -700,22 +700,24 @@ class TestReplay:
                          {"role": "profile", "text": "garbage"})
         run_ptr(task(), bench_metadata(), RunConfig(), model, environment(), trace_path=path)
         replay = replay_trace(path)
-        assert replay.matched and replay.sections_checked == 2
+        assert replay.matched and replay.sections_checked == 4
 
     def test_sections_checked_counts_compared_records(self, tmp_path):
         _, replay, path = self.run_and_replay(
             profile_entry(FAILING_PROFILE),
             {"role": "repair", "text": json.dumps(GOOD_PATCH)}, REASON, tmp_path=tmp_path)
-        compared = [r["type"] for r in read_trace(path) if r["type"] in RECOMPUTED]
-        assert compared == ["profile", "risk", "route", "step", "step", "verification",
-                            "repair", "step", "verification", "reason", "report"]
+        compared = [r["type"] for r in read_trace(path)[1:]]
+        assert compared == ["model_call", "profile", "risk", "route", "step", "step",
+                            "verification", "model_call", "repair", "step", "verification",
+                            "model_call", "reason", "report"]
         assert replay.sections_checked == len(compared)
 
     @pytest.mark.parametrize("edit, section, index", [
         ("flip route.override", "route", 0),
         ("duplicate risk", "route", 0),
-        ("duplicate verification[initial]", "repair", 0),
+        ("duplicate verification[initial]", "model_call", 1),
         ("delete verification[repair]", "verification[repair]", 0),
+        ("swap reason model_call and verification[repair]", "verification[repair]", 0),
     ])
     def test_record_count_and_override_edits_diverge(self, edit, section, index, tmp_path):
         _, _, path = self.run_and_replay(
@@ -734,8 +736,12 @@ class TestReplay:
         elif edit == "duplicate verification[initial]":
             i = position("verification", "initial")
             records.insert(i, dict(records[i]))
-        else:
+        elif edit == "delete verification[repair]":
             del records[position("verification", "repair")]
+        else:
+            i = position("verification", "repair")
+            assert records[i + 1]["type"] == "model_call" and records[i + 1]["role"] == "reason"
+            records[i], records[i + 1] = records[i + 1], records[i]
         replay = replay_trace(records)
         assert not replay.matched
         assert (replay.divergence["section"], replay.divergence["index"]) == (section, index)
@@ -762,10 +768,11 @@ class TestReplay:
         lambda record: record.update(response_text=5),
         lambda record: record.update(cost_micros="1"),
         lambda record: record.pop("cost_micros"),
-        lambda record: record.update(credentials_redacted=False),
-        lambda record: record.update(api_key="sk-test"),
-    ], ids=["reply-not-a-string", "cost-not-an-integer", "no-cost", "credentials-not-redacted",
-            "extra-key"])
+        lambda record: record.update(prompt=None),
+        lambda record: record.update(prompt=2.5),
+        lambda record: record.update(prompt={}),
+    ], ids=["reply-not-a-string", "cost-not-an-integer", "no-cost", "prompt-null",
+            "prompt-number", "prompt-object"])
     def test_malformed_model_call_is_schema_error(self, edit, tmp_path):
         _, _, path = self.run_and_replay(profile_entry(CLEAN_PROFILE), REASON,
                                          tmp_path=tmp_path)
@@ -824,7 +831,9 @@ class TestReplay:
         ("profile call cost", "report", 0),
         ("delete reason model_call", "reason", 0),
         ("delete reason", "reason", 0),
-        ("extra model_call", "model_call", 2),
+        ("extra model_call", "reason", 0),
+        ("credentials not redacted", "model_call", 1),
+        ("extra key", "model_call", 1),
     ])
     def test_edit_of_a_record_replay_once_trusted_diverges(self, edit, section, index,
                                                            tmp_path):
@@ -849,6 +858,10 @@ class TestReplay:
             records.remove(calls[1])
         elif edit == "delete reason":
             records.remove(reason)
+        elif edit == "credentials not redacted":
+            calls[1]["credentials_redacted"] = False
+        elif edit == "extra key":
+            calls[1]["api_key"] = "sk-test"
         else:  # a copy of the last model_call record, after it
             records.insert(records.index(calls[1]) + 1, dict(calls[1]))
         replay = replay_trace(records)
@@ -878,7 +891,7 @@ class TestReplay:
             assert records[-2]["detail"].startswith(f"{stopped['role']} call raised ")
         replay = replay_trace(path)
         assert replay.matched
-        assert replay.sections_checked == sum(r["type"] != "model_call" for r in records[1:])
+        assert replay.sections_checked == len(records) - 1
 
     # 600 levels decode on every supported Python; whether copying them for
     # the report recurses too deeply depends on the version. 5,000 levels
@@ -1005,10 +1018,13 @@ class TestReplayTampering:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_tampered_recomputed_record_never_matches(self, data):
         records = copy.deepcopy(data.draw(st.sampled_from(scenario_traces())))
-        positions = [i for i, r in enumerate(records) if r["type"] in RECOMPUTED]
-        i = data.draw(st.sampled_from(positions))
         kind = data.draw(st.sampled_from(("edit", "delete", "duplicate", "swap", "reply",
                                           "call")))
+        # an edit changes a recomputed record; the other kinds act on any
+        # record after the header, model_call included
+        positions = [i for i, r in enumerate(records)
+                     if i > 0 and (kind != "edit" or r["type"] in RECOMPUTED)]
+        i = data.draw(st.sampled_from(positions))
         if kind in ("edit", "reply", "call"):
             if kind == "reply":
                 # one leaf of a profile or repair reply's JSON, re-serialized
@@ -1840,7 +1856,7 @@ class TestVersion1Traces:
         header = read_trace(V1_TRACE)[0]
         assert header["schema_version"] == 1 and "kb" in header["environment"]
         replay = replay_trace(V1_TRACE)
-        assert replay.matched and replay.sections_checked == 8
+        assert replay.matched and replay.sections_checked == 10
         assert len(empty_kb_memo) == 0  # an embedded KB is not memoized
         assert replay_trace(read_trace(V1_TRACE)).matched
 
@@ -1861,11 +1877,18 @@ class TestVersion1Traces:
         with pytest.raises(TraceSchemaError, match="trace header is malformed"):
             replay_trace(records)
 
-    def test_tampered_step_diverges(self):
+    @pytest.mark.parametrize("edit, section", [("step outcome", "step[initial]"),
+                                               ("swap profile model_call", "model_call")])
+    def test_edited_trace_diverges(self, edit, section):
         records = read_trace(V1_TRACE)
-        next(r for r in records if r["type"] == "step")["event"]["outcome"] = "failure"
+        if edit == "step outcome":
+            next(r for r in records if r["type"] == "step")["event"]["outcome"] = "failure"
+        else:
+            assert [r["type"] for r in records[1:3]] == ["model_call", "profile"]
+            records[1], records[2] = records[2], records[1]
         replay = replay_trace(records)
-        assert not replay.matched and replay.divergence["section"] == "step[initial]"
+        assert not replay.matched
+        assert (replay.divergence["section"], replay.divergence["index"]) == (section, 0)
 
 
 V2_TRACE = Path(__file__).parent / "data" / "trace_v2_demo.jsonl"
@@ -1882,7 +1905,7 @@ class TestVersion2Traces:
         assert records[0]["schema_version"] == 2
         assert [r["accepted"] for r in records if r["type"] == "repair"] == [True]
         replay = replay_trace(V2_TRACE)
-        assert replay.matched and replay.sections_checked == 12
+        assert replay.matched and replay.sections_checked == 15
         assert list(empty_kb_memo) == [records[0]["environment"]["kb_digest"]]
 
     @pytest.mark.parametrize("kind, edit", [

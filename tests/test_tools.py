@@ -12,8 +12,8 @@ from ptrun.core import SlotSpec, Task, ToolSpec
 from ptrun.pipeline import RunConfig, ToolEnvironment, replay_trace, run_ptr
 from ptrun.semantic import ScriptedModel
 from ptrun.tools import (Article, DuplicateToolError, KnowledgeBase, ToolOutcome, ToolRegistry,
-                         builtin_registry, calc, make_fault_injector, make_kb_lookup,
-                         make_kb_search, tokenize)
+                         builtin_registry, calc, make_kb_lookup, make_kb_search,
+                         parse_fault_script, tokenize)
 
 FIXTURE = [
     {"title": "Alan Turing", "body": "Alan Turing was a mathematician.", "links": ["Turing machine"]},
@@ -317,33 +317,38 @@ class TestRegistry:
         assert not outcome.ok and outcome.error_class == "not_found"
 
 
+def search_with_faults(kb, script):
+    """A kb_search call through a registry that runs the fault script, as a run's does."""
+    registry = builtin_registry(kb, {"kb_search": script})
+    return lambda params: registry.invoke("kb_search", params, None)
+
+
 class TestFaultInjector:
     def test_scripted_failure_then_delegate(self, kb):
-        wrapped = make_fault_injector(make_kb_search(kb), ["timeout"])
-        first = wrapped({"query": "paris", "limit": 1}, None)
-        second = wrapped({"query": "paris", "limit": 1}, None)
+        search = search_with_faults(kb, ["timeout"])
+        first = search({"query": "paris", "limit": 1})
+        second = search({"query": "paris", "limit": 1})
         assert first.error_class == "timeout"
         assert second.ok
 
     def test_two_consecutive_empties(self, kb):
-        wrapped = make_fault_injector(make_kb_search(kb), ["empty_result", "empty_result"])
-        assert wrapped({"query": "paris"}, None).error_class == "empty_result"
-        assert wrapped({"query": "paris"}, None).error_class == "empty_result"
-        assert wrapped({"query": "paris"}, None).ok
+        search = search_with_faults(kb, ["empty_result", "empty_result"])
+        assert search({"query": "paris"}).error_class == "empty_result"
+        assert search({"query": "paris"}).error_class == "empty_result"
+        assert search({"query": "paris"}).ok
 
     def test_ok_entry_delegates(self, kb):
-        wrapped = make_fault_injector(make_kb_search(kb), ["ok", "timeout"])
-        assert wrapped({"query": "paris"}, None).ok
-        assert wrapped({"query": "paris"}, None).error_class == "timeout"
+        search = search_with_faults(kb, ["ok", "timeout"])
+        assert search({"query": "paris"}).ok
+        assert search({"query": "paris"}).error_class == "timeout"
 
-    def test_empty_script_rejected(self, kb):
+    def test_empty_script_rejected(self):
         with pytest.raises(ValueError):
-            make_fault_injector(make_kb_search(kb), [])
+            parse_fault_script([])
 
     def test_message_override(self, kb):
-        wrapped = make_fault_injector(make_kb_search(kb),
-                                      [{"fail": "rate_limited", "message": "slow down"}])
-        assert wrapped({"query": "paris"}, None).message == "slow down"
+        search = search_with_faults(kb, [{"fail": "rate_limited", "message": "slow down"}])
+        assert search({"query": "paris"}).message == "slow down"
 
     @pytest.mark.parametrize("scripts", [
         {"kb_search": None}, {"kb_search": ["bogus"]}, {"kb_search": [{"fail": "unknown_tool"}]},
