@@ -630,11 +630,11 @@ class _Stop(Exception):
 
 class _RecordedCalls:
     """Replay's model call: the reply, usage and cost of the trace's next
-    ``model_call`` record, which must be of the role asked for. It writes
-    that call's record to ``writer`` as the run does, with the recorded
-    prompt, which is never built. Past the last record, the ModelCallError
-    of a recorded ``model_error`` abort for that role. Otherwise the
-    recomputation stops."""
+    ``model_call`` record, which must be of the role asked for; the call's
+    record, with the recorded prompt (never built), goes to ``writer`` as
+    the run writes it. Past the last record, the ModelCallError of a
+    recorded ``model_error`` abort for that role. Otherwise, or where the
+    record's key set or ``true`` flag is not the builder's, replay stops."""
 
     def __init__(self, records: list[dict], writer: TraceWriter):
         self.records = [r for r in records if r.get("type") == "model_call"]
@@ -662,9 +662,13 @@ class _RecordedCalls:
                 f"model_call record {self.used} is malformed: it needs prompt and "
                 "response_text strings, a usage object of two token counts and a "
                 "cost_micros integer")
-        self.used += 1
         response = ModelResponse(text, Usage(**usage), cost)
-        self.writer.write(_call_record(role, record["prompt"], response))
+        new = _call_record(role, record["prompt"], response)
+        # exact here: the compare skips volatile keys and reads 1 as True
+        if record.keys() != new.keys() or record["credentials_redacted"] is not True:
+            raise _Stop
+        self.used += 1
+        self.writer.write(new)
         return response
 
 

@@ -834,6 +834,8 @@ class TestReplay:
         ("extra model_call", "reason", 0),
         ("credentials not redacted", "model_call", 1),
         ("extra key", "model_call", 1),
+        ("extra volatile key", "model_call", 1),
+        ("credentials flag 1", "model_call", 1),
     ])
     def test_edit_of_a_record_replay_once_trusted_diverges(self, edit, section, index,
                                                            tmp_path):
@@ -862,6 +864,10 @@ class TestReplay:
             calls[1]["credentials_redacted"] = False
         elif edit == "extra key":
             calls[1]["api_key"] = "sk-test"
+        elif edit == "extra volatile key":  # the compare skips this key
+            calls[1]["timing"] = "sk-test"
+        elif edit == "credentials flag 1":  # the compare reads 1 == True
+            calls[1]["credentials_redacted"] = 1
         else:  # a copy of the last model_call record, after it
             records.insert(records.index(calls[1]) + 1, dict(calls[1]))
         replay = replay_trace(records)
